@@ -4,8 +4,9 @@
 // The paper charges 60 application bytes of protocol framing per chunk
 // (Section 2.4); batching N chunks into one kChunkBatchReply pays that
 // framing once plus 16 bytes of sub-header per chunk, and a staged chunk
-// that is later demanded saves a full round trip. This bench sweeps the
-// policies over the bundled workloads and emits BENCH_prefetch.json.
+// that is later demanded saves a full round trip. This bench runs each
+// bundled workload with prefetch off and with next-N batching and emits
+// BENCH_prefetch.json.
 //
 // Flags:
 //   --smoke       one workload only (CI crash check)
@@ -15,10 +16,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "net/channel.h"
-#include "softcache/cc.h"
-#include "softcache/mc.h"
-#include "softcache/protocol.h"
 
 using namespace sc;
 
@@ -42,39 +39,23 @@ softcache::SoftCacheConfig BaseConfig() {
   return config;
 }
 
-Row MakeRow(const std::string& workload, const std::string& policy,
-            const vm::RunResult& result, const softcache::SoftCacheStats& stats,
-            const net::ChannelStats& net) {
+// One cached run, checked against the native output.
+Row RunWith(const std::string& workload, const image::Image& img,
+            const std::vector<uint8_t>& input, const std::string& expected,
+            const softcache::SoftCacheConfig& config, const char* label) {
+  const bench::CachedRun run = bench::RunCachedWorkload(img, input, config);
+  SC_CHECK(run.output == expected)
+      << workload << "/" << label << " output diverged from native";
   Row row;
   row.workload = workload;
-  row.policy = policy;
-  row.round_trips = stats.net.requests;
-  row.wire_bytes = net.total_bytes();
-  row.cycles = result.cycles;
-  row.staged_hits = stats.prefetch.hits;
-  row.accuracy = stats.prefetch.accuracy();
-  row.coverage = stats.prefetch.coverage();
+  row.policy = label;
+  row.round_trips = run.stats.net.requests;
+  row.wire_bytes = run.net.total_bytes();
+  row.cycles = run.result.cycles;
+  row.staged_hits = run.stats.prefetch.hits;
+  row.accuracy = run.stats.prefetch.accuracy();
+  row.coverage = run.stats.prefetch.coverage();
   return row;
-}
-
-// One run with a caller-supplied MC, so the temperature table can be carried
-// over between runs (the "warm MC" row).
-Row RunWith(const workloads::WorkloadSpec& spec, const image::Image& img,
-            const std::vector<uint8_t>& input, const std::string& expected,
-            const softcache::SoftCacheConfig& config, const char* label,
-            softcache::MemoryController* mc) {
-  vm::Machine machine;
-  machine.LoadImage(img);
-  machine.SetInput(input);
-  net::Channel channel(config.channel);
-  softcache::CacheController cc(machine, *mc, channel, config);
-  cc.Attach();
-  const vm::RunResult result = machine.Run(16'000'000'000ull);
-  SC_CHECK(result.reason == vm::StopReason::kHalted)
-      << spec.name << "/" << label << " failed: " << result.fault_message;
-  SC_CHECK(machine.OutputString() == expected)
-      << spec.name << "/" << label << " output diverged from native";
-  return MakeRow(spec.name, label, result, cc.stats(), channel.stats());
 }
 
 void PrintRow(const Row& row, const Row& off) {
@@ -147,56 +128,29 @@ int main(int argc, char** argv) {
     // kOff: one 60-byte-framed round trip per chunk, byte-identical to the
     // seed protocol (bench_net reproduces the accounting).
     softcache::SoftCacheConfig config = BaseConfig();
-    softcache::MemoryController mc_off(img, config.style,
-                                       config.max_block_instrs,
-                                       config.max_trace_blocks);
-    const Row off = RunWith(*spec, img, input, native.output, config, "off",
-                            &mc_off);
+    const Row off = RunWith(name, img, input, native.output, config, "off");
     rows.push_back(off);
     PrintRow(off, off);
 
-    // Speculative rows walk deeper than the default and under a tight byte
-    // budget, so admission is contended and the ranking policy actually
-    // decides which candidates win (with slack budgets every policy admits
-    // the whole candidate set and the rows are identical by construction).
+    // The speculative row walks deeper than the default and under a tight
+    // byte budget, so admission is contended rather than taking the whole
+    // candidate set.
     config.prefetch.depth = 4;
     config.prefetch.byte_budget = 1024;
     config.prefetch.policy = softcache::PrefetchPolicy::kNextN;
-    softcache::MemoryController mc_next(img, config.style,
-                                        config.max_block_instrs,
-                                        config.max_trace_blocks);
-    const Row next = RunWith(*spec, img, input, native.output, config, "nextN",
-                             &mc_next);
+    const Row next = RunWith(name, img, input, native.output, config, "nextN");
     rows.push_back(next);
     PrintRow(next, off);
 
-    // Temperature ranking, cold MC: first touch of every chunk ranks on
-    // counts of zero, so this mostly measures the batching itself.
-    config.prefetch.policy = softcache::PrefetchPolicy::kTemperature;
-    softcache::MemoryController mc_temp(img, config.style,
-                                        config.max_block_instrs,
-                                        config.max_trace_blocks);
-    const Row cold = RunWith(*spec, img, input, native.output, config,
-                             "temp", &mc_temp);
-    rows.push_back(cold);
-    PrintRow(cold, off);
-
-    // Warm MC: the same MemoryController serves a second complete run, so
-    // ranking uses the demand counts learned from the first.
-    const Row warm = RunWith(*spec, img, input, native.output, config,
-                             "temp-warm", &mc_temp);
-    rows.push_back(warm);
-    PrintRow(warm, off);
-
-    if (cold.round_trips * 10 <= off.round_trips * 7 &&
-        cold.wire_bytes < off.wire_bytes) {
+    if (next.round_trips * 10 <= off.round_trips * 7 &&
+        next.wire_bytes < off.wire_bytes) {
       ++improved;
     }
   }
 
   WriteJson(out_path, rows);
   std::printf("\nworkloads with >=30%% fewer round trips AND fewer wire bytes"
-              " (temp vs off): %llu of %llu\n",
+              " (nextN vs off): %llu of %llu\n",
               static_cast<unsigned long long>(improved),
               static_cast<unsigned long long>(names.size()));
   std::printf("wrote %s\n", out_path.c_str());

@@ -84,7 +84,7 @@ Row MakeRow(const std::string& workload, const char* label,
 }
 
 void PrintRow(const Row& row) {
-  std::printf("%-10s %-14s %7llu %7llu %7llu %12llu %8.2f%% %5s\n",
+  std::printf("%-10s %-15s %7llu %7llu %7llu %12llu %8.2f%% %5s\n",
               row.workload.c_str(), row.schedule.c_str(),
               static_cast<unsigned long long>(row.crashes),
               static_cast<unsigned long long>(row.recoveries),
@@ -120,7 +120,7 @@ bench::CachedRun RunWithDcache(const image::Image& img,
   run.stats.session.journal_replays += dc.stats().session.journal_replays;
   run.stats.session.recovery_cycles += dc.stats().session.recovery_cycles;
   run.net = system.channel().stats();
-  run.mc_restarts = system.mc().restarts();
+  run.mc_restarts = system.mc().server().stats().restarts;
   run.output = system.machine().OutputString();
   return run;
 }
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
       {"rate-0.02/s11", 0, 0, 0.02, 11},
   };
 
-  std::printf("%-10s %-14s %7s %7s %7s %12s %9s %5s\n", "workload", "schedule",
+  std::printf("%-10s %-15s %7s %7s %7s %12s %9s %5s\n", "workload", "schedule",
               "crashes", "recover", "replays", "cycles", "overhead", "same");
   bench::PrintRule();
 
@@ -212,16 +212,16 @@ int main(int argc, char** argv) {
     // dead epoch must be dropped, then refetched on demand.
     {
       softcache::SoftCacheConfig config = BaseConfig();
-      config.prefetch.policy = softcache::PrefetchPolicy::kTemperature;
+      config.prefetch.policy = softcache::PrefetchPolicy::kNextN;
       const bench::CachedRun pf_base =
           bench::RunCachedWorkload(img, input, config);
       ApplySchedule(&config, kSchedules[2]);  // period-16
       const bench::CachedRun run = bench::RunCachedWorkload(img, input, config);
-      const Row row = MakeRow(name, "temp+period-16", run, pf_base);
+      const Row row = MakeRow(name, "nextn+period-16", run, pf_base);
       rows.push_back(row);
       PrintRow(row);
       SC_CHECK(row.identical)
-          << name << "/temp+period-16 diverged from the crash-free run";
+          << name << "/nextn+period-16 diverged from the crash-free run";
     }
 
     // With the D-cache attached, dirty data writebacks ride the journal too.
@@ -278,7 +278,8 @@ int main(int argc, char** argv) {
     std::printf("\nwrote merged recovery trace %s (%zu lanes, %llu MC "
                 "restarts survived)\n",
                 trace_path.c_str(), mux.lane_count(),
-                static_cast<unsigned long long>(fleet.mc().restarts()));
+                static_cast<unsigned long long>(
+                    fleet.mc().server().stats().restarts));
   }
 
   WriteJson(out_path, rows);

@@ -67,7 +67,7 @@ inline CachedRun RunCachedWorkload(const image::Image& img,
   run.net = system.channel().stats();
   run.resident_blocks = system.cc().ResidentBlocks();
   run.live_bytes = system.cc().live_tcache_bytes();
-  run.mc_restarts = system.mc().restarts();
+  run.mc_restarts = system.mc().server().stats().restarts;
   run.output = system.machine().OutputString();
   return run;
 }

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
                 (unsigned long long)stats.evictions);
   }
   std::printf("\nserver: %llu requests served across the fleet, %s moved\n",
-              (unsigned long long)mc.requests_served(),
+              (unsigned long long)mc.server().stats().requests_served,
               util::HumanBytes(total_bytes).c_str());
   std::printf("scheduling: %llu time slices of 50k instructions\n",
               (unsigned long long)slices);

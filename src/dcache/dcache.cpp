@@ -34,7 +34,7 @@ DataCache::DataCache(vm::Machine& machine, softcache::MemoryController& mc,
   SC_CHECK_EQ(config_.scache_bytes % config_.scache_line_bytes, 0u);
   SC_CHECK_GT(config_.dcache_blocks, 1u);
 
-  data_lo_ = mc_.DataBase();
+  data_lo_ = mc_.server().DataBase();
   stack_lo_ = image::kStackTop & ~0xfffffu;  // 1 MB stack window
 
   const uint32_t base =

@@ -226,12 +226,14 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
     // The demanded chunk leads the batch; the rest are speculative and go to
     // the staging buffer.
     const BatchChunkView& head = (*views)[0];
-    if (orig_pc < head.addr ||
-        orig_pc >= head.addr + static_cast<uint32_t>(head.nwords) * 4) {
+    if (orig_pc != head.addr &&
+        (orig_pc < head.addr ||
+         orig_pc - head.addr >= static_cast<uint64_t>(head.nwords) * 4)) {
       // A legitimate batch always leads with the chunk covering the demanded
       // pc (ARM procedure chunks start at the symbol, which may sit below a
-      // mid-procedure demand); anything else is a corrupted or hostile reply
-      // and must not reach install.
+      // mid-procedure demand; a block that is only a folded jump translates
+      // to zero words, so its start address still counts); anything else is
+      // a corrupted or hostile reply and must not reach install.
       return util::Error{"batch head addr mismatch"};
     }
     Chunk chunk =

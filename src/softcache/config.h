@@ -32,10 +32,6 @@ enum class PrefetchPolicy : uint8_t {
   // Ship the demanded chunk's static CFG successors in BFS order until the
   // depth/chunk/byte budgets run out.
   kNextN,
-  // Like kNextN, but rank candidate successors by the MC's per-chunk
-  // reference-count "temperature" (how often each chunk has been demanded),
-  // so re-referenced code wins the byte budget.
-  kTemperature,
 };
 
 struct PrefetchConfig {

@@ -407,15 +407,6 @@ void McSession::ReadData(uint32_t addr, uint32_t len, uint8_t* out) const {
   }
 }
 
-void McSession::OverlayData(std::vector<uint8_t>* flat) const {
-  for (const auto& [page, bytes] : data_pages_) {
-    const size_t base = static_cast<size_t>(page) * kMcCowPageBytes;
-    if (base >= flat->size()) continue;
-    std::memcpy(flat->data() + base, bytes.data(),
-                std::min<size_t>(kMcCowPageBytes, flat->size() - base));
-  }
-}
-
 void McSession::RecordTextWrite(uint32_t addr,
                                 const std::vector<uint8_t>& bytes) {
   pending_text_.push_back(PendingWrite{addr, bytes});
@@ -451,13 +442,11 @@ void McSession::RecordDataWrite(uint32_t addr,
 void McSession::Restart() {
   if (private_image_) private_image_->text = stable_text_;
   data_pages_ = stable_pages_;
-  ++data_version_;
   pending_text_.clear();
   pending_data_.clear();
   applied_text_ops_ = stable_text_ops_;
   applied_data_ops_ = stable_data_ops_;
   replay_cache_.clear();
-  temperature_ = util::OpenTable<uint32_t, uint32_t>(256);
   ++epoch_;
   ++stats_.restarts;
   server_.BumpStats([](McServerStats& st) { ++st.restarts; });
@@ -493,12 +482,8 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
   append(primary);
 
   // Candidate collection: BFS over the static CFG from the demanded chunk to
-  // `depth` levels, cutting every reachable chunk once. Admission is decided
-  // *globally* after collection — a per-level sort is degenerate whenever a
-  // frontier level fits inside the budgets (the sort can reorder a level but
-  // never change which chunks are admitted), which is exactly the regime the
-  // bundled workloads sit in with ≤2 successors per chunk. Ranking the whole
-  // candidate set lets a hot deep chunk displace a cold shallow one.
+  // `depth` levels, cutting every reachable chunk once. BFS discovery order
+  // is the next-N priority (fallthrough first).
   const image::Image& text = text_view();
   std::vector<uint32_t> included{primary.orig_addr};
   const auto is_included = [&included](uint32_t addr) {
@@ -507,17 +492,13 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
     }
     return false;
   };
-  struct Candidate {
-    Chunk chunk;
-    uint32_t order;  // BFS discovery order: the next-N priority
-  };
-  std::vector<Candidate> candidates;
+  std::vector<Chunk> candidates;
   std::vector<uint32_t> frontier = ChunkSuccessors(text, primary);
   for (uint32_t level = 0; level < depth && !frontier.empty(); ++level) {
     std::vector<uint32_t> next;
     for (uint32_t addr : frontier) {
-      // Bound the walk: ranking only needs enough slack over max_chunks to
-      // have something to displace.
+      // Bound the walk: enough slack over max_chunks that a candidate too
+      // large for the byte budget can be skipped for a smaller one.
       if (candidates.size() >= 2 * kMaxPrefetchChunks) break;
       if (is_included(addr)) continue;
       auto chunk = CutChunk(addr);
@@ -528,32 +509,19 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
       for (uint32_t succ : ChunkSuccessors(text, *chunk)) {
         next.push_back(succ);
       }
-      candidates.push_back(Candidate{
-          std::move(*chunk), static_cast<uint32_t>(candidates.size())});
+      candidates.push_back(std::move(*chunk));
     }
     frontier = std::move(next);
   }
-  // Rank: the temperature policy orders by observed demand heat (hotter
-  // first), falling back to BFS order on ties so a cold session degrades
-  // gracefully to next-N; next-N is plain BFS order (fallthrough first).
-  if (static_cast<PrefetchPolicy>(hints.policy) ==
-      PrefetchPolicy::kTemperature) {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [this](const Candidate& a, const Candidate& b) {
-                       return Temperature(a.chunk.orig_addr) >
-                              Temperature(b.chunk.orig_addr);
-                     });
-  }
-  // Greedy admission under the chunk and byte budgets, in rank order.
+  // Greedy admission under the chunk and byte budgets, in BFS order.
   uint32_t budget = hints.byte_budget;
-  for (const Candidate& cand : candidates) {
+  for (const Chunk& cand : candidates) {
     if (count - 1 >= max_chunks) break;
     const uint32_t cost =
-        kBatchChunkHeaderBytes +
-        static_cast<uint32_t>(cand.chunk.words.size()) * 4;
+        kBatchChunkHeaderBytes + static_cast<uint32_t>(cand.words.size()) * 4;
     if (cost > budget) continue;
     budget -= cost;
-    append(cand.chunk);
+    append(cand);
     ++stats_.chunks_prefetched;
     server_.BumpStats([](McServerStats& st) { ++st.chunks_prefetched; });
   }
@@ -574,13 +542,6 @@ Reply McSession::HandleParsed(const Request& request) {
       }
       auto chunk = CutChunk(request.addr);
       if (!chunk.ok()) return ErrorReply(request.seq, chunk.error().message);
-      // Learn the chunk's demand "temperature" for future prefetch ranking.
-      uint32_t* temp = temperature_.Find(chunk->orig_addr);
-      if (temp != nullptr) {
-        ++*temp;
-      } else {
-        temperature_.Put(chunk->orig_addr, 1);
-      }
       // Content-addressed coalescing: only for opted-in clients reading
       // SHARED text (digests describe the pristine artifact; a COW session's
       // private translations are never published or answered by digest).
@@ -676,7 +637,6 @@ Reply McSession::HandleParsed(const Request& request) {
       if (!request.payload.empty()) {
         WritePages(&data_pages_, request.addr, request.payload.data(),
                    request.payload.size(), /*count_faults=*/true);
-        ++data_version_;
       }
       RecordDataWrite(request.addr, request.payload);
       Reply reply;
@@ -789,16 +749,6 @@ void MemoryController::RestartSession(uint32_t client_id) {
   session(client_id).Restart();
 }
 
-const std::vector<uint8_t>& MemoryController::data() const {
-  const McSession& s0 = Session0();
-  if (legacy_data_version_ != s0.data_version()) {
-    legacy_data_ = server_.shared_data();
-    s0.OverlayData(&legacy_data_);
-    legacy_data_version_ = s0.data_version();
-  }
-  return legacy_data_;
-}
-
 void MemoryController::RegisterMetrics(obs::MetricsRegistry* registry,
                                        const std::string& prefix) const {
   const McServerStats& s = server_.stats();
@@ -856,12 +806,7 @@ void MemoryController::RegisterMetrics(obs::MetricsRegistry* registry,
     registry->RegisterHistogram(sub + "service_ns",
                                 &server_.shard_service_ns(i));
   }
-  // Legacy name: session 0's heat table (the single-client table).
-  if (const McSession* s0 = FindSession(0)) {
-    registry->RegisterTable(prefix + "chunk_temperature",
-                            [s0] { return s0->TemperatureRows(); });
-  }
-  // Per-session counters + heat tables: mc.s<id>.*.
+  // Per-session counters: mc.s<id>.*.
   for (const auto& [id, sess] : sessions_) {
     const std::string sub = prefix + "s" + std::to_string(id) + ".";
     const McSessionStats& ss = sess->stats();
@@ -880,9 +825,6 @@ void MemoryController::RegisterMetrics(obs::MetricsRegistry* registry,
                               &ss.data_cow_page_faults);
     registry->RegisterCounter(sub + "shared_requests", &ss.shared_requests);
     registry->RegisterCounter(sub + "digest_replies", &ss.digest_replies);
-    const McSession* sp = sess.get();
-    registry->RegisterTable(sub + "chunk_temperature",
-                            [sp] { return sp->TemperatureRows(); });
   }
 }
 

@@ -14,14 +14,13 @@
 //                serve the memoized artifact to every client), and the
 //                shared read-only data store.
 //   McSession  — everything per-client: boot-epoch handling, the replay
-//                cache, pending write buffers and journal watermarks,
-//                learned prefetch temperature, and copy-on-write private
-//                text/data segments (shared pages served read-only, faulted
-//                to private on the first kTextWrite / kDataWriteback).
+//                cache, pending write buffers and journal watermarks, and
+//                copy-on-write private text/data segments (shared pages
+//                served read-only, faulted to private on the first
+//                kTextWrite / kDataWriteback).
 //   MemoryController — the endpoint facade: demultiplexes frames onto
 //                sessions by the client id packed in the type word (or by
-//                switch port via HandlePort), and keeps the single-client
-//                accessor surface (which simply reads session 0) stable.
+//                switch port via HandlePort).
 #pragma once
 
 #include <cstdint>
@@ -379,8 +378,8 @@ struct McSessionStats {
 };
 
 // One client's server-side state: epoch fencing, replay cache, pending
-// writes + journal watermarks, learned temperature, and the copy-on-write
-// overlays holding this client's private view of text and data.
+// writes + journal watermarks, and the copy-on-write overlays holding this
+// client's private view of text and data.
 class McSession {
  public:
   McSession(McServer& server, uint32_t client_id)
@@ -395,11 +394,11 @@ class McSession {
   std::vector<uint8_t> ErrorFrame(uint32_t seq, const std::string& message);
 
   // Crash model: this session's server-side process dies and comes back up.
-  // All volatile state is lost — the replay cache, the pending (unflushed)
-  // write buffers, and the learned prefetch temperature — while the stable
-  // image (pristine state plus every flushed write) persists. The boot epoch
-  // increments so the client can detect the restart from the epoch stamped
-  // into every reply. Other sessions are unaffected.
+  // All volatile state is lost — the replay cache and the pending
+  // (unflushed) write buffers — while the stable image (pristine state plus
+  // every flushed write) persists. The boot epoch increments so the client
+  // can detect the restart from the epoch stamped into every reply. Other
+  // sessions are unaffected.
   void Restart();
 
   uint32_t client_id() const { return client_id_; }
@@ -437,29 +436,6 @@ class McSession {
   // pages where faulted, the shared store elsewhere). Caller checks bounds.
   void ReadData(uint32_t addr, uint32_t len, uint8_t* out) const;
 
-  // Copies this session's private working pages over `flat` (a buffer laid
-  // out like the server's shared data store). Legacy whole-store view.
-  void OverlayData(std::vector<uint8_t>* flat) const;
-  // Increments whenever the working data overlay changes (write / restart);
-  // lets cached flat views invalidate in O(1).
-  uint64_t data_version() const { return data_version_; }
-
-  // Demand reference count ("temperature") of a chunk start, as learned
-  // from this session's past kChunkRequests.
-  uint32_t Temperature(uint32_t addr) const {
-    const uint32_t* t = temperature_.Find(addr);
-    return t == nullptr ? 0 : *t;
-  }
-  // (chunk start address, demand count) rows of the temperature table.
-  std::vector<std::pair<uint64_t, uint64_t>> TemperatureRows() const {
-    std::vector<std::pair<uint64_t, uint64_t>> rows;
-    rows.reserve(temperature_.size());
-    temperature_.ForEach([&rows](uint32_t addr, uint32_t count) {
-      rows.emplace_back(addr, count);
-    });
-    return rows;
-  }
-
   const McSessionStats& stats() const { return stats_; }
 
  private:
@@ -492,11 +468,10 @@ class McSession {
   Reply HandleParsed(const Request& request);
   Reply ErrorReply(uint32_t seq, const std::string& message) const;
   // Builds the kChunkBatchReply for a demanded chunk: walks the static CFG
-  // from `primary` up to the hinted depth, ranks candidates (temperature
-  // policy) and packs the winners behind the demanded chunk until the
-  // chunk-count/byte budgets run out. With `publish_digests` every packed
-  // body's digest is published (the batch is about to cross the broadcast
-  // medium and be snooped fleet-wide).
+  // from `primary` up to the hinted depth and packs the candidates, in BFS
+  // order, behind the demanded chunk until the chunk-count/byte budgets run
+  // out. With `publish_digests` every packed body's digest is published (the
+  // batch is about to cross the broadcast medium and be snooped fleet-wide).
   Reply BatchReply(const Request& request, const Chunk& primary,
                    const PrefetchHints& hints, bool publish_digests);
   // Translation through the server: memoized while this session reads shared
@@ -528,7 +503,6 @@ class McSession {
   // stable pages (pristine + flushed writes) a crash reverts to.
   PageMap data_pages_;
   PageMap stable_pages_;
-  uint64_t data_version_ = 0;
 
   std::vector<PendingWrite> pending_text_;
   std::vector<PendingWrite> pending_data_;
@@ -537,18 +511,13 @@ class McSession {
   uint64_t applied_data_ops_ = 0;
   uint64_t stable_data_ops_ = 0;
   uint32_t epoch_ = 0;
-
-  // Per-chunk demand counts (prefetch "temperature"), keyed by the chunk
-  // start address this client asked for.
-  util::OpenTable<uint32_t, uint32_t> temperature_{256};
   McSessionStats stats_;
 };
 
 // The MC endpoint: one shared server core plus a session per client id.
-// Single-client code (and every pre-multi-client test) keeps working
-// unchanged: the legacy accessors read session 0, which the constructor
-// pre-creates, and client id 0 frames serialize byte-identically to the
-// seed protocol.
+// Per-client state is read through session(id), shared-core state through
+// server(); client id 0 frames serialize byte-identically to the seed
+// protocol.
 class MemoryController {
  public:
   MemoryController(const image::Image& image, Style style,
@@ -556,7 +525,9 @@ class MemoryController {
                    const McServerConfig& server_config = {})
       : server_(image, style, max_block_instrs, max_trace_blocks,
                 server_config) {
-    session(0);  // legacy accessors are defined in terms of session 0
+    // Pre-create session 0 so a solo RegisterMetrics before any traffic
+    // still registers the mc.s0.* counters.
+    session(0);
   }
 
   // Handles one request frame; returns the reply frame. Routes by the client
@@ -600,46 +571,10 @@ class MemoryController {
     return ids;
   }
 
-  // Registers server aggregates plus per-session counters/heat-tables under
+  // Registers server aggregates plus per-session counters under
   // `prefix` (e.g. "mc." -> mc.requests_served, mc.s0.requests, ...).
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix = "mc.") const;
-
-  // --- Legacy single-client surface (session 0 / server aggregates) ---
-  uint32_t epoch() const { return Session0().epoch(); }
-  uint64_t restarts() const { return server_.stats().restarts; }
-  uint64_t stale_epoch_rejects() const {
-    return server_.stats().stale_epoch_rejects;
-  }
-  uint64_t applied_text_ops() const { return Session0().applied_text_ops(); }
-  uint64_t stable_text_ops() const { return Session0().stable_text_ops(); }
-  uint64_t applied_data_ops() const { return Session0().applied_data_ops(); }
-  uint64_t stable_data_ops() const { return Session0().stable_data_ops(); }
-
-  // Session 0's view of program text (the shared pristine image until its
-  // first kTextWrite).
-  const image::Image& image() const { return Session0().text_view(); }
-
-  uint32_t DataBase() const { return server_.DataBase(); }
-  uint32_t DataLimit() const { return server_.DataLimit(); }
-  // Session 0's flat view of the data store (shared store with its private
-  // pages overlaid); rebuilt lazily when the overlay changes.
-  const std::vector<uint8_t>& data() const;
-
-  uint64_t requests_served() const { return server_.stats().requests_served; }
-  uint64_t replays_suppressed() const {
-    return server_.stats().replays_suppressed;
-  }
-  uint64_t batches_served() const { return server_.stats().batches_served; }
-  uint64_t chunks_prefetched() const {
-    return server_.stats().chunks_prefetched;
-  }
-  uint32_t Temperature(uint32_t addr) const {
-    return Session0().Temperature(addr);
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> TemperatureRows() const {
-    return Session0().TemperatureRows();
-  }
 
   // Test-only tap observing every (request bytes, reply bytes) pair exactly
   // as they cross the wire; used to prove kOff traffic is byte-identical to
@@ -654,7 +589,6 @@ class MemoryController {
                                     const std::vector<uint8_t>& request_bytes);
   std::vector<uint8_t> HandleInner(int64_t port,
                                    const std::vector<uint8_t>& request_bytes);
-  const McSession& Session0() const { return *FindSession(0); }
 
   McServer server_;
   // Guards the session MAP only (lookup/insert); held never across a
@@ -665,9 +599,6 @@ class MemoryController {
   // for single-threaded tests stay correct under concurrent handlers.
   std::mutex tap_mu_;
   FrameTap tap_;
-  // Cached flat data view for the legacy data() accessor.
-  mutable std::vector<uint8_t> legacy_data_;
-  mutable uint64_t legacy_data_version_ = ~0ull;
 };
 
 }  // namespace sc::softcache

@@ -162,7 +162,8 @@ util::Result<std::vector<BatchChunkView>> ParseBatchPayload(
 // much speculative work one request may buy:
 //
 //   bits 31..28  policy  (0 = off: the request is byte-identical to the
-//                         seed protocol and gets a plain kChunkReply)
+//                         seed protocol and gets a plain kChunkReply;
+//                         any nonzero value = next-N batch)
 //   bits 27..24  depth   (CFG walk depth from the demanded chunk)
 //   bits 23..16  chunks  (max extra chunks per batch)
 //   bits 15..0   budget  (max extra payload bytes per batch)

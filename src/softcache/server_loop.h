@@ -118,12 +118,8 @@ class McServerLoop {
   using LaneRouter = std::function<uint32_t(
       uint32_t port, const std::vector<uint8_t>& frame)>;
 
-  // Legacy shape: one unbounded-or-bounded lane, borrowed-thread pump.
-  explicit McServerLoop(PortHandler handler, size_t max_queue = 0)
-      : McServerLoop(std::move(handler), nullptr,
-                     McServerLoopConfig{1, 0, max_queue}) {}
-
-  // Full shape: router + lanes + optional worker pool.
+  // A null router sends every frame to lane 0; the default config is one
+  // unbounded lane drained by the borrowed-thread pump.
   McServerLoop(PortHandler handler, LaneRouter router,
                const McServerLoopConfig& config);
 

@@ -6,8 +6,7 @@
 // survivable. Every reply the MC sends is stamped with its boot epoch
 // (protocol.h); when a Call observes a reply from a different epoch than the
 // one it last adopted, the server has crashed and restarted, losing its
-// volatile state — unflushed writes, the replay cache, the prefetch
-// temperature. The Session then:
+// volatile state — unflushed writes and the replay cache. The Session then:
 //
 //   1. quiesces the owner (the CC drops staged prefetch chunks, which may
 //      describe pre-crash server decisions), discarding the mismatched reply

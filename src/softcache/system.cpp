@@ -528,7 +528,11 @@ bool MultiClientSystem::SyncSessions() {
 
 void MultiClientSystem::RegisterMetrics(obs::MetricsRegistry* registry) const {
   for (size_t i = 0; i < clients_.size(); ++i) {
-    const std::string prefix = "c" + std::to_string(i) + ".";
+    // Appended piecewise: GCC 12 -O3 reports a false -Werror=restrict on
+    // the inlined `"c" + std::to_string(i) + "."` temporaries.
+    std::string prefix = "c";
+    prefix += std::to_string(i);
+    prefix += '.';
     const Client& client = clients_[i];
     client.cc->RegisterMetrics(registry, prefix);
     client.channel->stats().RegisterMetrics(registry, prefix + "net.channel.");

@@ -8,6 +8,7 @@
 #include "net/channel.h"
 #include "softcache/mc.h"
 #include "softcache/system.h"
+#include "tests/testing.h"
 #include "vm/machine.h"
 
 namespace sc {
@@ -27,7 +28,8 @@ struct DcacheRun {
   vm::RunResult result;
   std::string output;
   dcache::DCacheStats stats;
-  std::vector<uint8_t> server_data;  // MC view after flush
+  // MC view after flush: data + bss + a 64 KB heap span.
+  std::vector<uint8_t> server_data;
   uint32_t server_data_base = 0;
 };
 
@@ -45,8 +47,11 @@ DcacheRun RunWithDcache(const image::Image& img, const DCacheConfig& config,
   cache.FlushAll();
   run.output = machine.OutputString();
   run.stats = cache.stats();
-  run.server_data = mc.data();
-  run.server_data_base = mc.DataBase();
+  run.server_data_base = img.data_base;
+  for (uint32_t addr = img.data_base; addr < img.heap_base() + 64 * 1024;
+       ++addr) {
+    run.server_data.push_back(testing::McDataByte(mc, addr));
+  }
   return run;
 }
 

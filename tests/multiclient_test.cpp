@@ -228,7 +228,7 @@ TEST(SharedMemo, TextWriteInvalidatesWithoutCorruptingOtherClients) {
 TEST(CowData, WritebackIsPrivatePerSession) {
   const image::Image img = LoopImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
-  const uint32_t addr = mc.DataBase();
+  const uint32_t addr = img.data_base;
 
   Request write;
   write.type = MsgType::kDataWriteback;
@@ -268,7 +268,7 @@ TEST(CowData, WritebackIsPrivatePerSession) {
 TEST(SessionIsolation, RestartOneSessionLeavesOthersIntact) {
   const image::Image img = LoopImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
-  const uint32_t addr = mc.DataBase();
+  const uint32_t addr = img.data_base;
 
   auto write_marker = [&mc, addr](uint32_t client_id, uint8_t marker,
                                   uint32_t epoch) {

@@ -477,7 +477,7 @@ TEST(Observability, SystemMetricsMatchStatsStructs) {
   EXPECT_EQ(snap.counters.at("net.link.requests"), system.stats().net.requests);
   EXPECT_EQ(snap.counters.at("vm.cycles"), result.cycles);
   EXPECT_EQ(snap.counters.at("mc.requests_served"),
-            system.mc().requests_served());
+            system.mc().server().stats().requests_served);
   // Miss latency histogram is populated and percentiles are ordered.
   const util::Histogram& lat = system.cc().miss_latency();
   EXPECT_EQ(lat.total(), system.stats().tcmiss_traps);

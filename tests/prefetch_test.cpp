@@ -1,7 +1,7 @@
 // Speculative prefetch tests: batch payload framing, hint packing, the
 // kOff byte-identical-wire property, execution equivalence with batching
-// on (including under an unreliable transport), and staging-buffer
-// bounds/eviction behaviour.
+// on (including under an unreliable transport), staging-buffer
+// bounds/eviction behaviour, and the policy-nibble wire contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "softcache/protocol.h"
 #include "softcache/system.h"
 #include "tests/testing.h"
+#include "workloads/workloads.h"
 
 namespace sc {
 namespace {
@@ -85,11 +86,6 @@ constexpr const char* kCallLoopProgram = R"(
     for (int i = 0; i < 300; i++) sum += top(i) % 13;
     return sum % 251;
   }
-)";
-
-constexpr const char* kFibProgram = R"(
-  int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
-  int main() { return fib(15); }
 )";
 
 // --- Batch payload framing ---
@@ -283,7 +279,7 @@ TEST(PrefetchOffProperty, WireTrafficIsByteIdenticalToSeedProtocol) {
   EXPECT_EQ(ps.chunks_prefetched, 0u);
   EXPECT_EQ(ps.staged, 0u);
   EXPECT_EQ(ps.hits, 0u);
-  EXPECT_EQ(system.mc().batches_served(), 0u);
+  EXPECT_EQ(system.mc().server().stats().batches_served, 0u);
 }
 
 // The epoch stamp rides the upper 12 bits of the type word and the client id
@@ -339,15 +335,6 @@ TEST(PrefetchEquivalence, SparcNextN) {
   EXPECT_GT(ps.hits, 0u);
 }
 
-TEST(PrefetchEquivalence, SparcTemperature) {
-  const EquivalentRun run = ExpectEquivalent(
-      kFibProgram, PrefetchConfig(Style::kSparc, PrefetchPolicy::kTemperature));
-  EXPECT_GT(run.stats().prefetch.batches, 0u);
-  // The MC learned demand counts for the chunks the client asked for.
-  softcache::MemoryController& mc = run.system->mc();
-  EXPECT_GT(mc.Temperature(mc.image().entry), 0u);
-}
-
 TEST(PrefetchEquivalence, ArmProcedureChunks) {
   const EquivalentRun run = ExpectEquivalent(
       kCallLoopProgram, PrefetchConfig(Style::kArm, PrefetchPolicy::kNextN));
@@ -370,6 +357,32 @@ TEST(PrefetchEquivalence, PrefetchSavesRoundTrips) {
   EXPECT_LT(sys_on.stats().net.requests, sys_off.stats().net.requests);
 }
 
+// A block that is only a folded jump translates to zero words. When such a
+// chunk heads a batch, the CC must still accept it as covering the demanded
+// pc; compress95 demands one under bench_prefetch's depth-4, 1 KB walk.
+TEST(PrefetchEquivalence, ZeroWordChunkHeadsBatch) {
+  const auto* spec = workloads::FindWorkload("compress95");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  const std::vector<uint8_t> input = workloads::MakeInput(spec->name, 1);
+  std::string native_out;
+  const vm::RunResult native = softcache::RunNative(
+      img, std::string(input.begin(), input.end()), &native_out, 100'000'000);
+  ASSERT_EQ(native.reason, vm::StopReason::kHalted);
+
+  SoftCacheConfig config =
+      PrefetchConfig(Style::kSparc, PrefetchPolicy::kNextN, 64 * 1024);
+  config.prefetch.depth = 4;
+  config.prefetch.byte_budget = 1024;
+  SoftCacheSystem system(img, config);
+  system.SetInput(input);
+  const vm::RunResult cached = system.Run(100'000'000);
+  ASSERT_EQ(cached.reason, vm::StopReason::kHalted) << cached.fault_message;
+  EXPECT_EQ(cached.exit_code, native.exit_code);
+  EXPECT_EQ(system.OutputString(), native_out);
+  EXPECT_GT(system.stats().prefetch.batches, 0u);
+}
+
 // --- Batched replies under an unreliable transport ---
 
 TEST(PrefetchFaulty, BatchedRepliesSurviveDropCorruptDuplicate) {
@@ -385,15 +398,6 @@ TEST(PrefetchFaulty, BatchedRepliesSurviveDropCorruptDuplicate) {
   // through the faults.
   EXPECT_GT(run.stats().net.retries, 0u);
   EXPECT_GT(run.stats().prefetch.batches, 0u);
-}
-
-TEST(PrefetchFaulty, TemperatureUnderFaultsMatchesNative) {
-  SoftCacheConfig config =
-      PrefetchConfig(Style::kSparc, PrefetchPolicy::kTemperature);
-  config.fault.seed = 7;
-  config.fault.drop = 0.08;
-  config.fault.corrupt = 0.04;
-  ExpectEquivalent(kFibProgram, config);
 }
 
 // --- Staging buffer bounds ---
@@ -433,90 +437,30 @@ TEST(PrefetchStaging, EvictionPressureUnderSmallTcache) {
   EXPECT_GT(run.stats().evictions + run.stats().flushes, 0u);
 }
 
-// --- Policy divergence ---
+// --- Policy nibble wire contract ---
 
-// kTemperature must be able to make a *different* admission decision than
-// kNextN, not just reorder a set the budget would have admitted anyway.
-// Constructed at the protocol level so the divergence is provable: probe the
-// full candidate set, find a deep chunk the BFS-order greedy pass drops under
-// a binding byte budget, warm exactly that chunk with demand requests, and
-// show the temperature ranking admits it where next-N provably cannot
-// (admitting any earlier candidate leaves less than the hot chunk's cost).
-TEST(PrefetchPolicyDivergence, WarmDeepChunkDisplacesColdFallthrough) {
+// Any nonzero policy nibble asks for the next-N batch. Nibble 2 (once a
+// temperature-ranked policy) and 15 get replies byte-identical to nibble 1's,
+// so frames from older clients still parse and are served.
+TEST(PrefetchWireContract, NonzeroPolicyNibbleServesNextN) {
   const image::Image img = Compile(kCallLoopProgram);
-  softcache::MemoryController mc(img, Style::kSparc, 64);
-
-  struct BatchProbe {
-    std::vector<uint32_t> addrs;   // prefetched chunk addrs, primary excluded
-    std::vector<uint32_t> costs;   // wire cost of each, header + words
-  };
-  const auto probe = [&](PrefetchPolicy policy, uint32_t depth,
-                         uint32_t max_chunks, uint32_t byte_budget) {
+  const auto reply_for = [&img](uint32_t policy) {
+    softcache::MemoryController mc(img, Style::kSparc, 64);
     softcache::Request request;
     request.type = MsgType::kChunkRequest;
+    request.seq = 1;
     request.addr = img.entry;
-    request.length = softcache::PackPrefetchHints(
-        PrefetchHints{static_cast<uint32_t>(policy), depth, max_chunks,
-                      byte_budget});
-    auto reply = softcache::Reply::Parse(mc.Handle(request.Serialize()));
-    SC_CHECK(reply.ok()) << reply.error().ToString();
-    SC_CHECK(reply->type == MsgType::kChunkBatchReply);
-    auto chunks = softcache::ParseBatchPayload(reply->payload, reply->aux);
-    SC_CHECK(chunks.ok()) << chunks.error().ToString();
-    BatchProbe result;
-    for (size_t i = 1; i < chunks->size(); ++i) {  // record 0 is the primary
-      result.addrs.push_back((*chunks)[i].addr);
-      result.costs.push_back(softcache::kBatchChunkHeaderBytes +
-                             (*chunks)[i].nwords * 4);
-    }
-    return result;
+    request.length =
+        softcache::PackPrefetchHints(PrefetchHints{policy, 4, 8, 4096});
+    return mc.Handle(request.Serialize());
   };
-
-  // Full candidate set in BFS order (budget far above anything admissible).
-  const BatchProbe all = probe(PrefetchPolicy::kNextN, 4, 255, 0xffff);
-  ASSERT_GE(all.addrs.size(), 2u) << "program too small to rank";
-
-  // Pick the deepest candidate with some cheaper candidate before it in BFS
-  // order, and set the budget to exactly its cost. That budget is binding by
-  // construction: the greedy pass admits the cheaper earlier chunk first,
-  // after which less than the deep chunk's cost remains.
-  size_t hot_index = 0;
-  uint32_t min_prefix_cost = all.costs[0];
-  std::vector<uint32_t> min_cost_before(all.costs.size(), 0);
-  for (size_t i = 1; i < all.costs.size(); ++i) {
-    min_cost_before[i] = min_prefix_cost;
-    min_prefix_cost = std::min(min_prefix_cost, all.costs[i]);
-    if (min_cost_before[i] <= all.costs[i]) hot_index = i;
-  }
-  ASSERT_GT(hot_index, 0u) << "candidate costs strictly decreasing; no "
-                              "binding-budget victim exists in this program";
-  const uint32_t hot = all.addrs[hot_index];
-  const uint32_t budget = all.costs[hot_index];
-
-  const BatchProbe next_n = probe(PrefetchPolicy::kNextN, 4, 255, budget);
-  ASSERT_FALSE(next_n.addrs.empty());
-  ASSERT_EQ(std::count(next_n.addrs.begin(), next_n.addrs.end(), hot), 0)
-      << "budget not binding: next-N admitted the deep chunk anyway";
-
-  // Warm exactly the dropped chunk with plain demand requests (seed-protocol
-  // frames, no hints): every other candidate stays at temperature zero.
-  for (int i = 0; i < 8; ++i) {
-    softcache::Request demand;
-    demand.type = MsgType::kChunkRequest;
-    demand.addr = hot;
-    auto reply = softcache::Reply::Parse(mc.Handle(demand.Serialize()));
-    ASSERT_TRUE(reply.ok());
-    ASSERT_EQ(reply->type, MsgType::kChunkReply);
-  }
-  EXPECT_GE(mc.Temperature(hot), 8u);
-
-  // Same binding budget, temperature ranking: the warmed chunk sorts first
-  // and consumes the whole budget — a different set, containing the chunk
-  // next-N provably dropped.
-  const BatchProbe temp = probe(PrefetchPolicy::kTemperature, 4, 255, budget);
-  EXPECT_EQ(std::count(temp.addrs.begin(), temp.addrs.end(), hot), 1)
-      << "temperature ranking did not admit the hot chunk";
-  EXPECT_NE(temp.addrs, next_n.addrs);
+  const std::vector<uint8_t> next_n = reply_for(1);
+  auto parsed = softcache::Reply::Parse(next_n);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().ToString();
+  ASSERT_EQ(parsed->type, MsgType::kChunkBatchReply);
+  EXPECT_GT(parsed->aux, 1u);  // the demanded chunk plus speculation
+  EXPECT_EQ(reply_for(2), next_n);
+  EXPECT_EQ(reply_for(15), next_n);
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST(ProtocolFuzz, HelloFramesSurviveAbuse) {
   auto ack = Reply::Parse(mc.Handle(hello.Serialize()));
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->type, MsgType::kHelloAck);
-  EXPECT_EQ(ack->addr, mc.epoch());
+  EXPECT_EQ(ack->addr, mc.session(0).epoch());
 
   // A hello carrying a payload is malformed (hellos are header-only).
   Request fat = hello;
@@ -179,10 +179,10 @@ TEST(ProtocolFuzz, RandomEpochStampsNeverBreakTheServer) {
     }
     auto reply = Reply::Parse(mc.Handle(request.Serialize()));
     ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->epoch, mc.epoch());
+    EXPECT_EQ(reply->epoch, mc.session(0).epoch());
     if (request.type == MsgType::kChunkRequest) {
       EXPECT_EQ(reply->type, MsgType::kChunkReply);
-    } else if (request.epoch != mc.epoch()) {
+    } else if (request.epoch != mc.session(0).epoch()) {
       EXPECT_EQ(reply->type, MsgType::kError);
     }
     if (i % 100 == 99) mc.Restart();  // keep the live epoch moving
@@ -362,7 +362,7 @@ TEST(ProtocolFuzz, CrossPostedStaleEpochFramesStayFenced) {
   Request write;
   write.type = MsgType::kDataWriteback;
   write.seq = 1;
-  write.addr = mc.DataBase();
+  write.addr = img.data_base;
   write.client_id = 1;
   write.epoch = 0;
   write.payload = {1, 2, 3, 4};

@@ -24,6 +24,7 @@
 #include "softcache/reliable.h"
 #include "softcache/session.h"
 #include "softcache/system.h"
+#include "tests/testing.h"
 #include "vm/machine.h"
 #include "workloads/workloads.h"
 
@@ -36,6 +37,7 @@ using softcache::MemoryController;
 using softcache::MsgType;
 using softcache::Reply;
 using softcache::Request;
+using testing::McDataByte;
 using softcache::RetryConfig;
 using softcache::Session;
 using softcache::SessionStats;
@@ -77,20 +79,21 @@ Reply MustParse(const std::vector<uint8_t>& bytes) {
 TEST(CrashRecoveryMc, RestartDropsUnflushedWritesAndBumpsEpoch) {
   const image::Image img = ArrayImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
-  const uint8_t original = mc.data()[0];
+  const uint8_t original = McDataByte(mc, img.data_base);
 
-  Request write = Writeback(mc.DataBase(), 0xde);
+  Request write = Writeback(img.data_base, 0xde);
   write.seq = 1;
   (void)mc.Handle(write.Serialize());
-  EXPECT_EQ(mc.data()[0], 0xde);
-  EXPECT_EQ(mc.applied_data_ops(), 1u);
-  EXPECT_EQ(mc.stable_data_ops(), 0u);  // below the flush barrier
+  EXPECT_EQ(McDataByte(mc, img.data_base), 0xde);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), 1u);
+  EXPECT_EQ(mc.session(0).stable_data_ops(), 0u);  // below the flush barrier
 
   mc.Restart();
-  EXPECT_EQ(mc.epoch(), 1u);
-  EXPECT_EQ(mc.restarts(), 1u);
-  EXPECT_EQ(mc.data()[0], original);  // the unflushed write died with it
-  EXPECT_EQ(mc.applied_data_ops(), 0u);
+  EXPECT_EQ(mc.session(0).epoch(), 1u);
+  EXPECT_EQ(mc.server().stats().restarts, 1u);
+  // The unflushed write died with it.
+  EXPECT_EQ(McDataByte(mc, img.data_base), original);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), 0u);
 }
 
 TEST(CrashRecoveryMc, FlushBarrierMakesWritesDurable) {
@@ -99,26 +102,27 @@ TEST(CrashRecoveryMc, FlushBarrierMakesWritesDurable) {
 
   // Exactly one barrier's worth of writes: all flushed into the stable image.
   for (uint32_t i = 0; i < kMcWriteFlushIntervalOps; ++i) {
-    Request write = Writeback(mc.DataBase() + i * 4, 0x40);
+    Request write = Writeback(img.data_base + i * 4, 0x40);
     write.seq = 100 + i;
     const Reply reply = MustParse(mc.Handle(write.Serialize()));
     ASSERT_EQ(reply.type, MsgType::kWritebackAck);
   }
-  EXPECT_EQ(mc.applied_data_ops(), kMcWriteFlushIntervalOps);
-  EXPECT_EQ(mc.stable_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(mc.session(0).stable_data_ops(), kMcWriteFlushIntervalOps);
 
   // Five more stay pending; a crash reverts exactly those five.
   for (uint32_t i = 0; i < 5; ++i) {
-    Request write = Writeback(mc.DataBase() + i * 4, 0x77);
+    Request write = Writeback(img.data_base + i * 4, 0x77);
     write.seq = 200 + i;
     (void)mc.Handle(write.Serialize());
   }
-  EXPECT_EQ(mc.data()[0], 0x77);
+  EXPECT_EQ(McDataByte(mc, img.data_base), 0x77);
   mc.Restart();
-  EXPECT_EQ(mc.data()[0], 0x40);  // flushed value, not the pending one
-  EXPECT_EQ(mc.data()[5 * 4], 0x40);
-  EXPECT_EQ(mc.applied_data_ops(), kMcWriteFlushIntervalOps);
-  EXPECT_EQ(mc.stable_data_ops(), kMcWriteFlushIntervalOps);
+  // The flushed value, not the pending one.
+  EXPECT_EQ(McDataByte(mc, img.data_base), 0x40);
+  EXPECT_EQ(McDataByte(mc, img.data_base + 5 * 4), 0x40);
+  EXPECT_EQ(mc.session(0).applied_data_ops(), kMcWriteFlushIntervalOps);
+  EXPECT_EQ(mc.session(0).stable_data_ops(), kMcWriteFlushIntervalOps);
 }
 
 TEST(CrashRecoveryMc, HelloReportsEpochAndStableWatermarks) {
@@ -136,7 +140,7 @@ TEST(CrashRecoveryMc, HelloReportsEpochAndStableWatermarks) {
   EXPECT_EQ(ack.epoch, 0u);
 
   for (uint32_t i = 0; i < kMcWriteFlushIntervalOps; ++i) {
-    Request write = Writeback(mc.DataBase() + i * 4, 0x11);
+    Request write = Writeback(img.data_base + i * 4, 0x11);
     write.seq = 10 + i;
     (void)mc.Handle(write.Serialize());
   }
@@ -155,15 +159,16 @@ TEST(CrashRecoveryMc, RejectsStaleEpochWrites) {
   MemoryController mc(img, softcache::Style::kSparc, 64);
   mc.Restart();  // epoch 1
 
-  Request write = Writeback(mc.DataBase(), 0xaa, /*epoch=*/0);
+  Request write = Writeback(img.data_base, 0xaa, /*epoch=*/0);
   write.seq = 9;
-  const uint8_t before = mc.data()[0];
+  const uint8_t before = McDataByte(mc, img.data_base);
   const Reply reply = MustParse(mc.Handle(write.Serialize()));
   EXPECT_EQ(reply.type, MsgType::kError);
   EXPECT_EQ(reply.epoch, 1u);  // the rejection itself carries the live epoch
-  EXPECT_EQ(mc.data()[0], before);
-  EXPECT_EQ(mc.stale_epoch_rejects(), 1u);
-  EXPECT_EQ(mc.applied_data_ops(), 0u);  // counters stay journal-aligned
+  EXPECT_EQ(McDataByte(mc, img.data_base), before);
+  EXPECT_EQ(mc.server().stats().stale_epoch_rejects, 1u);
+  // Counters stay journal-aligned.
+  EXPECT_EQ(mc.session(0).applied_data_ops(), 0u);
 
   // Reads are idempotent and served regardless of the stamped epoch.
   Request fetch;
@@ -183,27 +188,27 @@ TEST(CrashRecoveryMc, ReplayCacheDropsStaleEpochEntries) {
   const image::Image img = ArrayImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);
 
-  Request write = Writeback(mc.DataBase(), 0xde, /*epoch=*/0);
+  Request write = Writeback(img.data_base, 0xde, /*epoch=*/0);
   write.seq = 500;
   const auto frame = write.Serialize();
   const auto first_bytes = mc.Handle(frame);
   EXPECT_EQ(MustParse(first_bytes).type, MsgType::kWritebackAck);
   EXPECT_EQ(mc.Handle(frame), first_bytes);  // retransmit: cached, bit for bit
-  EXPECT_EQ(mc.replays_suppressed(), 1u);
-  const uint64_t suppressed = mc.replays_suppressed();
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 1u);
+  const uint64_t suppressed = mc.server().stats().replays_suppressed;
 
   mc.Restart();
   const Reply after = MustParse(mc.Handle(frame));
   EXPECT_EQ(after.type, MsgType::kError);  // stale epoch, not a cached ack
-  EXPECT_EQ(mc.replays_suppressed(), suppressed);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, suppressed);
 
   // Same story in the new epoch: a fresh write replays only within epoch 1.
-  Request fresh = Writeback(mc.DataBase(), 0x55, /*epoch=*/1);
+  Request fresh = Writeback(img.data_base, 0x55, /*epoch=*/1);
   fresh.seq = 501;
   const auto fresh_frame = fresh.Serialize();
   EXPECT_EQ(MustParse(mc.Handle(fresh_frame)).type, MsgType::kWritebackAck);
   EXPECT_EQ(MustParse(mc.Handle(fresh_frame)).type, MsgType::kWritebackAck);
-  EXPECT_EQ(mc.replays_suppressed(), suppressed + 1);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, suppressed + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,14 +352,14 @@ TEST(CrashRecoverySession, ReplaysJournalThroughMidRecoveryCrash) {
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < 6; ++i) {
     auto reply = session.Call(
-        Writeback(mc.DataBase() + i * 4, static_cast<uint8_t>(0xb0 + i)),
+        Writeback(img.data_base + i * 4, static_cast<uint8_t>(0xb0 + i)),
         &cycles);
     ASSERT_TRUE(reply.ok()) << reply.error().ToString();
     ASSERT_EQ(reply->type, MsgType::kWritebackAck);
   }
   EXPECT_TRUE(session.Synchronize(&cycles).ok());
 
-  EXPECT_EQ(mc.restarts(), 2u);
+  EXPECT_EQ(mc.server().stats().restarts, 2u);
   EXPECT_EQ(session.epoch(), 2u);
   EXPECT_EQ(stats.recoveries, 1u);       // one successful recovery...
   EXPECT_EQ(stats.epoch_changes, 2u);    // ...that saw two epoch changes
@@ -362,7 +367,8 @@ TEST(CrashRecoverySession, ReplaysJournalThroughMidRecoveryCrash) {
   EXPECT_EQ(stats.recovery_failures, 0u);
   EXPECT_GT(stats.recovery_cycles, 0u);
   for (uint32_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(mc.data()[i * 4], 0xb0 + i) << "write " << i << " lost";
+    EXPECT_EQ(McDataByte(mc, img.data_base + i * 4), 0xb0 + i)
+        << "write " << i << " lost";
   }
 }
 
@@ -388,16 +394,17 @@ TEST(CrashRecoverySession, SynthesizesAckForFlushedOpWhoseAckWasLost) {
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < n; ++i) {
     auto reply =
-        session.Call(Writeback(mc.DataBase() + i * 4, 0xc0), &cycles);
+        session.Call(Writeback(img.data_base + i * 4, 0xc0), &cycles);
     ASSERT_TRUE(reply.ok()) << reply.error().ToString();
     ASSERT_EQ(reply->type, MsgType::kWritebackAck) << "op " << i;
   }
-  EXPECT_EQ(mc.restarts(), 1u);
+  EXPECT_EQ(mc.server().stats().restarts, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.journal_replays, 0u);  // nothing left to replay: all durable
   EXPECT_EQ(session.journal_size(), 0u);
   for (uint32_t i = 0; i < n; ++i) {
-    EXPECT_EQ(mc.data()[i * 4], 0xc0) << "write " << i << " lost";
+    EXPECT_EQ(McDataByte(mc, img.data_base + i * 4), 0xc0)
+        << "write " << i << " lost";
   }
 }
 
@@ -416,7 +423,7 @@ TEST(CrashRecoverySession, SynchronizeReplaysAfterIdleCrash) {
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < 3; ++i) {
     auto reply = session.Call(
-        Writeback(mc.DataBase() + i * 4, static_cast<uint8_t>(0xe0 + i)),
+        Writeback(img.data_base + i * 4, static_cast<uint8_t>(0xe0 + i)),
         &cycles);
     ASSERT_TRUE(reply.ok());
   }
@@ -425,7 +432,7 @@ TEST(CrashRecoverySession, SynchronizeReplaysAfterIdleCrash) {
   EXPECT_EQ(stats.recoveries, 1u);
   EXPECT_EQ(stats.journal_replays, 3u);
   for (uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(mc.data()[i * 4], 0xe0 + i);
+    EXPECT_EQ(McDataByte(mc, img.data_base + i * 4), 0xe0 + i);
   }
 
   // Nothing journaled since: Synchronize after truncation is a no-op.
@@ -462,7 +469,7 @@ TEST(CrashRecoveryFailure, LinkGiveUpFailsRunCleanly) {
   EXPECT_EQ(result.reason, vm::StopReason::kFault);
   EXPECT_FALSE(result.fault_message.empty());
   EXPECT_GE(system.stats().net.giveups, 1u);
-  EXPECT_GT(system.mc().restarts(), 0u);
+  EXPECT_GT(system.mc().server().stats().restarts, 0u);
 }
 
 TEST(CrashRecoveryFailure, DcacheGiveUpFailsRunCleanly) {
@@ -570,7 +577,7 @@ E2eRun RunWorkload(const image::Image& img, const std::vector<uint8_t>& input,
   }
   system.cc().CheckInvariants();
   run.output = system.OutputString();
-  run.restarts = system.mc().restarts();
+  run.restarts = system.mc().server().stats().restarts;
   run.session = system.stats().session;
   return run;
 }
@@ -634,7 +641,7 @@ TEST(CrashRecoveryPrefetch, BatchedRepliesSurviveCrashes) {
   softcache::SoftCacheConfig config;
   config.style = softcache::Style::kSparc;
   config.tcache_bytes = 16 * 1024;
-  config.prefetch.policy = softcache::PrefetchPolicy::kTemperature;
+  config.prefetch.policy = softcache::PrefetchPolicy::kNextN;
   const E2eRun base = RunWorkload(img, input, config);
 
   config.fault.seed = EnvSeed();
@@ -706,15 +713,15 @@ TEST(CrashRecoveryDcache, DataIdenticalUnderPeriodicCrashes) {
   ASSERT_FALSE(cache.failed());
   EXPECT_EQ(cached.exit_code, native_result.exit_code);
 
-  EXPECT_GT(mc.restarts(), 0u);
+  EXPECT_GT(mc.server().stats().restarts, 0u);
   EXPECT_GT(cache.stats().session.recoveries, 0u);
   EXPECT_GT(cache.stats().session.journal_replays, 0u);
-  EXPECT_GT(mc.stale_epoch_rejects(), 0u);
+  EXPECT_GT(mc.server().stats().stale_epoch_rejects, 0u);
 
   const uint32_t lo = img.data_base;
   const uint32_t hi = img.heap_base();
   for (uint32_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(mc.data()[addr - mc.DataBase()], *(native.mem_data() + addr))
+    ASSERT_EQ(McDataByte(mc, addr), *(native.mem_data() + addr))
         << "data divergence at 0x" << std::hex << addr;
   }
 }

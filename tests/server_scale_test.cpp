@@ -208,10 +208,14 @@ TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
   // One lane bounded at 1 ticket, one worker. The handler parks until all
   // three submitters have arrived, so the queue admission order is forced:
   // one ticket in service, one queued (at the bound), one deferred.
+  // `arrived` counts submitters about to call Submit, not ones inside it,
+  // so the handler also gives a preempted submitter time to reach the lane
+  // (without the grace period this failed under a loaded ctest -j4).
   std::atomic<uint32_t> arrived{0};
   McServerLoop loop(
       [&arrived](uint32_t port, const std::vector<uint8_t>& frame) {
         while (arrived.load() < 3) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return Echo(port, frame);
       },
       nullptr, McServerLoopConfig{1, 1, 1});

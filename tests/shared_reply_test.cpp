@@ -34,6 +34,7 @@ using softcache::ChunkContentStore;
 using softcache::ChunkDigest;
 using softcache::DigestFromReply;
 using softcache::McServerLoop;
+using softcache::McServerLoopConfig;
 using softcache::MemoryController;
 using softcache::MsgType;
 using softcache::Reply;
@@ -235,11 +236,13 @@ TEST(SharedReplyMc, CowSessionBypassesDigestPath) {
 // ---------------------------------------------------------------------------
 
 TEST(ServerLoop, SingleThreadPassThroughPreservesReplyBytes) {
-  McServerLoop loop([](uint32_t port, const std::vector<uint8_t>& frame) {
-    std::vector<uint8_t> reply = frame;
-    reply.push_back(static_cast<uint8_t>(port));
-    return reply;
-  });
+  McServerLoop loop(
+      [](uint32_t port, const std::vector<uint8_t>& frame) {
+        std::vector<uint8_t> reply = frame;
+        reply.push_back(static_cast<uint8_t>(port));
+        return reply;
+      },
+      nullptr, McServerLoopConfig{});
   const std::vector<uint8_t> frame = {1, 2, 3};
   EXPECT_EQ(loop.Submit(7, frame), (std::vector<uint8_t>{1, 2, 3, 7}));
   EXPECT_EQ(loop.stats().requests_enqueued, 1u);
@@ -252,13 +255,15 @@ TEST(ServerLoop, ConcurrentSubmittersOneAtATimeInCore) {
   // every submitter must still get ITS OWN reply back.
   std::atomic<int> in_core{0};
   std::atomic<bool> overlapped{false};
-  McServerLoop loop([&](uint32_t port, const std::vector<uint8_t>& frame) {
-    if (in_core.fetch_add(1) != 0) overlapped = true;
-    std::vector<uint8_t> reply = frame;
-    reply.push_back(static_cast<uint8_t>(port));
-    in_core.fetch_sub(1);
-    return reply;
-  });
+  McServerLoop loop(
+      [&](uint32_t port, const std::vector<uint8_t>& frame) {
+        if (in_core.fetch_add(1) != 0) overlapped = true;
+        std::vector<uint8_t> reply = frame;
+        reply.push_back(static_cast<uint8_t>(port));
+        in_core.fetch_sub(1);
+        return reply;
+      },
+      nullptr, McServerLoopConfig{});
   constexpr int kThreads = 8;
   constexpr int kFramesEach = 200;
   std::atomic<int> wrong_replies{0};
@@ -298,7 +303,7 @@ TEST(ServerLoop, BoundedQueueDefersInsteadOfGrowing) {
         reply.push_back(static_cast<uint8_t>(port));
         return reply;
       },
-      /*max_queue=*/2);
+      nullptr, McServerLoopConfig{1, 0, /*max_queue=*/2});
   constexpr int kThreads = 8;
   constexpr int kFramesEach = 50;
   std::atomic<int> wrong_replies{0};
@@ -326,10 +331,12 @@ TEST(ServerLoop, BoundedQueueDefersInsteadOfGrowing) {
 
 TEST(ServerLoop, RunExclusiveSerializesAgainstFrames) {
   int handled = 0;
-  McServerLoop loop([&handled](uint32_t, const std::vector<uint8_t>& frame) {
-    ++handled;
-    return frame;
-  });
+  McServerLoop loop(
+      [&handled](uint32_t, const std::vector<uint8_t>& frame) {
+        ++handled;
+        return frame;
+      },
+      nullptr, McServerLoopConfig{});
   bool ran = false;
   loop.RunExclusive([&ran] { ran = true; });
   EXPECT_TRUE(ran);

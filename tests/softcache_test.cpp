@@ -701,7 +701,9 @@ TEST(SoftCacheSelfModify, TextWriteReachesTheServer) {
   ASSERT_NE(fn, nullptr);
   bool diff = false;
   for (uint32_t a = fn->addr; a < fn->addr + fn->size; a += 4) {
-    if (system.mc().image().TextWord(a) != img.TextWord(a)) diff = true;
+    if (system.mc().session(0).text_view().TextWord(a) != img.TextWord(a)) {
+      diff = true;
+    }
   }
   EXPECT_TRUE(diff);
   system.cc().CheckInvariants();
@@ -774,7 +776,7 @@ TEST(SoftCacheFleet, ClientsSharingOneServerStayIndependent) {
     clients[i].cc->CheckInvariants();
   }
   // The shared server saw every client's requests.
-  EXPECT_GE(shared_mc.requests_served(),
+  EXPECT_GE(shared_mc.server().stats().requests_served,
             3 * clients[0].cc->stats().blocks_translated);
 }
 
@@ -964,7 +966,7 @@ TEST(Protocol, CorruptedTextWriteRejectedByMc) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->type, softcache::MsgType::kError);
   EXPECT_EQ(reply->seq, 0u);
-  EXPECT_EQ(mc.image().text, img.text);
+  EXPECT_EQ(mc.session(0).text_view().text, img.text);
 }
 
 TEST(Protocol, PerChunkOverheadIs60Bytes) {

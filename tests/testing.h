@@ -8,9 +8,19 @@
 
 #include "image/image.h"
 #include "minicc/compiler.h"
+#include "softcache/mc.h"
 #include "vm/machine.h"
 
 namespace sc::testing {
+
+// The byte at guest address `addr` as the solo client's MC session (id 0)
+// sees it: its private copy-on-write data pages where faulted, the shared
+// store elsewhere.
+inline uint8_t McDataByte(softcache::MemoryController& mc, uint32_t addr) {
+  uint8_t byte = 0;
+  mc.session(0).ReadData(addr, 1, &byte);
+  return byte;
+}
 
 struct RunOutcome {
   vm::RunResult result;

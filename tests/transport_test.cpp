@@ -18,6 +18,7 @@
 #include "softcache/protocol.h"
 #include "softcache/reliable.h"
 #include "softcache/system.h"
+#include "tests/testing.h"
 #include "vm/machine.h"
 #include "workloads/workloads.h"
 
@@ -30,6 +31,7 @@ using softcache::MsgType;
 using softcache::ReliableLink;
 using softcache::Reply;
 using softcache::Request;
+using testing::McDataByte;
 using softcache::RetryConfig;
 
 image::Image TestImage() {
@@ -323,22 +325,22 @@ TEST(McReplayCache, SuppressesRetransmittedWrites) {
   Request write;
   write.type = MsgType::kDataWriteback;
   write.seq = 500;
-  write.addr = mc.DataBase();
+  write.addr = img.data_base;
   write.length = 4;
   write.payload = {0xde, 0xad, 0xbe, 0xef};
   const auto frame = write.Serialize();
 
   const auto first = mc.Handle(frame);
-  EXPECT_EQ(mc.replays_suppressed(), 0u);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 0u);
   auto first_reply = Reply::Parse(first);
   ASSERT_TRUE(first_reply.ok());
   EXPECT_EQ(first_reply->type, MsgType::kWritebackAck);
 
   // The identical retransmitted frame is answered from cache, bit for bit.
   const auto second = mc.Handle(frame);
-  EXPECT_EQ(mc.replays_suppressed(), 1u);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 1u);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(mc.data()[0], 0xde);
+  EXPECT_EQ(McDataByte(mc, img.data_base), 0xde);
 
   // A *different* write with a fresh seq is applied normally.
   Request next = write;
@@ -347,8 +349,8 @@ TEST(McReplayCache, SuppressesRetransmittedWrites) {
   auto reply = Reply::Parse(mc.Handle(next.Serialize()));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->type, MsgType::kWritebackAck);
-  EXPECT_EQ(mc.replays_suppressed(), 1u);
-  EXPECT_EQ(mc.data()[0], 0x01);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 1u);
+  EXPECT_EQ(McDataByte(mc, img.data_base), 0x01);
 }
 
 TEST(McReplayCache, DistinguishesPayloadsUnderSameSeq) {
@@ -359,14 +361,14 @@ TEST(McReplayCache, DistinguishesPayloadsUnderSameSeq) {
   Request write;
   write.type = MsgType::kDataWriteback;
   write.seq = 7;
-  write.addr = mc.DataBase();
+  write.addr = img.data_base;
   write.length = 4;
   write.payload = {1, 1, 1, 1};
   (void)mc.Handle(write.Serialize());
   write.payload = {2, 2, 2, 2};
   (void)mc.Handle(write.Serialize());
-  EXPECT_EQ(mc.replays_suppressed(), 0u);
-  EXPECT_EQ(mc.data()[0], 2);
+  EXPECT_EQ(mc.server().stats().replays_suppressed, 0u);
+  EXPECT_EQ(McDataByte(mc, img.data_base), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -486,14 +488,14 @@ TEST(FaultedDcache, DataEquivalentAndWritesNotAppliedTwice) {
   const uint32_t lo = img.data_base;
   const uint32_t hi = img.heap_base();
   for (uint32_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(mc.data()[addr - mc.DataBase()], *(native.mem_data() + addr))
+    ASSERT_EQ(McDataByte(mc, addr), *(native.mem_data() + addr))
         << "data divergence at 0x" << std::hex << addr;
   }
   EXPECT_GT(cache.stats().writebacks, 0u);
   EXPECT_GT(cache.stats().net.retries, 0u);
   // Duplicated/retransmitted writebacks were answered from the replay
   // cache, not applied twice.
-  EXPECT_GT(mc.replays_suppressed(), 0u);
+  EXPECT_GT(mc.server().stats().replays_suppressed, 0u);
 }
 
 }  // namespace

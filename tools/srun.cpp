@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
                  "                 (default: SOFTCACHE_ENGINE env or interp)\n"
                  "       srun --workload=NAME [--scale=N] (instead of a program)\n"
                  "observability (softcache runs):\n"
-                 "            [--prefetch=off|nextn|temp]\n"
+                 "            [--prefetch=off|nextn]\n"
                  "            [--trace=FILE]    Chrome trace-event JSON (fleet\n"
                  "                              runs merge per-agent lanes)\n"
                  "            [--metrics=FILE]  metrics registry JSON\n"
@@ -283,8 +283,6 @@ int main(int argc, char** argv) {
   const std::string prefetch = args.Get("prefetch", "off");
   if (prefetch == "nextn") {
     config.prefetch.policy = softcache::PrefetchPolicy::kNextN;
-  } else if (prefetch == "temp") {
-    config.prefetch.policy = softcache::PrefetchPolicy::kTemperature;
   } else if (prefetch != "off") {
     std::fprintf(stderr, "unknown prefetch policy %s\n", prefetch.c_str());
     return 2;
