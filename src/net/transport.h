@@ -51,7 +51,7 @@ struct FaultConfig {
   // probability; `crash_after_requests` crashes once on the Nth arrival;
   // `crash_period` crashes on every Nth arrival; `crash_at_cycle` crashes
   // once at the first arrival at/after guest cycle C (needs a cycle source,
-  // wired by SoftCacheSystem). All compose; seeded, so schedules replay
+  // wired by MultiClientSystem). All compose; seeded, so schedules replay
   // bit-identically.
   double crash = 0.0;
   uint64_t crash_after_requests = 0;

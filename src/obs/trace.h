@@ -210,7 +210,7 @@ Tracer* tracer();
 // Installs a process-lifetime echo-only tracer when SOFTCACHE_LOG is at
 // trace level and no tracer is installed yet, so `SOFTCACHE_LOG=3` alone
 // (no --trace file) still prints the miss-path event stream as log lines.
-// Called from SoftCacheSystem; harmless to call repeatedly.
+// Called from MultiClientSystem; harmless to call repeatedly.
 void EnsureEchoTracerForLogging();
 
 // RAII tracer swap: installs `lane` in this thread's slot for the scope.

@@ -99,12 +99,12 @@ class CacheController : public vm::TrapHandler {
   // One integrity tick: evaluates the per-domain fault injectors and, every
   // scrub_every-th tick, runs the background scrub over every client-side
   // cached artifact (tcache blocks, staged chunks, content-store bodies,
-  // decoded superblocks). The schedulers call this once per client quantum
-  // (quantum_instructions retired), so the tick stream is a pure function
-  // of this client's instruction count — identical across engines and
-  // schedulers. Returns true when this tick ran a scrub pass (the system
-  // layer scrubs the server memo on the same cadence where safe). No-op
-  // returning false when integrity is off.
+  // decoded superblocks). The schedulers call this once per integrity
+  // quantum (integrity.quantum_instructions retired), so the tick stream is
+  // a pure function of this client's instruction count — identical across
+  // engines and schedulers. Returns true when this tick ran a scrub pass
+  // (the system layer scrubs the server memo on the same cadence where
+  // safe). No-op returning false when integrity is off.
   bool IntegrityTick();
   bool integrity_enabled() const { return config_.integrity.enabled; }
   // Fires after a corrupted tcache block is quarantined (evicted), with the
@@ -119,8 +119,9 @@ class CacheController : public vm::TrapHandler {
   // Lets integrity tests plant a corruption without knowing the layout.
   uint32_t AnyResidentTcacheByteForTest() const;
 
-  // --- Derived observability series (exported via SoftCacheSystem::
-  // RegisterMetrics; all observation-only — never charges guest cycles) ---
+  // --- Derived observability series (exported via MultiClientSystem::
+  // RegisterClientMetrics; all observation-only — never charges guest
+  // cycles) ---
   // Client-visible cycles per successfully handled TCMISS, bucketed.
   const util::Histogram& miss_latency() const { return miss_latency_; }
   // (cycle, live tcache bytes) after every install/evict/flush.

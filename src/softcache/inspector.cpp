@@ -177,20 +177,16 @@ void Inspector::WriteJson(std::ostream& out, const std::string& reason,
 
   out << ",\"clients\":[";
   if (scope == Scope::kFull) {
-    if (solo_ != nullptr) {
-      WriteClient(out, 0, solo_->machine(), solo_->cc());
-    } else {
-      for (size_t i = 0; i < fleet_->clients(); ++i) {
-        if (i != 0) out << ",";
-        WriteClient(out, static_cast<uint32_t>(i), fleet_->machine(i),
-                    fleet_->cc(i));
-      }
+    for (size_t i = 0; i < fleet_->clients(); ++i) {
+      if (i != 0) out << ",";
+      WriteClient(out, static_cast<uint32_t>(i), fleet_->machine(i),
+                  fleet_->cc(i));
     }
   }
   out << "]";
 
   out << ",\"server\":";
-  WriteServer(out, solo_ != nullptr ? solo_->mc() : fleet_->mc());
+  WriteServer(out, fleet_->mc());
   out << "}\n";
 }
 

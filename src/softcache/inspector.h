@@ -37,7 +37,6 @@ namespace sc::softcache {
 class CacheController;
 class MemoryController;
 class MultiClientSystem;
-class SoftCacheSystem;
 
 class Inspector {
  public:
@@ -45,7 +44,7 @@ class Inspector {
   // (crash-recovery hook) walks only server-side state.
   enum class Scope { kFull, kServerOnly };
 
-  explicit Inspector(SoftCacheSystem* solo) : solo_(solo) {}
+  // A solo SoftCacheSystem is inspected through its fleet().
   explicit Inspector(MultiClientSystem* fleet) : fleet_(fleet) {}
 
   // Writes one snapshot document. `reason` is recorded verbatim ("final",
@@ -64,8 +63,7 @@ class Inspector {
                    CacheController& cc);
   void WriteServer(std::ostream& out, const MemoryController& mc);
 
-  SoftCacheSystem* solo_ = nullptr;
-  MultiClientSystem* fleet_ = nullptr;
+  MultiClientSystem* fleet_;
   uint64_t seq_ = 0;
 };
 

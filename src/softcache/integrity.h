@@ -105,9 +105,10 @@ struct IntegrityConfig {
   bool enabled = false;
   MemFaultConfig memfault;
 
-  // Scheduler-quantum slicing: integrity ticks fire every this many guest
-  // instructions. Matches MultiClientConfig::quantum_instructions so the
-  // tick sequence is identical whether the client runs solo, round-robin
+  // Integrity ticks fire every this many guest instructions (0 = 1024).
+  // With integrity on, every scheduler steps a client by this quantum
+  // rather than MultiClientConfig::quantum_instructions, so the tick
+  // sequence is identical whether the client runs solo, round-robin
   // scheduled, or on a host-thread pool.
   uint64_t quantum_instructions = 1024;
 

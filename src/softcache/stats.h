@@ -2,8 +2,8 @@
 //
 // These structs are the single source of truth the hot paths increment;
 // the observability layer (obs::MetricsRegistry, wired up in
-// SoftCacheSystem::RegisterMetrics) exports them as named metrics rather
-// than keeping parallel copies.
+// MultiClientSystem::RegisterClientMetrics) exports them as named metrics
+// rather than keeping parallel copies.
 #pragma once
 
 #include <cstdint>

@@ -38,81 +38,43 @@ MultiClientConfig WithEffectiveWorkers(MultiClientConfig config) {
   return config;
 }
 
+// With integrity on, every scheduler steps a client by the integrity
+// quantum (0 meaning 1024), so its tick stream is a pure function of its
+// own instruction count.
+uint64_t StepQuantum(const MultiClientConfig& config) {
+  const IntegrityConfig& integrity = config.base.integrity;
+  if (!integrity.enabled) return config.quantum_instructions;
+  return integrity.quantum_instructions == 0 ? 1024
+                                             : integrity.quantum_instructions;
+}
+
 }  // namespace
 
+// An unbounded quantum: with integrity off, one step is the whole run.
 SoftCacheSystem::SoftCacheSystem(const image::Image& image,
                                  const SoftCacheConfig& config,
                                  const McServerConfig& server_config)
-    : channel_(config.channel) {
-  // SOFTCACHE_LOG=3 with no explicit tracer: install the echo-only tracer
-  // so the miss-path event stream still appears as log lines.
-  obs::EnsureEchoTracerForLogging();
-  machine_.LoadImage(image);
-  mc_ = std::make_unique<MemoryController>(image, config.style,
-                                           config.max_block_instrs,
-                                           config.max_trace_blocks,
-                                           server_config);
-  cc_ = std::make_unique<CacheController>(machine_, *mc_, channel_, config);
-  if (config.fault.crash_at_cycle != 0) {
-    // Cycle-triggered crash schedules need to see guest time.
-    cc_->transport().set_cycle_source(machine_.cycles_counter());
-  }
-  if (config.integrity.enabled) {
-    integrity_quantum_ = config.integrity.quantum_instructions == 0
-                             ? 1024
-                             : config.integrity.quantum_instructions;
-  }
-  if (obs::Tracer* t = obs::tracer()) {
-    if (t->enabled()) t->SetClockSource(machine_.cycles_counter());
-  }
-}
+    : fleet_(image, {.clients = 1,
+                     .base = config,
+                     .quantum_instructions = UINT64_MAX,
+                     .server = server_config}) {}
 
 vm::RunResult SoftCacheSystem::Run(uint64_t max_instructions) {
-  if (!attached_) {
-    cc_->Attach();
-    attached_ = true;
-  }
-  if (integrity_quantum_ == 0) return machine_.Run(max_instructions);
-  // Integrity slicing: the machine runs one integrity quantum at a time,
-  // with one tick evaluated between quanta (never after the final, partial
-  // one). A client scrub pass also scrubs the server memo — in solo and
-  // round-robin runs the memo's scrub points are deterministic; the
-  // threaded scheduler leans on verify-on-hit instead.
-  vm::RunResult result;
-  for (;;) {
-    const uint64_t executed = machine_.instructions();
-    const uint64_t budget =
-        max_instructions > executed ? max_instructions - executed : 0;
-    const uint64_t quantum = std::min(integrity_quantum_, budget);
-    result = machine_.Run(quantum);
-    if (result.reason != vm::StopReason::kInstrLimit ||
-        machine_.instructions() >= max_instructions) {
-      return result;
-    }
-    if (cc_->IntegrityTick()) mc_->server().ScrubMemo();
-  }
+  // RunAll's budget is a lifetime total; Run's counts from here.
+  const uint64_t executed = fleet_.machine(0).instructions();
+  const uint64_t total = max_instructions > UINT64_MAX - executed
+                             ? UINT64_MAX
+                             : executed + max_instructions;
+  return fleet_.RunAll(total)[0];
 }
 
 void SoftCacheSystem::RegisterMetrics(obs::MetricsRegistry* registry) const {
-  // Each subsystem registers its own block next to the stats it owns; this
-  // is just composition. The names are unchanged from when this function
-  // enumerated every counter by hand (obs_test pins them).
-  cc_->RegisterMetrics(registry, "");
-  channel_.stats().RegisterMetrics(registry, "net.channel.");
-  mc_->RegisterMetrics(registry, "mc.");
-  registry->RegisterCounter("vm.instructions", machine_.instructions_counter());
-  registry->RegisterCounter("vm.cycles", machine_.cycles_counter());
-  // Threaded-engine counters (all zero under the interpreter).
-  const vm::SbStats& sb = machine_.sb_stats();
-  registry->RegisterCounter("vm.sb.fills", &sb.fills);
-  registry->RegisterCounter("vm.sb.fill_ops", &sb.fill_ops);
-  registry->RegisterCounter("vm.sb.chains", &sb.chains);
-  registry->RegisterCounter("vm.sb.invalidations", &sb.invalidations);
-  registry->RegisterCounter("vm.sb.flushes", &sb.flushes);
+  fleet_.RegisterClientMetrics(registry, 0, "");
+  fleet_.mc().RegisterMetrics(registry, "mc.");
 }
 
 double SoftCacheSystem::MissRate() const {
-  const uint64_t instrs = machine_.instructions();
+  const uint64_t instrs = fleet_.machine(0).instructions();
   if (instrs == 0) return 0.0;
   return static_cast<double>(stats().blocks_translated) /
          static_cast<double>(instrs);
@@ -121,6 +83,7 @@ double SoftCacheSystem::MissRate() const {
 MultiClientSystem::MultiClientSystem(const image::Image& image,
                                      const MultiClientConfig& config)
     : config_(WithEffectiveWorkers(config)),
+      step_quantum_(StepQuantum(config_)),
       // Every frame is routed through the event loop: the switch feeds a
       // per-shard lane queue (single lane in borrowed-thread mode), the
       // loop grants entry into the server core. Single-threaded schedulers
@@ -156,6 +119,8 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
       }) {
   SC_CHECK_GE(config.clients, 1u) << "MultiClientSystem needs a client";
   SC_CHECK_LE(config.clients, kMaxClients) << "exceeds 12-bit wire id space";
+  SC_CHECK_GE(config.quantum_instructions, 1u)
+      << "a zero scheduler quantum never makes progress";
   SC_CHECK_LE(config_.server.workers, ServerShards(config_.server))
       << "workers must be <= shards";
   obs::EnsureEchoTracerForLogging();
@@ -177,18 +142,20 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
     // restarts only this client's server-side session, never its neighbors'.
     // The restart itself fires on the client's host thread (inside its
     // transport's Send), so it is serialized against frame handling through
-    // the loop's exclusive section.
-    cfg.transport_factory = [this, i, fault](MemoryController&,
-                                             net::Channel& channel) {
-      return MakeTransport(switch_.Port(i), channel, fault, [this, i] {
-        loop_.RunExclusive([this, i] {
-          mc_->RestartSession(i);
-          // Server-only inspection scope: the core is exclusively held but
-          // the other clients keep running on their own threads.
-          if (recovery_hook_) recovery_hook_(i);
+    // the loop's exclusive section. A caller-supplied factory is kept.
+    if (!cfg.transport_factory) {
+      cfg.transport_factory = [this, i, fault](MemoryController&,
+                                               net::Channel& channel) {
+        return MakeTransport(switch_.Port(i), channel, fault, [this, i] {
+          loop_.RunExclusive([this, i] {
+            mc_->RestartSession(i);
+            // Server-only inspection scope: the core is exclusively held but
+            // the other clients keep running on their own threads.
+            if (recovery_hook_) recovery_hook_(i);
+          });
         });
-      });
-    };
+      };
+    }
     client.cc = std::make_unique<CacheController>(*client.machine, *mc_,
                                                   *client.channel, cfg);
     if (fault.crash_at_cycle != 0) {
@@ -312,6 +279,9 @@ std::vector<vm::RunResult> MultiClientSystem::RunAll(
     uint64_t max_instructions_each) {
   for (size_t i = 0; i < clients_.size(); ++i) {
     Client& client = clients_[i];
+    // Clients an earlier call stopped on its budget resume here.
+    client.done = client.result.reason == vm::StopReason::kHalted ||
+                  client.result.reason == vm::StopReason::kFault;
     if (client.attached) continue;
     // Attach under the client's own lane: the first translate/install
     // events belong to that client's timeline, not the caller's.
@@ -322,11 +292,26 @@ std::vector<vm::RunResult> MultiClientSystem::RunAll(
   }
   if (config_.host_threads > 1 && clients_.size() > 1) {
     RunAllThreaded(max_instructions_each);
-    std::vector<vm::RunResult> results;
-    results.reserve(clients_.size());
-    for (Client& client : clients_) results.push_back(client.result);
-    return results;
+  } else {
+    RunAllRoundRobin(max_instructions_each);
   }
+  std::vector<vm::RunResult> results;
+  results.reserve(clients_.size());
+  for (Client& client : clients_) results.push_back(client.result);
+  return results;
+}
+
+bool MultiClientSystem::Step(Client& client, uint64_t quantum,
+                             uint64_t max_instructions_each) {
+  const uint64_t executed = client.machine->instructions();
+  const uint64_t budget =
+      max_instructions_each > executed ? max_instructions_each - executed : 0;
+  client.result = client.machine->Run(std::min(quantum, budget));
+  return client.result.reason != vm::StopReason::kInstrLimit ||
+         client.machine->instructions() >= max_instructions_each;
+}
+
+void MultiClientSystem::RunAllRoundRobin(uint64_t max_instructions_each) {
   // Deterministic round-robin on guest time: always step the laggard (the
   // live machine with the smallest cycle count; ties break to the lowest
   // index). Clients share no guest-visible state, so any interleaving gives
@@ -341,32 +326,21 @@ std::vector<vm::RunResult> MultiClientSystem::RunAll(
         next = i;
       }
     }
-    if (next == clients_.size()) break;
+    if (next == clients_.size()) return;
     Client& client = clients_[next];
-    const uint64_t executed = client.machine->instructions();
-    const uint64_t budget =
-        max_instructions_each > executed ? max_instructions_each - executed : 0;
-    const uint64_t quantum = std::min(config_.quantum_instructions, budget);
     {
       obs::TracerScope scope(next < client_lanes_.size() ? client_lanes_[next]
                                                          : obs::tracer());
-      client.result = client.machine->Run(quantum);
+      client.done = Step(client, step_quantum_, max_instructions_each);
     }
-    if (client.result.reason != vm::StopReason::kInstrLimit ||
-        client.machine->instructions() >= max_instructions_each) {
-      client.done = true;
-    } else if (client.cc->integrity_enabled()) {
-      // One integrity tick per quantum stepped — the same per-client tick
-      // stream a solo run of this client produces. Memo scrub points follow
-      // the clients' scrub ticks, as in the solo scheduler.
+    if (!client.done && client.cc->integrity_enabled()) {
+      // One tick between integrity quanta. A client scrub pass also scrubs
+      // the server memo (deterministic here; the threaded scheduler leans
+      // on verify-on-hit instead).
       if (client.cc->IntegrityTick()) mc_->server().ScrubMemo();
     }
     if (inspect_every_ != 0 && inspection_hook_) MaybeInspectRoundRobin();
   }
-  std::vector<vm::RunResult> results;
-  results.reserve(clients_.size());
-  for (Client& client : clients_) results.push_back(client.result);
-  return results;
 }
 
 void MultiClientSystem::MaybeInspectRoundRobin() {
@@ -409,16 +383,18 @@ void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
   // the internally locked content store. The server memo is not scrubbed
   // under threads — its verify-on-hit path alone guarantees clean replies.
   const bool integrity = config_.base.integrity.enabled;
+  // Unsliced, one step runs a client to the end of its budget.
+  const uint64_t quantum = inspect || integrity ? step_quantum_ : UINT64_MAX;
   std::mutex safepoint_mu;
   std::condition_variable safepoint_cv;
   bool inspecting = false;
   size_t parked = 0;
   size_t active_workers = 0;
   uint64_t next_at = next_inspect_at_ != 0 ? next_inspect_at_ : inspect_every_;
-  enum : uint8_t { kPending, kRunning, kFinished };
-  std::vector<uint8_t> state(clients_.size(), kPending);
+  std::vector<uint8_t> finished(clients_.size());
   std::vector<uint64_t> published(clients_.size());
   for (size_t i = 0; i < clients_.size(); ++i) {
+    finished[i] = clients_[i].done;
     published[i] = clients_[i].machine->cycles();
   }
 
@@ -427,7 +403,7 @@ void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
   const auto fleet_min = [&] {
     uint64_t min_cycles = UINT64_MAX;
     for (size_t i = 0; i < clients_.size(); ++i) {
-      if (state[i] == kFinished) continue;
+      if (finished[i]) continue;
       min_cycles = std::min(min_cycles, published[i]);
     }
     return min_cycles;
@@ -466,38 +442,21 @@ void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
       const size_t i = next_client.fetch_add(1);
       if (i >= clients_.size()) break;
       Client& client = clients_[i];
+      if (client.done) continue;
       obs::Tracer* lane = i < client_lanes_.size() ? client_lanes_[i] : nullptr;
       if (lane != nullptr) lane->RebindThread();
       obs::TracerScope scope(lane != nullptr ? lane : obs::tracer());
-      if (!inspect && !integrity) {
-        client.result = client.machine->Run(max_instructions_each);
-      } else {
-        {
+      for (;;) {
+        client.done = Step(client, quantum, max_instructions_each);
+        if (inspect) {
           std::lock_guard<std::mutex> lock(safepoint_mu);
-          state[i] = kRunning;
+          published[i] = client.machine->cycles();
+          finished[i] = client.done;
         }
-        for (;;) {
-          const uint64_t executed = client.machine->instructions();
-          const uint64_t budget = max_instructions_each > executed
-                                      ? max_instructions_each - executed
-                                      : 0;
-          const uint64_t quantum =
-              std::min(config_.quantum_instructions, budget);
-          client.result = client.machine->Run(quantum);
-          const bool finished =
-              client.result.reason != vm::StopReason::kInstrLimit ||
-              client.machine->instructions() >= max_instructions_each;
-          {
-            std::lock_guard<std::mutex> lock(safepoint_mu);
-            published[i] = client.machine->cycles();
-            if (finished) state[i] = kFinished;
-          }
-          if (finished) break;
-          if (integrity) client.cc->IntegrityTick();
-          if (inspect) safepoint();
-        }
+        if (client.done) break;
+        if (integrity) client.cc->IntegrityTick();
+        if (inspect) safepoint();
       }
-      client.done = true;
     }
     if (inspect) {
       // Exiting shrinks the quorum the inspector waits for.
@@ -533,25 +492,30 @@ void MultiClientSystem::RegisterMetrics(obs::MetricsRegistry* registry) const {
     std::string prefix = "c";
     prefix += std::to_string(i);
     prefix += '.';
-    const Client& client = clients_[i];
-    client.cc->RegisterMetrics(registry, prefix);
-    client.channel->stats().RegisterMetrics(registry, prefix + "net.channel.");
-    registry->RegisterCounter(prefix + "vm.instructions",
-                              client.machine->instructions_counter());
-    registry->RegisterCounter(prefix + "vm.cycles",
-                              client.machine->cycles_counter());
-    const vm::SbStats& sb = client.machine->sb_stats();
-    registry->RegisterCounter(prefix + "vm.sb.fills", &sb.fills);
-    registry->RegisterCounter(prefix + "vm.sb.fill_ops", &sb.fill_ops);
-    registry->RegisterCounter(prefix + "vm.sb.chains", &sb.chains);
-    registry->RegisterCounter(prefix + "vm.sb.invalidations",
-                              &sb.invalidations);
-    registry->RegisterCounter(prefix + "vm.sb.flushes", &sb.flushes);
+    RegisterClientMetrics(registry, i, prefix);
   }
   mc_->RegisterMetrics(registry, "mc.");
   loop_.RegisterMetrics(registry, "mc.loop.");
   registry->RegisterCounter("net.switch.frames",
                             switch_.frames_switched_counter());
+}
+
+void MultiClientSystem::RegisterClientMetrics(obs::MetricsRegistry* registry,
+                                              size_t client,
+                                              const std::string& prefix) const {
+  const Client& c = clients_[client];
+  c.cc->RegisterMetrics(registry, prefix);
+  c.channel->stats().RegisterMetrics(registry, prefix + "net.channel.");
+  registry->RegisterCounter(prefix + "vm.instructions",
+                            c.machine->instructions_counter());
+  registry->RegisterCounter(prefix + "vm.cycles", c.machine->cycles_counter());
+  // Threaded-engine counters (all zero under the interpreter).
+  const vm::SbStats& sb = c.machine->sb_stats();
+  registry->RegisterCounter(prefix + "vm.sb.fills", &sb.fills);
+  registry->RegisterCounter(prefix + "vm.sb.fill_ops", &sb.fill_ops);
+  registry->RegisterCounter(prefix + "vm.sb.chains", &sb.chains);
+  registry->RegisterCounter(prefix + "vm.sb.invalidations", &sb.invalidations);
+  registry->RegisterCounter(prefix + "vm.sb.flushes", &sb.flushes);
 }
 
 vm::RunResult RunNative(const image::Image& image, const std::string& input,

@@ -1,10 +1,8 @@
-// SoftCacheSystem: convenience wiring of the full client/server stack.
-//
-// Owns the client Machine, the server MemoryController, the simulated
-// Channel between them and the CacheController, and runs a program end to
-// end under the software cache. This is the top-level public API most
-// examples and benchmarks use; the pieces remain individually constructible
-// for finer-grained experiments.
+// The full client/server stack. MultiClientSystem wires N client Machines,
+// Channels and CacheControllers to ONE MemoryController through a net::Switch
+// and the McServerLoop; SoftCacheSystem, the top-level API most examples and
+// benchmarks use, is its one-client case. The pieces remain individually
+// constructible for finer-grained experiments.
 #pragma once
 
 #include <functional>
@@ -25,76 +23,23 @@
 
 namespace sc::softcache {
 
-class SoftCacheSystem {
- public:
-  // The image must outlive the system. `server_config` tunes the server core
-  // (memo shards/bound, and the server-side memo fault stream).
-  SoftCacheSystem(const image::Image& image, const SoftCacheConfig& config = {},
-                  const McServerConfig& server_config = {});
-
-  // Provides the program's input stream (SYS_READ / SYS_GETCHAR).
-  void SetInput(std::vector<uint8_t> input) { machine_.SetInput(std::move(input)); }
-  void SetInput(const std::string& input) {
-    machine_.SetInput(std::vector<uint8_t>(input.begin(), input.end()));
-  }
-
-  // Runs until halt/fault or the instruction budget is exhausted. With
-  // integrity enabled the run is sliced into integrity quanta: after every
-  // quantum the CC evaluates one integrity tick (fault injection +
-  // verify/scrub), and the server memo is scrubbed whenever the client
-  // scrubbed — the tick stream is a pure function of the instruction count,
-  // so it replays identically under the multi-client schedulers.
-  vm::RunResult Run(uint64_t max_instructions = UINT64_MAX);
-
-  vm::Machine& machine() { return machine_; }
-  CacheController& cc() { return *cc_; }
-  MemoryController& mc() { return *mc_; }
-  net::Channel& channel() { return channel_; }
-  const SoftCacheStats& stats() const { return cc_->stats(); }
-  std::string OutputString() const { return machine_.OutputString(); }
-
-  // Software miss rate as the paper defines it for Figure 7: basic blocks
-  // translated divided by instructions executed.
-  double MissRate() const;
-
-  // Binds every counter/histogram/timeline/series/table the stack keeps
-  // into `registry` under dotted names ("cc.evictions", "net.link.retries",
-  // ...). Views only: the registry must not outlive this system.
-  void RegisterMetrics(obs::MetricsRegistry* registry) const;
-
- private:
-  vm::Machine machine_;
-  net::Channel channel_;
-  std::unique_ptr<MemoryController> mc_;
-  std::unique_ptr<CacheController> cc_;
-  bool attached_ = false;
-  // Instructions per integrity tick; 0 = integrity off (unsliced Run).
-  uint64_t integrity_quantum_ = 0;
-};
-
-// Runs `image` natively (no software cache) with the given input; the
-// baseline every benchmark normalizes against.
-vm::RunResult RunNative(const image::Image& image, const std::string& input,
-                        std::string* output = nullptr,
-                        uint64_t max_instructions = UINT64_MAX);
-
-// --- Multi-client: one memory controller serving N cache controllers ---
-
 struct MultiClientConfig {
   // Number of clients (each gets its own Machine/Channel/CC and the MC
   // session whose id equals its index). Bounded by the 12-bit wire id.
   uint32_t clients = 1;
-  // The per-client configuration template. client_id and transport_factory
-  // are overridden per client (each client gets its index as id and a
-  // transport over its own switch port); everything else applies verbatim
-  // to every client.
+  // The per-client configuration template, applied verbatim to every
+  // client except client_id (each client gets its index) and a null
+  // transport_factory (each client gets a transport over its own switch
+  // port; a non-null factory's frames bypass the switch and loop).
   SoftCacheConfig base;
   // Optional per-client fault schedules: client i uses client_faults[i]
   // when present, base.fault otherwise. Lets each client carry its own
   // seeded loss/crash schedule (crashes restart only that client's
   // session).
   std::vector<net::FaultConfig> client_faults;
-  // Scheduler quantum, in guest instructions per scheduling step.
+  // Scheduler quantum, in guest instructions per scheduling step (>= 1).
+  // With base.integrity enabled, clients step by the integrity quantum
+  // instead, so the tick stream does not depend on this value.
   uint64_t quantum_instructions = 1024;
   // Server-core tuning: memo shards, memo bound, published-digest window.
   McServerConfig server;
@@ -154,8 +99,9 @@ inline bool ValidateServerParallelism(int64_t shards, int64_t workers,
     return false;
   }
   if (workers > 0 && clients < 2) {
-    *error = "workers requires a multi-client run (--clients >= 2); solo runs "
-             "call the server directly";
+    *error = "workers requires a multi-client run (--clients >= 2): one "
+             "client has at most one frame in flight, so a pool would only "
+             "add a thread handoff per frame";
     return false;
   }
   return true;
@@ -180,8 +126,9 @@ class MultiClientSystem {
     SetInput(client, std::vector<uint8_t>(input.begin(), input.end()));
   }
 
-  // Runs every client to halt/fault (or its per-client instruction budget)
-  // under the round-robin scheduler. Returns one result per client.
+  // Runs every client to halt/fault or until it has retired
+  // `max_instructions_each` in total; a later call resumes the rest.
+  // Returns one result per client.
   std::vector<vm::RunResult> RunAll(uint64_t max_instructions_each = UINT64_MAX);
 
   // End-of-run barrier: per-client Session::Synchronize for every client
@@ -190,7 +137,13 @@ class MultiClientSystem {
 
   size_t clients() const { return clients_.size(); }
   vm::Machine& machine(size_t client) { return *clients_[client].machine; }
+  const vm::Machine& machine(size_t client) const {
+    return *clients_[client].machine;
+  }
   CacheController& cc(size_t client) { return *clients_[client].cc; }
+  const CacheController& cc(size_t client) const {
+    return *clients_[client].cc;
+  }
   net::Channel& channel(size_t client) { return *clients_[client].channel; }
   MemoryController& mc() { return *mc_; }
   const MemoryController& mc() const { return *mc_; }
@@ -205,6 +158,10 @@ class MultiClientSystem {
   // shared server under "mc." (aggregates, memo stats, per-session s<id>.*
   // counters and heat tables) and the switch frame counter.
   void RegisterMetrics(obs::MetricsRegistry* registry) const;
+  // One client's block of RegisterMetrics: its cc.*, net.link.*,
+  // net.channel.*, vm.* and vm.sb.* names, each under `prefix`.
+  void RegisterClientMetrics(obs::MetricsRegistry* registry, size_t client,
+                             const std::string& prefix) const;
 
   // --- Fleet observability wiring ---
 
@@ -247,12 +204,17 @@ class MultiClientSystem {
     std::unique_ptr<net::Channel> channel;
     std::unique_ptr<CacheController> cc;
     bool attached = false;
-    bool done = false;
+    bool done = false;  // finished for the current RunAll
     vm::RunResult result;
   };
 
-  // Runs every client to completion on a pool of config.host_threads host
-  // threads (the RunAll threaded branch).
+  // One scheduling step of at most `quantum` instructions, capped at the
+  // budget. Returns true once the client is done for this RunAll.
+  static bool Step(Client& client, uint64_t quantum,
+                   uint64_t max_instructions_each);
+  // The RunAll schedulers: the deterministic guest-time round-robin, and a
+  // pool of config.host_threads host threads.
+  void RunAllRoundRobin(uint64_t max_instructions_each);
   void RunAllThreaded(uint64_t max_instructions_each);
   // Broadcast-medium snoop: parses one reply frame and feeds every client's
   // content store (shared_reply mode only).
@@ -269,6 +231,7 @@ class MultiClientSystem {
   void MaybeInspectRoundRobin();
 
   MultiClientConfig config_;
+  uint64_t step_quantum_;  // instructions per scheduling step
   std::unique_ptr<MemoryController> mc_;
   McServerLoop loop_;
   net::Switch switch_;
@@ -285,5 +248,53 @@ class MultiClientSystem {
   InspectionHook inspection_hook_;
   RecoveryHook recovery_hook_;
 };
+
+// The single-device case: a one-client MultiClientSystem. Every accessor
+// forwards to client 0 (client id 0, whatever config.client_id says).
+class SoftCacheSystem {
+ public:
+  // The image must outlive the system. `server_config` tunes the server core
+  // (memo shards/bound, and the server-side memo fault stream).
+  SoftCacheSystem(const image::Image& image, const SoftCacheConfig& config = {},
+                  const McServerConfig& server_config = {});
+
+  // Provides the program's input stream (SYS_READ / SYS_GETCHAR).
+  void SetInput(std::vector<uint8_t> input) {
+    fleet_.SetInput(0, std::move(input));
+  }
+  void SetInput(const std::string& input) { fleet_.SetInput(0, input); }
+
+  // Runs until halt/fault or until `max_instructions` more instructions
+  // have retired; with integrity off this is one Machine::Run call.
+  vm::RunResult Run(uint64_t max_instructions = UINT64_MAX);
+
+  vm::Machine& machine() { return fleet_.machine(0); }
+  CacheController& cc() { return fleet_.cc(0); }
+  MemoryController& mc() { return fleet_.mc(); }
+  net::Channel& channel() { return fleet_.channel(0); }
+  const SoftCacheStats& stats() const { return fleet_.cc(0).stats(); }
+  std::string OutputString() const { return fleet_.OutputString(0); }
+  // The underlying fleet of one (Inspector, inspection hooks).
+  MultiClientSystem& fleet() { return fleet_; }
+
+  // Software miss rate as the paper defines it for Figure 7: basic blocks
+  // translated divided by instructions executed.
+  double MissRate() const;
+
+  // Binds every counter/histogram/timeline/series/table the stack keeps
+  // into `registry` under dotted names ("cc.evictions", "net.link.retries",
+  // ...): the client's without a prefix, the server's under "mc.". Views
+  // only: the registry must not outlive this system.
+  void RegisterMetrics(obs::MetricsRegistry* registry) const;
+
+ private:
+  MultiClientSystem fleet_;
+};
+
+// Runs `image` natively (no software cache) with the given input; the
+// baseline every benchmark normalizes against.
+vm::RunResult RunNative(const image::Image& image, const std::string& input,
+                        std::string* output = nullptr,
+                        uint64_t max_instructions = UINT64_MAX);
 
 }  // namespace sc::softcache

@@ -213,6 +213,19 @@ TEST(Integrity, StormBitIdenticalAcrossEngines) {
   ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
       << interp.result.fault_message;
   ExpectRunsIdentical(interp, threaded, "interp vs threaded under storm");
+
+  // A fleet whose scheduler quantum differs from the integrity quantum
+  // still ticks on the integrity quantum: the same tick stream as solo.
+  MultiClientConfig mismatched;
+  mismatched.base = config;
+  mismatched.quantum_instructions = 4 * config.integrity.quantum_instructions;
+  MultiClientSystem fleet(img, mismatched);
+  fleet.machine(0).set_engine(Engine::kInterp);
+  StormRun fleet_run;
+  fleet_run.result = fleet.RunAll()[0];
+  fleet_run.output = fleet.OutputString(0);
+  ExpectRunsIdentical(interp, fleet_run, "solo vs mismatched-quantum fleet");
+  EXPECT_EQ(fleet.cc(0).stats().integrity.ticks, interp.integrity.ticks);
   EXPECT_GT(interp.integrity.heals, 0u);
   EXPECT_GT(threaded.integrity.heals, 0u);
   // The threaded engine's extra fault surface (decoded superblocks) was
@@ -415,6 +428,15 @@ TEST(Integrity, PoisonLadderDemotesRepeatOffenders) {
 // ---------------------------------------------------------------------------
 // Verify-on-use: a hand-planted flip is caught at the resolve boundary
 // ---------------------------------------------------------------------------
+
+TEST(Integrity, SoloRunBudgetCountsFromWhereTheRunStands) {
+  // Run(n) means n more instructions with integrity on too, so a caller
+  // slicing a run (srun --inspect-every) keeps making progress.
+  const image::Image img = StormImage();
+  SoftCacheSystem system(img, StormConfig());
+  EXPECT_EQ(system.Run(5'000).instructions, 5'000u);
+  EXPECT_EQ(system.Run(5'000).instructions, 10'000u);
+}
 
 TEST(Integrity, VerifyOnUseCatchesHandPlantedFlip) {
   const image::Image img = StormImage();

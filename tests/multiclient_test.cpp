@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -697,6 +698,59 @@ TEST(MultiClientSystem, BoundedQueueSurvives256ClientFlood) {
             fleet.mc().server().stats().requests_served);
   // The bound held: the inbound queue never grew past max_queue.
   EXPECT_LE(loop_stats.max_queue_depth, 4u);
+}
+
+// A client that stops on its budget resumes on the next RunAll, under both
+// schedulers: a sliced run tells the same guest story as an unsliced one.
+class RunAllResume : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(RunAllResume, SlicedRunAllEqualsOneRunAll) {
+  const image::Image img =
+      workloads::CompileWorkload(*workloads::FindWorkload("adpcm_enc"));
+  softcache::MultiClientConfig config;
+  config.clients = 2;
+  config.base.tcache_bytes = 4 * 1024;
+  config.host_threads = GetParam();
+  const auto make_fleet = [&] {
+    auto fleet = std::make_unique<softcache::MultiClientSystem>(img, config);
+    for (size_t i = 0; i < config.clients; ++i) {
+      fleet->SetInput(i, workloads::MakeInput("adpcm_enc", 1, 7 + i));
+    }
+    return fleet;
+  };
+  auto whole = make_fleet();
+  const auto expected = whole->RunAll();
+  auto sliced = make_fleet();
+  const auto first = sliced->RunAll(1000);
+  for (const vm::RunResult& r : first) {
+    ASSERT_EQ(r.reason, vm::StopReason::kInstrLimit);
+    EXPECT_EQ(r.instructions, 1000u);
+  }
+  const auto rest = sliced->RunAll();
+  for (size_t i = 0; i < config.clients; ++i) {
+    ASSERT_EQ(expected[i].reason, vm::StopReason::kHalted) << "client " << i;
+    EXPECT_EQ(rest[i].reason, vm::StopReason::kHalted) << "client " << i;
+    EXPECT_EQ(rest[i].exit_code, expected[i].exit_code) << "client " << i;
+    EXPECT_EQ(rest[i].instructions, expected[i].instructions)
+        << "client " << i;
+    EXPECT_EQ(rest[i].cycles, expected[i].cycles) << "client " << i;
+    EXPECT_EQ(sliced->OutputString(i), whole->OutputString(i))
+        << "client " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, RunAllResume, ::testing::Values(0u, 2u),
+                         [](const auto& param_info) {
+                           return "host_threads_" +
+                                  std::to_string(param_info.param);
+                         });
+
+TEST(MultiClientSystemDeathTest, ZeroQuantumIsRejected) {
+  // Every step would run zero instructions: RunAll could never finish.
+  const image::Image img = LoopImage();
+  softcache::MultiClientConfig config;
+  config.quantum_instructions = 0;
+  EXPECT_DEATH(softcache::MultiClientSystem(img, config), "zero scheduler");
 }
 
 // ---------------------------------------------------------------------------

@@ -733,51 +733,28 @@ TEST(SoftCacheDump, StateDumpIsComprehensive) {
 
 TEST(SoftCacheFleet, ClientsSharingOneServerStayIndependent) {
   const image::Image img = Compile(kIoProgram);
-  softcache::SoftCacheConfig config = SparcConfig(2048);
-  softcache::MemoryController shared_mc(img, config.style,
-                                        config.max_block_instrs,
-                                        config.max_trace_blocks);
-  struct Client {
-    std::unique_ptr<vm::Machine> machine;
-    std::unique_ptr<net::Channel> channel;
-    std::unique_ptr<softcache::CacheController> cc;
-  };
-  const std::string inputs[] = {"alpha one", "BETA two!", "gamma 333"};
-  std::vector<Client> clients;
-  for (const std::string& input : inputs) {
-    Client client;
-    client.machine = std::make_unique<vm::Machine>();
-    client.machine->LoadImage(img);
-    client.machine->SetInput(std::vector<uint8_t>(input.begin(), input.end()));
-    client.channel = std::make_unique<net::Channel>();
-    client.cc = std::make_unique<softcache::CacheController>(
-        *client.machine, shared_mc, *client.channel, config);
-    client.cc->Attach();
-    clients.push_back(std::move(client));
-  }
+  softcache::MultiClientConfig config;
+  config.clients = 3;
+  config.base = SparcConfig(2048);
   // Interleave in small slices to stress server sharing mid-translation.
-  bool all_done = false;
-  int guard = 0;
-  while (!all_done && ++guard < 100000) {
-    all_done = true;
-    for (Client& client : clients) {
-      const vm::RunResult r = client.machine->Run(500);
-      if (r.reason == vm::StopReason::kInstrLimit) all_done = false;
-      ASSERT_NE(r.reason, vm::StopReason::kFault) << r.fault_message;
-    }
-  }
-  ASSERT_TRUE(all_done);
-  for (size_t i = 0; i < clients.size(); ++i) {
+  config.quantum_instructions = 500;
+  const std::string inputs[] = {"alpha one", "BETA two!", "gamma 333"};
+  softcache::MultiClientSystem fleet(img, config);
+  for (size_t i = 0; i < 3; ++i) fleet.SetInput(i, inputs[i]);
+  const std::vector<vm::RunResult> results = fleet.RunAll();
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(results[i].reason, vm::StopReason::kHalted)
+        << results[i].fault_message;
     std::string native_out;
     const vm::RunResult native =
         softcache::RunNative(img, inputs[i], &native_out);
     ASSERT_EQ(native.reason, vm::StopReason::kHalted);
-    EXPECT_EQ(clients[i].machine->OutputString(), native_out) << i;
-    clients[i].cc->CheckInvariants();
+    EXPECT_EQ(fleet.OutputString(i), native_out) << i;
+    fleet.cc(i).CheckInvariants();
   }
   // The shared server saw every client's requests.
-  EXPECT_GE(shared_mc.server().stats().requests_served,
-            3 * clients[0].cc->stats().blocks_translated);
+  EXPECT_GE(fleet.mc().server().stats().requests_served,
+            3 * fleet.cc(0).stats().blocks_translated);
 }
 
 // ---------------------------------------------------------------------------

@@ -560,7 +560,7 @@ int main(int argc, char** argv) {
     data_cache->Attach();
   }
 
-  softcache::Inspector inspector(&system);
+  softcache::Inspector inspector(&system.fleet());
   uint32_t quarantine_snaps = 0;
   if (!inspect_path.empty() && config.integrity.enabled) {
     system.cc().set_quarantine_hook([&](uint32_t) {
