@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
       SC_CHECK(row.heals > 0) << name << "/fleet: no heals";
 
       // The workers dimension: the identical storm with the memo sharded 4
-      // ways, once drained by the borrowed-thread pump and once by 4
+      // ways, once pumped by the submitting client thread and once by 4
       // dedicated workers. The round-robin scheduler keeps one frame in
       // flight fleet-wide, so the pool may not change ANYTHING the guest
       // can see — per-client cycle counts and the fleet's injected-flip /

@@ -22,26 +22,28 @@
 // change timing, never architectural state.
 //
 // A second table measures the SERVER-SCALE story: the same MC core fronted
-// by the worker-pool loop, fed by {256, 1024, 4096} logical clients x
-// {1, 2, 4, 8} worker rows. Real VMs at 4096 clients are infeasible (each
+// by the loop's per-shard lanes, fed by {256, 1024, 4096} logical clients x
+// {0, 1, 2, 4, 8} worker rows (workers = 0: the driver threads pump their
+// own lanes). Real VMs at 4096 clients are infeasible (each
 // Machine carries the full guest address space), so the fleet is replayed
 // synthetically: a solo run records the genuinely demanded chunk addresses,
 // and each logical client re-demands that sequence as serialized
 // kChunkRequest frames submitted through the loop from a fixed pool of
 // driver threads (stop-and-wait per client, like the real transport). The
 // sweep asserts that the reply byte stream and wire bytes/client are
-// IDENTICAL across worker counts (more workers may only change timing), and
+// IDENTICAL across worker counts, pump included (who services a lane may
+// only change timing), and
 // on a many-core host that the worker pool actually scales service
 // throughput. Results land in BENCH_server_scale.json.
 //
 // Flags:
 //   --smoke       one workload, clients {1, 2}; scale sweep at 1024 clients
-//                 x workers {1, 4} only (CI crash + scaling check)
+//                 x workers {0, 1, 4} only (CI crash + scaling check)
 //   --out=PATH    JSON output path (default BENCH_multiclient.json)
 //   --scale-out=PATH  scale-sweep JSON path (default BENCH_server_scale.json)
 //   --trace=PATH  merged Chrome trace of the first workload's 8-client fleet
-//                 run (2 clients under --smoke): one lane per client plus the
-//                 server loop/shard lanes, misses linked by flow arrows
+//                 run (2 clients under --smoke): one lane per client plus one
+//                 lane per server shard, misses linked by flow arrows
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -193,7 +195,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   std::fclose(f);
 }
 
-// ---- server-scale sweep (worker-pool loop under synthetic fleet load) ----
+// ---- server-scale sweep (lane service under synthetic fleet load) ----
 
 struct ScaleRow {
   uint32_t clients = 0;
@@ -250,9 +252,8 @@ ScaleRow ReplayFleet(const image::Image& img,
   scfg.shards = kScaleShards;
   softcache::MemoryController mc(img, softcache::Style::kSparc, 64, 1, scfg);
   softcache::McServerLoop loop(
-      [&mc](uint32_t, const std::vector<uint8_t>& frame) {
-        return mc.Handle(frame);
-      },
+      [&mc](const softcache::McServerLoop::TicketInfo&,
+            const std::vector<uint8_t>& frame) { return mc.Handle(frame); },
       [&mc](uint32_t, const std::vector<uint8_t>& frame) {
         return mc.server().ShardFor(softcache::PeekFrameAddr(frame));
       },
@@ -364,16 +365,16 @@ void WriteScaleJson(const std::string& path, const std::string& workload,
 }
 
 // Real-VM cross-check riding the sweep: a small fleet run end-to-end with
-// workers=1 and workers=4 must produce byte-identical guest output (and
-// identical instruction/translation counts) — the pool may only change
-// which thread services a frame, never what the frame returns.
+// workers=0, 1 and 4 must produce byte-identical guest output (and
+// identical instruction/translation counts) — who services a lane may only
+// change which thread runs a frame, never what the frame returns.
 void CheckRealFleetWorkerIdentity(const workloads::WorkloadSpec& spec,
                                   const image::Image& img,
                                   const std::vector<uint8_t>& input) {
   std::vector<std::string> outputs;
   std::vector<uint64_t> instructions;
   std::vector<uint64_t> translates;
-  for (const uint32_t workers : {1u, 4u}) {
+  for (const uint32_t workers : {0u, 1u, 4u}) {
     softcache::MultiClientConfig config;
     config.clients = 4;
     config.base = BaseConfig();
@@ -396,13 +397,15 @@ void CheckRealFleetWorkerIdentity(const workloads::WorkloadSpec& spec,
     instructions.push_back(instrs);
     translates.push_back(fleet.mc().server().stats().translates);
   }
-  SC_CHECK(outputs[0] == outputs[1])
-      << spec.name << ": guest output diverged between workers=1 and 4";
-  SC_CHECK(instructions[0] == instructions[1])
-      << spec.name << ": instruction counts diverged between worker counts";
-  SC_CHECK(translates[0] == translates[1])
-      << spec.name << ": server translation counts diverged";
-  std::printf("real 4-client fleet: workers=1 vs workers=4 guest output "
+  for (size_t i = 1; i < outputs.size(); ++i) {
+    SC_CHECK(outputs[i] == outputs[0])
+        << spec.name << ": guest output diverged from the workers=0 run";
+    SC_CHECK(instructions[i] == instructions[0])
+        << spec.name << ": instruction counts diverged between worker counts";
+    SC_CHECK(translates[i] == translates[0])
+        << spec.name << ": server translation counts diverged";
+  }
+  std::printf("real 4-client fleet: workers=0, 1 and 4 guest output "
               "byte-identical (%llu instrs, %llu cuts)\n",
               static_cast<unsigned long long>(instructions[0]),
               static_cast<unsigned long long>(translates[0]));
@@ -498,9 +501,9 @@ int main(int argc, char** argv) {
               wire_decreasing ? "yes" : "NO");
   std::printf("wrote %s\n", out_path.c_str());
 
-  // ---- server-scale sweep: worker pool under synthetic fleet load ----
+  // ---- server-scale sweep: pump vs worker pool under synthetic load ----
   bench::PrintHeader(
-      "Server worker-pool scaling (synthetic frame replay)",
+      "Server lane service scaling, pump vs pool (synthetic frame replay)",
       "Section 1 (one powerful MC: service throughput under fleet load)");
   const std::string scale_name = names.front();
   const auto* scale_spec = workloads::FindWorkload(scale_name);
@@ -512,10 +515,13 @@ int main(int argc, char** argv) {
               demand_addrs.size(), scale_name.c_str());
 
   std::vector<uint32_t> scale_clients = {256, 1024, 4096};
-  std::vector<uint32_t> scale_workers = {1, 2, 4, 8};
+  // workers = 0 comes first: the driver threads pump their own lanes, and
+  // that row's replies and wire bytes are the baseline every pool row must
+  // match.
+  std::vector<uint32_t> scale_workers = {0, 1, 2, 4, 8};
   if (smoke) {
     scale_clients = {1024};
-    scale_workers = {1, 4};
+    scale_workers = {0, 1, 4};
   }
   std::printf("%8s %8s %10s %10s %10s %12s %10s\n", "clients", "workers",
               "frames", "translate", "memo hits", "frames/sec", "bytes/cl");
@@ -525,7 +531,7 @@ int main(int argc, char** argv) {
   bool wire_flat = true;
   double speedup_w4 = 0.0;
   for (const uint32_t clients : scale_clients) {
-    ScaleRow baseline;  // the first worker row of this client count, by value
+    ScaleRow baseline;  // this client count's workers=0 row, by value
     uint64_t w1_wall = 0;
     uint64_t w4_wall = 0;
     for (const uint32_t workers : scale_workers) {
@@ -540,8 +546,8 @@ int main(int argc, char** argv) {
       if (workers == scale_workers.front()) {
         baseline = row;
       } else {
-        // More workers may only change TIMING: the reply byte streams and
-        // the wire cost per client must match the first worker row exactly.
+        // Who services the lanes may only change TIMING: the reply byte
+        // streams and the wire cost per client must match the pump row.
         if (row.reply_hash != baseline.reply_hash) {
           replies_identical = false;
           std::printf("!! x%u workers=%u: reply stream diverged\n", clients,

@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   // Merged-trace view of recovery: a small fleet where every client carries
   // the period-64 crash schedule, exported through the fleet trace mux so
   // each client lane shows its re-handshake and journal replay while the
-  // server loop/shard lanes show the restarts they recover from.
+  // server shard lanes show the restarts they recover from.
   if (!trace_path.empty()) {
     const std::string& name = names.front();
     const auto* spec = workloads::FindWorkload(name);

@@ -148,13 +148,13 @@ struct McServerConfig {
   // behavior). See server_loop.h.
   size_t max_queue = 0;
   // Dedicated server worker threads draining the per-shard lane queues.
-  // 0 = the legacy borrowed-thread pump (a single lane drained by whichever
-  // client thread submits; exactly one frame in the core at a time). With
-  // workers >= 1 the loop routes each frame to its shard's lane and `workers`
-  // dedicated threads drain the lanes with static ownership
-  // (lane l -> worker l % workers), so translations in different shards
-  // proceed concurrently. Requires workers <= shards (validated at the CLI;
-  // the MultiClientSystem constructor SC_CHECKs).
+  // The loop always routes each frame to its shard's lane. With workers = 0
+  // the submitting client thread pumps its own lane (zero threads spawned);
+  // with workers >= 1, `workers` dedicated threads drain the lanes with
+  // static ownership (lane l -> worker l % workers). Either way,
+  // translations in different shards proceed concurrently. Requires
+  // workers <= shards (validated at the CLI; the MultiClientSystem
+  // constructor SC_CHECKs).
   uint32_t workers = 0;
 };
 

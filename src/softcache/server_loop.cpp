@@ -4,20 +4,9 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "softcache/protocol.h"
 #include "util/check.h"
 
 namespace sc::softcache {
-
-namespace {
-
-// Thread-local service context: which pool worker (if any) this thread is,
-// and the enqueue timestamp of the ticket it is currently inside. Thread-
-// local (not members) because several workers service tickets concurrently.
-thread_local int tls_worker = -1;
-thread_local uint64_t tls_enqueue_ts = 0;
-
-}  // namespace
 
 McServerLoop::McServerLoop(PortHandler handler, LaneRouter router,
                            const McServerLoopConfig& config)
@@ -27,7 +16,6 @@ McServerLoop::McServerLoop(PortHandler handler, LaneRouter router,
       worker_count_(config.workers),
       lanes_(std::max<uint32_t>(config.lanes, 1)),
       worker_stats_(config.workers),
-      worker_lanes_(config.workers, nullptr),
       // Queue waits are host time: sub-microsecond uncontended, tens of
       // microseconds when many client threads arrive at once. One bucket
       // per 8 us to 1 ms; slower outliers clamp into the last bucket.
@@ -48,82 +36,59 @@ McServerLoop::~McServerLoop() {
   for (std::thread& t : threads_) t.join();
 }
 
-int McServerLoop::current_worker() { return tls_worker; }
-
-uint64_t McServerLoop::current_ticket_enqueue_ts() { return tls_enqueue_ts; }
-
-void McServerLoop::set_trace_lane(obs::Tracer* lane) {
-  std::lock_guard<std::mutex> lock(mu_);
-  loop_lane_ = lane;
-}
-
-void McServerLoop::set_worker_trace_lane(uint32_t worker, obs::Tracer* lane) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SC_CHECK_LT(worker, worker_lanes_.size()) << "no such worker";
-  worker_lanes_[worker] = lane;
-}
-
-std::vector<uint8_t> McServerLoop::Service(Ticket* t, obs::Tracer* lane) {
-  if (lane == nullptr || !lane->recording()) {
-    tls_enqueue_ts = 0;
-    return handler_(t->port, *t->frame);
-  }
-  // Service lanes run on manual clocks: raise this one to the ticket's
-  // guest-cycle enqueue time so the span sorts causally after the client
-  // events that produced the frame.
-  tls_enqueue_ts = t->enqueue_ts;
-  lane->AdvanceClockFloor(t->enqueue_ts);
-  lane->Begin("loop", "ticket", "port", t->port);
-  // A traced miss (nonzero rid nibble) gets its causal arrow routed through
-  // this ticket slice.
-  if (const uint32_t rid = PeekFrameRid(*t->frame); rid != 0) {
-    lane->FlowStep("flow", "miss", FlowId(PeekFrameClientId(*t->frame), rid));
-  }
-  std::vector<uint8_t> reply = handler_(t->port, *t->frame);
-  lane->End("loop", "ticket");
-  tls_enqueue_ts = 0;
-  return reply;
-}
-
-void McServerLoop::NoteDequeue(Lane* lane, Ticket* t) {
+McServerLoop::Ticket* McServerLoop::Pop(uint32_t l) {
+  Lane& lane = lanes_[l];
+  if (ExclusivePending() || lane.queue.empty()) return nullptr;
+  Ticket* t = lane.queue.front();
+  lane.queue.pop_front();
   // Dropping below the bound re-admits one deferred submitter.
-  if (max_queue_ != 0 && lane->queue.size() + 1 == max_queue_) {
+  if (max_queue_ != 0 && lane.queue.size() + 1 == max_queue_) {
     cv_.notify_all();
   }
   queue_wait_ns_.Add(static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t->enqueue_host)
           .count()));
+  return t;
 }
 
-McServerLoop::Ticket* McServerLoop::NextOwnedTicket(uint32_t worker,
-                                                    uint32_t* lane_out) {
-  if (exclusive_active_ || exclusive_waiters_ != 0) return nullptr;
-  const uint32_t n = static_cast<uint32_t>(lanes_.size());
-  const uint32_t workers_n = worker_count_;
-  // Static ownership: worker w drains exactly the lanes congruent to w
-  // modulo the pool size, so a given lane — hence a given memo shard and
-  // its trace lane — is only ever touched by one worker thread.
-  for (uint32_t l = worker; l < n; l += workers_n) {
-    if (!lanes_[l].queue.empty()) {
-      Ticket* t = lanes_[l].queue.front();
-      lanes_[l].queue.pop_front();
-      NoteDequeue(&lanes_[l], t);
-      *lane_out = l;
-      return t;
-    }
+void McServerLoop::Service(std::unique_lock<std::mutex>& lock, Ticket* t,
+                           McWorkerStats* worker) {
+  ++busy_;
+  lock.unlock();
+  const bool timed = worker != nullptr;
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
+  std::vector<uint8_t> reply = handler_(t->info, *t->frame);
+  const auto end = timed ? std::chrono::steady_clock::now() : start;
+  lock.lock();
+  --busy_;
+  if (timed) {
+    ++worker->frames;
+    worker->busy_hist_ns.Add(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+            .count()));
   }
-  return nullptr;
+  t->reply = std::move(reply);
+  t->done = true;
+  // Wakes the ticket's submitter, deferred submitters, and any exclusive
+  // waiting for busy_ to reach zero.
+  cv_.notify_all();
 }
 
 void McServerLoop::WorkerMain(uint32_t w) {
-  tls_worker = static_cast<int>(w);
   std::unique_lock<std::mutex> lock(mu_);
+  const uint32_t n = static_cast<uint32_t>(lanes_.size());
   uint64_t burst = 0;  // tickets serviced since the last idle wait
   for (;;) {
     if (shutdown_) return;
-    uint32_t lane_index = 0;
-    Ticket* t = NextOwnedTicket(w, &lane_index);
+    // Static ownership: worker w drains exactly the lanes congruent to w
+    // modulo the pool size, so a given lane — hence a given memo shard — is
+    // only ever touched by one worker thread.
+    Ticket* t = nullptr;
+    for (uint32_t l = w; l < n && t == nullptr; l += worker_count_) {
+      t = Pop(l);
+    }
     if (t == nullptr) {
       if (burst != 0) {
         ++stats_.batches_drained;
@@ -132,40 +97,22 @@ void McServerLoop::WorkerMain(uint32_t w) {
       work_cv_.wait(lock);
       continue;
     }
-    ++busy_;
-    obs::Tracer* lane = worker_lanes_[w];
-    lock.unlock();
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<uint8_t> reply = Service(t, lane);
-    const uint64_t ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    lock.lock();
-    --busy_;
+    Service(lock, t, &worker_stats_[w]);
     ++burst;
-    worker_stats_[w].frames++;
-    worker_stats_[w].busy_ns += ns;
-    worker_stats_[w].busy_hist_ns.Add(static_cast<double>(ns));
-    t->reply = std::move(reply);
-    t->done = true;
-    // Wakes the ticket's submitter, deferred submitters, and any exclusive
-    // waiting for busy_ to reach zero.
-    cv_.notify_all();
   }
 }
 
 std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
                                           const std::vector<uint8_t>& frame) {
   Ticket ticket;
-  ticket.port = port;
+  ticket.info.port = port;
   ticket.frame = &frame;
   // Stamp the enqueue moment: guest cycles from the enqueuing thread's own
   // trace lane (its clock — no cross-thread reads), host time for the
   // queue-wait histogram.
   if (obs::Tracer* lane = obs::tracer();
       lane != nullptr && lane->recording()) {
-    ticket.enqueue_ts = lane->CurrentTimestamp();
+    ticket.info.enqueue_ts = lane->CurrentTimestamp();
   }
   ticket.enqueue_host = std::chrono::steady_clock::now();
 
@@ -175,11 +122,12 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
   if (router_ != nullptr && lanes_.size() > 1) {
     lane_index = router_(port, frame) % static_cast<uint32_t>(lanes_.size());
   }
+  ticket.info.lane = lane_index;
 
   std::unique_lock<std::mutex> lock(mu_);
   Lane& lane = lanes_[lane_index];
   // Backpressure: defer while this lane sits at its bound. The waiter holds
-  // no queued ticket, so service (the pump, or the lane's owning worker)
+  // no queued ticket, so service (the lane's pumper, or its owning worker)
   // always has a live thread to drain the lane — deferral cannot deadlock.
   // The single-threaded schedulers never defer: their depth is at most 1.
   if (max_queue_ != 0 && lane.queue.size() >= max_queue_) {
@@ -199,42 +147,23 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
     return std::move(ticket.reply);
   }
 
-  // Borrowed-thread mode: pump the lane ourselves (or wait for the thread
-  // already pumping it to complete our ticket).
-  while (!ticket.done) {
-    if (exclusive_active_ || exclusive_waiters_ != 0) {
-      // An exclusive section is running or parked waiting: don't start new
-      // service until it has finished (it would starve otherwise).
-      cv_.wait(lock);
-    } else if (!lane.pumping) {
-      // Become the pumper: drain the lane in arrival order. Tickets that
-      // arrive while we are inside the server core are seen on the next
-      // iteration (the queue is re-checked under mu_ every pass), so one
-      // drain services every frame queued behind ours too.
-      lane.pumping = true;
-      while (!lane.queue.empty() && !exclusive_active_ &&
-             exclusive_waiters_ == 0) {
-        Ticket* t = lane.queue.front();
-        lane.queue.pop_front();
-        NoteDequeue(&lane, t);
-        ++busy_;
-        obs::Tracer* trace = loop_lane_;
-        lock.unlock();
-        std::vector<uint8_t> reply = Service(t, trace);
-        lock.lock();
-        --busy_;
-        t->reply = std::move(reply);
-        t->done = true;
-      }
-      lane.pumping = false;
-      ++stats_.batches_drained;
-      cv_.notify_all();
-    } else {
-      // Another thread is pumping this lane; it will complete our ticket.
-      cv_.wait(lock);
-    }
+  // No pool: claim the lane and pump it ourselves, unless another thread is
+  // already pumping it (it will complete our ticket) or an exclusive is
+  // pending (it would starve if we started new service).
+  for (;;) {
+    cv_.wait(lock, [&] {
+      return ticket.done || (!lane.pumping && !ExclusivePending());
+    });
+    if (ticket.done) return std::move(ticket.reply);
+    // Drain in arrival order. Tickets that arrive while we are inside the
+    // server core are seen on the next Pop, so one drain services every
+    // frame queued behind ours too.
+    lane.pumping = true;
+    while (Ticket* t = Pop(lane_index)) Service(lock, t, nullptr);
+    lane.pumping = false;
+    ++stats_.batches_drained;
+    cv_.notify_all();
   }
-  return std::move(ticket.reply);
 }
 
 void McServerLoop::RunExclusive(const std::function<void()>& fn) {

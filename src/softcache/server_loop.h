@@ -7,16 +7,14 @@
 //   * every arriving frame becomes a *ticket*, routed to a **lane** (one
 //     bounded queue per memo shard when a router is installed, a single
 //     lane otherwise);
-//   * in the legacy borrowed-thread mode (workers = 0) the first submitter
-//     to find its lane unpumped becomes the pumper and drains the lane in
-//     arrival order — servicing its own ticket AND any other clients'
-//     tickets queued behind it (batch drain);
-//   * with a worker pool (workers >= 1) dedicated server threads drain the
-//     lanes with static ownership (lane l belongs to worker l % workers),
-//     so frames routed to different shards are serviced concurrently —
-//     there is no core-wide lock anywhere on the frame path;
-//   * threads whose tickets are queued block on a condition variable until
-//     their reply is ready.
+//   * one routine pops, services and completes a lane's tickets in arrival
+//     order. What differs between service modes is only who claims a lane:
+//     with workers = 0 the first submitter to find its lane unclaimed pumps
+//     it — servicing its own ticket AND any tickets queued behind it — and
+//     with workers >= 1 lane l belongs to pool worker l % workers;
+//   * either way, frames routed to different lanes are serviced
+//     concurrently (there is no core-wide lock on the frame path), and
+//     threads whose tickets are queued block until their reply is ready.
 //
 // Single-threaded callers (the deterministic round-robin scheduler) have at
 // most one frame in flight fleet-wide, so ticket service order — and hence
@@ -36,13 +34,13 @@
 // with no loop lock held; the server core below has its own per-shard
 // ownership (see mc.h).
 //
-// Observability: in borrowed-thread mode the loop owns the server's "loop"
-// trace lane (one loop.ticket span per serviced frame; the lane opts out of
-// the thread-affinity assert because exactly one pumper runs at a time). In
-// worker mode each worker owns a "worker <w>" lane and writes its tickets
-// there — single writer per lane by construction. The host-nanosecond
-// queue-wait histogram (enqueue -> handler entry) never charges guest
-// cycles and is excluded from snapshot determinism.
+// Observability: the loop records no trace events. It hands the handler
+// the lane index and the ticket's guest-cycle enqueue stamp, and the
+// handler writes the ticket's spans into that lane's trace lane — a lane is
+// serviced by one thread at a time, so that trace lane has one writer at a
+// time. The host-nanosecond queue-wait histogram (enqueue -> handler
+// entry) never charges guest cycles and is excluded from snapshot
+// determinism.
 #pragma once
 
 #include <chrono>
@@ -60,7 +58,6 @@
 
 namespace sc::obs {
 class MetricsRegistry;
-class Tracer;
 }
 
 namespace sc::softcache {
@@ -76,24 +73,23 @@ struct McServerLoopStats {
 
 // Per-worker service counters (mc.worker<i>.* in the metrics registry).
 // `frames` is deterministic for a deterministic run (frame->lane->worker is a
-// pure function) and exports as a counter; `busy_ns` is host wall-clock and
-// exports as a histogram of per-ticket service times, keeping it out of the
+// pure function) and exports as a counter; the per-ticket service times are
+// host wall-clock and export as a histogram, keeping them out of the
 // snapshot determinism checks like every other host-time metric.
 struct McWorkerStats {
-  uint64_t frames = 0;   // tickets this worker serviced
-  uint64_t busy_ns = 0;  // host ns spent inside the handler
-  util::Histogram busy_hist_ns{0, 1e6, 128};  // the same time, per ticket
+  uint64_t frames = 0;  // tickets this worker serviced
+  util::Histogram busy_hist_ns{0, 1e6, 128};  // host ns inside the handler
 };
 
-// How the loop's queues and threads are shaped. The default reproduces the
-// historical single-queue borrowed-thread pump exactly.
+// How the loop's queues and threads are shaped. The default is one
+// unbounded lane pumped by its submitters.
 struct McServerLoopConfig {
   // Lane (queue) count; with a router installed this should equal the
   // server's shard count so each shard's translations queue independently.
   uint32_t lanes = 1;
-  // Dedicated worker threads; 0 = borrowed-thread pump (exactly one frame
-  // in the core at a time, zero threads spawned). Workers beyond the lane
-  // count would never own a lane (validated at the CLI).
+  // Dedicated worker threads; 0 = submitters pump their own lanes (zero
+  // threads spawned). Workers beyond the lane count would never own a lane
+  // (validated at the CLI).
   uint32_t workers = 0;
   // Per-lane ticket bound (0 = unbounded). A submitter arriving at a full
   // lane defers — parks WITHOUT holding a queued ticket — and retries once
@@ -104,12 +100,21 @@ struct McServerLoopConfig {
 
 class McServerLoop {
  public:
-  // Handles one frame arriving on a port (MemoryController::HandlePort, or
-  // a test double). With workers = 0 invoked by exactly one thread at a
-  // time; with a worker pool invoked concurrently from different lanes (the
-  // core's per-shard ownership makes that safe).
+  // What a handler learns about the ticket it services.
+  struct TicketInfo {
+    uint32_t lane = 0;  // the lane the router queued it on
+    uint32_t port = 0;  // the switch port it arrived on
+    // Guest-cycle timestamp on the submitting thread's trace lane clock (0
+    // when that thread is untraced): downstream trace lanes advance their
+    // manual clocks to it so server spans sort after their cause.
+    uint64_t enqueue_ts = 0;
+  };
+
+  // Handles one frame (MemoryController::HandlePort, or a test double).
+  // Invoked by one thread at a time per lane, and concurrently across
+  // lanes (the core's per-shard ownership makes that safe).
   using PortHandler = std::function<std::vector<uint8_t>(
-      uint32_t port, const std::vector<uint8_t>& frame)>;
+      const TicketInfo& ticket, const std::vector<uint8_t>& frame)>;
 
   // Maps an arriving frame to the lane that must service it (frames that
   // touch the same server slice must map to the same lane). Must be pure
@@ -118,8 +123,7 @@ class McServerLoop {
   using LaneRouter = std::function<uint32_t(
       uint32_t port, const std::vector<uint8_t>& frame)>;
 
-  // A null router sends every frame to lane 0; the default config is one
-  // unbounded lane drained by the borrowed-thread pump.
+  // A null router sends every frame to lane 0.
   McServerLoop(PortHandler handler, LaneRouter router,
                const McServerLoopConfig& config);
 
@@ -149,27 +153,6 @@ class McServerLoop {
   }
 
   uint32_t lanes() const { return static_cast<uint32_t>(lanes_.size()); }
-  uint32_t workers() const { return worker_count_; }
-
-  // The server's "loop" trace lane (owned by the TraceMux; null = untraced),
-  // used by borrowed-thread pumping. The lane must have
-  // set_thread_affine(false): it is written by whichever thread pumps,
-  // one at a time.
-  void set_trace_lane(obs::Tracer* lane);
-  // Worker `w`'s trace lane; written only by that worker's thread.
-  void set_worker_trace_lane(uint32_t worker, obs::Tracer* lane);
-
-  // Index of the worker servicing the current ticket on THIS thread, or -1
-  // on non-worker threads (borrowed-thread pumping, tests). Valid inside
-  // the PortHandler; lets the handler pick the worker's trace lane.
-  static int current_worker();
-
-  // Guest-cycle timestamp (enqueuing client's lane clock) of the ticket
-  // THIS thread is currently servicing; 0 when untraced. Valid only while
-  // inside the PortHandler — downstream shard lanes use it to advance their
-  // manual clocks causally. Thread-local, so concurrent workers each see
-  // their own ticket's stamp.
-  static uint64_t current_ticket_enqueue_ts();
 
   // Host nanoseconds each ticket spent queued before a handler took it.
   const util::Histogram& queue_wait_ns() const { return queue_wait_ns_; }
@@ -181,35 +164,33 @@ class McServerLoop {
 
  private:
   struct Ticket {
-    uint32_t port = 0;
+    TicketInfo info;
     const std::vector<uint8_t>* frame = nullptr;
     std::vector<uint8_t> reply;
     bool done = false;
-    // Observability: guest-cycle time on the enqueuing thread's lane clock
-    // (0 if that thread is untraced) and host enqueue time for the
-    // queue-wait histogram.
-    uint64_t enqueue_ts = 0;
-    std::chrono::steady_clock::time_point enqueue_host;
+    std::chrono::steady_clock::time_point enqueue_host;  // queue-wait start
   };
 
-  // One inbound queue. `pumping` is only used in borrowed-thread mode (a
-  // submitter is draining this lane); worker lanes are drained by their
-  // statically owning worker instead.
+  // One inbound queue. `pumping` is set while a submitter claims the lane
+  // (workers = 0); pool lanes are claimed by their owning worker instead.
   struct Lane {
     std::deque<Ticket*> queue;
     bool pumping = false;
   };
 
-  // Emits the ticket span + causal flow step on `lane` (null = untraced)
-  // and runs the handler. Called with NO loop lock held.
-  std::vector<uint8_t> Service(Ticket* t, obs::Tracer* lane);
-
-  // Pops the next ticket from a lane this worker owns (round-robin over
-  // owned lanes); null when none are ready or an exclusive is pending.
-  // Caller holds mu_.
-  Ticket* NextOwnedTicket(uint32_t worker, uint32_t* lane_out);
-  // Bookkeeping shared by pump and worker pop paths. Caller holds mu_.
-  void NoteDequeue(Lane* lane, Ticket* t);
+  // True while an exclusive section runs or waits to: no new ticket service
+  // may start. Caller holds mu_.
+  bool ExclusivePending() const {
+    return exclusive_active_ || exclusive_waiters_ != 0;
+  }
+  // Pops lane `l`'s next ticket; null when the lane is empty or an
+  // exclusive is pending. Caller holds mu_.
+  Ticket* Pop(uint32_t l);
+  // Runs the handler on a popped ticket with mu_ released, then completes
+  // it; counts and times it into `worker` when non-null. `lock` holds mu_
+  // on entry and on return.
+  void Service(std::unique_lock<std::mutex>& lock, Ticket* t,
+               McWorkerStats* worker);
 
   void WorkerMain(uint32_t w);
 
@@ -222,7 +203,7 @@ class McServerLoop {
   // must never be consulted on the worker path.
   const uint32_t worker_count_;
 
-  // THE loop lock: queues, flags, stats, histogram, trace-lane pointers.
+  // THE loop lock: queues, flags, stats, histogram.
   // Mutable so const registration lambdas can lock for gauges.
   mutable std::mutex mu_;
   // Ticket completion, pump handoff, deferred admission, exclusive parking.
@@ -237,12 +218,9 @@ class McServerLoop {
   bool shutdown_ = false;
   McServerLoopStats stats_;
   std::vector<McWorkerStats> worker_stats_;
+  util::Histogram queue_wait_ns_;  // written under mu_
 
-  obs::Tracer* loop_lane_ = nullptr;          // read/written under mu_
-  std::vector<obs::Tracer*> worker_lanes_;    // read/written under mu_
-  util::Histogram queue_wait_ns_;             // written under mu_
-
-  std::vector<std::thread> threads_;  // the worker pool (empty = legacy)
+  std::vector<std::thread> threads_;  // the worker pool (empty = pumped)
 };
 
 }  // namespace sc::softcache

@@ -84,36 +84,22 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
                                      const MultiClientConfig& config)
     : config_(WithEffectiveWorkers(config)),
       step_quantum_(StepQuantum(config_)),
-      // Every frame is routed through the event loop: the switch feeds a
-      // per-shard lane queue (single lane in borrowed-thread mode), the
-      // loop grants entry into the server core. Single-threaded schedulers
-      // pass through with zero contention. With a trace mux attached, the
-      // dispatch installs the server lane the frame belongs in for the
-      // duration of the handler, so server spans never land in the pumping
-      // client's lane; ServerLaneForFrame uses the same frame->shard
-      // mapping as the router below, so every lane keeps a single writer.
-      loop_(
-          [this](uint32_t port, const std::vector<uint8_t>& frame) {
-            obs::Tracer* lane = ServerLaneForFrame(frame);
-            if (lane == nullptr) return mc_->HandlePort(port, frame);
-            lane->AdvanceClockFloor(loop_.current_ticket_enqueue_ts());
-            obs::TracerScope scope(lane);
-            return mc_->HandlePort(port, frame);
-          },
-          // Route EVERY frame by its addr word's shard (short or non-chunk
-          // frames peek addr 0 -> the first slice): translations for
-          // different slices queue — and with a worker pool, run —
-          // independently, and frames touching the same slice serialize in
-          // arrival order.
-          [this](uint32_t /*port*/, const std::vector<uint8_t>& frame) {
-            return mc_->server().ShardFor(PeekFrameAddr(frame));
-          },
-          McServerLoopConfig{
-              /*lanes=*/config_.server.workers > 0
-                  ? ServerShards(config_.server)
-                  : 1,
-              /*workers=*/config_.server.workers,
-              /*max_queue=*/config_.server.max_queue}),
+      // Every frame is routed through the event loop, which queues it on
+      // its memo shard's lane; ServeTicket services it there.
+      loop_([this](const McServerLoop::TicketInfo& ticket,
+                   const std::vector<uint8_t>& frame) {
+              return ServeTicket(ticket, frame);
+            },
+            // Route EVERY frame by its addr word's shard (short or non-chunk
+            // frames peek addr 0 -> the first slice): translations for
+            // different slices queue and run independently, and frames
+            // touching the same slice serialize in arrival order.
+            [this](uint32_t /*port*/, const std::vector<uint8_t>& frame) {
+              return mc_->server().ShardFor(PeekFrameAddr(frame));
+            },
+            McServerLoopConfig{/*lanes=*/ServerShards(config_.server),
+                               /*workers=*/config_.server.workers,
+                               /*max_queue=*/config_.server.max_queue}),
       switch_([this](uint32_t port, const std::vector<uint8_t>& frame) {
         return loop_.Submit(port, frame);
       }) {
@@ -181,15 +167,12 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
 }
 
 void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
-  SC_CHECK(loop_lane_ == nullptr) << "AttachTraceMux called twice";
-  // Server lanes: the event loop plus one lane per memo shard, all threads
-  // of Perfetto process 0. They run on manual clocks advanced to each
-  // ticket's guest-cycle enqueue stamp, and are written from whichever
-  // thread pumps the loop — always under the loop's server mutex — so they
-  // opt out of the single-thread assert (the mutex is their confinement).
-  loop_lane_ = mux->AddLane("server", "loop", 0, 0);
-  loop_lane_->set_thread_affine(false);
-  loop_.set_trace_lane(loop_lane_);
+  SC_CHECK(shard_lanes_.empty()) << "AttachTraceMux called twice";
+  // Server lanes: one per memo shard, threads of Perfetto process 0. They
+  // run on manual clocks advanced to each ticket's guest-cycle enqueue
+  // stamp. Shard lane s is written only while loop lane s is being
+  // serviced — by one thread at a time, but not always the same one (any
+  // submitter may pump it) — so they opt out of the single-thread assert.
   const uint32_t shards = mc_->server().shards();
   shard_lanes_.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
@@ -197,19 +180,6 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
         mux->AddLane("server", "shard " + std::to_string(s), 0, 1 + s);
     lane->set_thread_affine(false);
     shard_lanes_.push_back(lane);
-  }
-  // Worker-pool lanes: one per dedicated server thread, carrying that
-  // worker's loop.ticket spans. Statically single-writer (worker w alone
-  // writes lane w), but created here on the attaching thread, so they use
-  // the external-serialization contract instead of the affinity assert.
-  const uint32_t workers = loop_.workers();
-  worker_lanes_.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) {
-    obs::Tracer* lane = mux->AddLane("server", "worker " + std::to_string(w),
-                                     0, 1 + shards + w);
-    lane->set_thread_affine(false);
-    loop_.set_worker_trace_lane(w, lane);
-    worker_lanes_.push_back(lane);
   }
   // Client lanes: one Perfetto process per VM, clocked by that machine's
   // guest cycle counter so span timestamps read in guest time no matter
@@ -223,23 +193,27 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
   }
 }
 
-obs::Tracer* MultiClientSystem::ServerLaneForFrame(
-    const std::vector<uint8_t>& frame) const {
-  if (loop_lane_ == nullptr) return nullptr;
-  if (loop_.workers() > 0 && !shard_lanes_.empty()) {
-    // Worker mode: the frame's spans belong to the slice that serviced it —
-    // the identical frame->shard mapping the loop's router used to queue
-    // it, so shard lane s is only ever written by the worker that
-    // statically owns lane s.
-    return shard_lanes_[mc_->server().ShardFor(PeekFrameAddr(frame))];
+std::vector<uint8_t> MultiClientSystem::ServeTicket(
+    const McServerLoop::TicketInfo& ticket,
+    const std::vector<uint8_t>& frame) {
+  if (shard_lanes_.empty()) return mc_->HandlePort(ticket.port, frame);
+  // Install the shard's lane for the whole handler, so server spans never
+  // land in the submitting client's lane.
+  obs::Tracer* lane = shard_lanes_[ticket.lane];
+  obs::TracerScope scope(lane);
+  if (!lane->recording()) return mc_->HandlePort(ticket.port, frame);
+  // Raise the lane's manual clock to the ticket's enqueue stamp so the span
+  // sorts causally after the client events that produced the frame.
+  lane->AdvanceClockFloor(ticket.enqueue_ts);
+  lane->Begin("loop", "ticket", "port", ticket.port);
+  // A traced miss (nonzero rid nibble) gets its causal arrow routed through
+  // this ticket slice.
+  if (const uint32_t rid = PeekFrameRid(frame); rid != 0) {
+    lane->FlowStep("flow", "miss", FlowId(PeekFrameClientId(frame), rid));
   }
-  const uint32_t type = PeekFrameType(frame);
-  if (!shard_lanes_.empty() &&
-      (type == static_cast<uint32_t>(MsgType::kChunkRequest) ||
-       type == static_cast<uint32_t>(MsgType::kChunkSharedRequest))) {
-    return shard_lanes_[mc_->server().ShardFor(PeekFrameAddr(frame))];
-  }
-  return loop_lane_;
+  std::vector<uint8_t> reply = mc_->HandlePort(ticket.port, frame);
+  lane->End("loop", "ticket");
+  return reply;
 }
 
 void MultiClientSystem::SnoopReply(const std::vector<uint8_t>& reply_bytes) {
@@ -361,8 +335,8 @@ void MultiClientSystem::MaybeInspectRoundRobin() {
 void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
   // Host-thread parallelism trades the deterministic interleaving for
   // concurrent per-client progress: each worker claims the next unfinished
-  // client and runs its VM to completion; the server core stays serialized
-  // through the event loop, and the snoop fan-out synchronizes per store.
+  // client and runs its VM to completion; the event loop serializes server
+  // work per memo shard, and the snoop fan-out synchronizes per store.
   // Guest-visible results (output/exit/instructions) remain solo-identical —
   // clients share no guest state and the fallback path absorbs any snoop
   // races. Tracing rides per-client lanes: each worker installs the claimed

@@ -46,8 +46,9 @@ struct MultiClientConfig {
   // Host threads running client VMs: 0/1 = the deterministic guest-cycle
   // round-robin scheduler (single host thread; traces, metrics and wire
   // traffic reproduce bit-identically). >1 = each client VM runs to
-  // completion on a pool of this many host threads, with server access
-  // serialized through the event loop. Guest results stay solo-identical
+  // completion on a pool of this many host threads; the event loop
+  // serializes server access per memo shard, so frames for different
+  // shards are serviced concurrently. Guest results stay solo-identical
   // either way; what threading changes is the host-side interleaving, so
   // cross-client cycle comparisons are meaningless. Tracing works under
   // both schedulers once AttachTraceMux has split the instrumentation into
@@ -88,7 +89,7 @@ inline bool ValidateServerParallelism(int64_t shards, int64_t workers,
     return false;
   }
   if (workers < 0) {
-    *error = "workers must be >= 0 (0 = borrowed-thread serving)";
+    *error = "workers must be >= 0 (0 = submitters pump their own lanes)";
     return false;
   }
   if (workers > shards) {
@@ -167,10 +168,10 @@ class MultiClientSystem {
 
   // Splits instrumentation into per-agent trace lanes inside `mux`: one
   // lane per client VM (process "client <i>", pid i+1, clocked by that
-  // machine's guest cycle counter) plus server lanes (the event loop at
-  // pid 0 tid 0, one lane per memo shard at pid 0 tid 1+s, and — when a
-  // worker pool serves — one lane per worker at pid 0 tid 1+shards+w, all
-  // on manual clocks advanced to each ticket's guest-cycle enqueue stamp).
+  // machine's guest cycle counter) plus one server lane per memo shard
+  // (pid 0 tid 1+s, on a manual clock advanced to each ticket's guest-cycle
+  // enqueue stamp) carrying that shard's loop.ticket spans and everything
+  // the MC records while servicing them, whoever services the lane.
   // The schedulers install the matching lane into the thread-local tracer
   // slot around every client step and every server dispatch, so each lane
   // stays thread-confined even under host_threads > 1. Call once, before
@@ -219,13 +220,11 @@ class MultiClientSystem {
   // Broadcast-medium snoop: parses one reply frame and feeds every client's
   // content store (shared_reply mode only).
   void SnoopReply(const std::vector<uint8_t>& reply_bytes);
-  // Picks the server lane a dispatched frame's spans belong in. Borrowed-
-  // thread mode: the shard lane for chunk-translate requests, the loop lane
-  // for everything else. Worker mode: ALWAYS the shard lane of the slice
-  // the loop's router queued the frame to — the identical mapping, so each
-  // shard lane has exactly one writer (the worker statically owning that
-  // lane). Null when no mux is attached.
-  obs::Tracer* ServerLaneForFrame(const std::vector<uint8_t>& frame) const;
+  // The loop's handler: runs the frame through the MC and, with a mux
+  // attached, records its loop.ticket span and miss-flow step in the trace
+  // lane of the shard the loop queued it on.
+  std::vector<uint8_t> ServeTicket(const McServerLoop::TicketInfo& ticket,
+                                   const std::vector<uint8_t>& frame);
   // Round-robin-scheduler half of the periodic-inspection contract: fires
   // the hook whenever the fleet-min cycle count crossed the next threshold.
   void MaybeInspectRoundRobin();
@@ -240,9 +239,7 @@ class MultiClientSystem {
   // Observability (all null/zero unless AttachTraceMux / the hook setters
   // ran): non-owning lane pointers into the attached mux.
   std::vector<obs::Tracer*> client_lanes_;
-  obs::Tracer* loop_lane_ = nullptr;
   std::vector<obs::Tracer*> shard_lanes_;
-  std::vector<obs::Tracer*> worker_lanes_;
   uint64_t inspect_every_ = 0;
   uint64_t next_inspect_at_ = 0;
   InspectionHook inspection_hook_;

@@ -1,16 +1,17 @@
 // Server-parallelism tests: the per-shard slice ownership of the MC core,
-// the worker-pool event loop in front of it, and the knobs that shape both.
+// the event loop's shard lanes in front of it, and the knobs that shape
+// both.
 //
 // Covers the shard routing edge cases (one shard, a shard count that does
 // not divide the text range, a chunk straddling a shard boundary), the
-// worker-pool loop semantics (static lane ownership, bounded-lane deferral,
-// batch-drain accounting, the park-all exclusive barrier), the CLI-level
-// validation of --shards/--workers combinations, digest-reply coalescing
-// raced against a concurrent same-shard install (a TSan target: two
-// handlers inside the core at once), and end-to-end bit identity — the
-// round-robin fleet must produce identical guest results INCLUDING cycle
-// counts no matter how many workers drain the lanes, crash schedules and
-// all.
+// loop semantics (static lane ownership; bounded-lane deferral and the
+// park-all exclusive barrier under both the submitter pump and the worker
+// pool), the CLI-level validation of --shards/--workers combinations,
+// digest-reply coalescing raced against a concurrent same-shard install (a
+// TSan target: two handlers inside the core at once), and end-to-end bit
+// identity — the round-robin fleet must produce identical guest results
+// INCLUDING cycle counts no matter how many workers drain the lanes, crash
+// schedules and all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -155,14 +156,15 @@ TEST(ValidateParallelism, AcceptsAndRejectsTheBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-pool loop semantics (test-double handler, no MC underneath)
+// Loop semantics (test-double handler, no MC underneath)
 // ---------------------------------------------------------------------------
 
 // Echo handler: reply = [port, frame...]; lets every assertion check that a
 // ticket's reply came from ITS OWN frame, whatever thread serviced it.
-std::vector<uint8_t> Echo(uint32_t port, const std::vector<uint8_t>& frame) {
+std::vector<uint8_t> Echo(const McServerLoop::TicketInfo& ticket,
+                          const std::vector<uint8_t>& frame) {
   std::vector<uint8_t> reply(frame.size() + 1);
-  reply[0] = static_cast<uint8_t>(port);
+  reply[0] = static_cast<uint8_t>(ticket.port);
   std::copy(frame.begin(), frame.end(), reply.begin() + 1);
   return reply;
 }
@@ -204,21 +206,35 @@ TEST(WorkerPool, StaticLaneOwnershipServicesEveryFrame) {
   EXPECT_GE(loop.stats().batches_drained, 1u);
 }
 
-TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
-  // One lane bounded at 1 ticket, one worker. The handler parks until all
-  // three submitters have arrived, so the queue admission order is forced:
-  // one ticket in service, one queued (at the bound), one deferred.
+// The lane-service proofs below run once per way a lane gets claimed: by
+// the submitter that finds it unclaimed (workers = 0, "pump") and by the
+// pool worker that owns it (one worker per lane, "pool").
+class LaneService : public ::testing::TestWithParam<bool> {
+ protected:
+  uint32_t Workers(uint32_t lanes) const { return GetParam() ? lanes : 0; }
+};
+
+INSTANTIATE_TEST_SUITE_P(PumpAndPool, LaneService, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "pool" : "pump";
+                         });
+
+TEST_P(LaneService, BoundedLaneDefersTheOverflowingSubmitter) {
+  // One lane bounded at 1 ticket. The handler parks until all three
+  // submitters have arrived, so the queue admission order is forced: one
+  // ticket in service, one queued (at the bound), one deferred.
   // `arrived` counts submitters about to call Submit, not ones inside it,
   // so the handler also gives a preempted submitter time to reach the lane
   // (without the grace period this failed under a loaded ctest -j4).
   std::atomic<uint32_t> arrived{0};
   McServerLoop loop(
-      [&arrived](uint32_t port, const std::vector<uint8_t>& frame) {
+      [&arrived](const McServerLoop::TicketInfo& ticket,
+                 const std::vector<uint8_t>& frame) {
         while (arrived.load() < 3) std::this_thread::yield();
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return Echo(port, frame);
+        return Echo(ticket, frame);
       },
-      nullptr, McServerLoopConfig{1, 1, 1});
+      nullptr, McServerLoopConfig{1, Workers(1), 1});
   std::vector<std::thread> clients;
   for (uint32_t t = 0; t < 3; ++t) {
     clients.emplace_back([&, t] {
@@ -234,21 +250,23 @@ TEST(WorkerPool, BoundedLaneDefersTheOverflowingSubmitter) {
   EXPECT_GE(loop.stats().requests_deferred, 1u);
 }
 
-TEST(WorkerPool, ParkAllExclusiveWaitsOutInFlightHandlers) {
+TEST_P(LaneService, ParkAllExclusiveWaitsOutInFlightHandlers) {
   std::atomic<uint32_t> in_flight{0};
   std::atomic<bool> gate{false};
   McServerLoop loop(
-      [&](uint32_t port, const std::vector<uint8_t>& frame) {
+      [&](const McServerLoop::TicketInfo& ticket,
+          const std::vector<uint8_t>& frame) {
         ++in_flight;
         while (!gate.load()) std::this_thread::yield();
         --in_flight;
-        return Echo(port, frame);
+        return Echo(ticket, frame);
       },
       [](uint32_t, const std::vector<uint8_t>& frame) {
         return static_cast<uint32_t>(frame[0]);
       },
-      McServerLoopConfig{2, 2, 0});
-  // Two tickets in flight, one per worker, both parked inside the handler.
+      McServerLoopConfig{2, Workers(2), 0});
+  // Two tickets in flight on two lanes, both parked inside the handler:
+  // each pumped by its own submitter, or each held by its lane's worker.
   std::thread c0([&loop] { loop.Submit(0, {0}); });
   std::thread c1([&loop] { loop.Submit(1, {1}); });
   while (in_flight.load() < 2) std::this_thread::yield();

@@ -237,9 +237,10 @@ TEST(SharedReplyMc, CowSessionBypassesDigestPath) {
 
 TEST(ServerLoop, SingleThreadPassThroughPreservesReplyBytes) {
   McServerLoop loop(
-      [](uint32_t port, const std::vector<uint8_t>& frame) {
+      [](const McServerLoop::TicketInfo& ticket,
+         const std::vector<uint8_t>& frame) {
         std::vector<uint8_t> reply = frame;
-        reply.push_back(static_cast<uint8_t>(port));
+        reply.push_back(static_cast<uint8_t>(ticket.port));
         return reply;
       },
       nullptr, McServerLoopConfig{});
@@ -256,10 +257,11 @@ TEST(ServerLoop, ConcurrentSubmittersOneAtATimeInCore) {
   std::atomic<int> in_core{0};
   std::atomic<bool> overlapped{false};
   McServerLoop loop(
-      [&](uint32_t port, const std::vector<uint8_t>& frame) {
+      [&](const McServerLoop::TicketInfo& ticket,
+          const std::vector<uint8_t>& frame) {
         if (in_core.fetch_add(1) != 0) overlapped = true;
         std::vector<uint8_t> reply = frame;
-        reply.push_back(static_cast<uint8_t>(port));
+        reply.push_back(static_cast<uint8_t>(ticket.port));
         in_core.fetch_sub(1);
         return reply;
       },
@@ -297,10 +299,11 @@ TEST(ServerLoop, BoundedQueueDefersInsteadOfGrowing) {
   // submitter must eventually get its own reply, and deferral must
   // actually engage under this much pressure.
   McServerLoop loop(
-      [](uint32_t port, const std::vector<uint8_t>& frame) {
+      [](const McServerLoop::TicketInfo& ticket,
+         const std::vector<uint8_t>& frame) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         std::vector<uint8_t> reply = frame;
-        reply.push_back(static_cast<uint8_t>(port));
+        reply.push_back(static_cast<uint8_t>(ticket.port));
         return reply;
       },
       nullptr, McServerLoopConfig{1, 0, /*max_queue=*/2});
@@ -332,7 +335,8 @@ TEST(ServerLoop, BoundedQueueDefersInsteadOfGrowing) {
 TEST(ServerLoop, RunExclusiveSerializesAgainstFrames) {
   int handled = 0;
   McServerLoop loop(
-      [&handled](uint32_t, const std::vector<uint8_t>& frame) {
+      [&handled](const McServerLoop::TicketInfo&,
+                 const std::vector<uint8_t>& frame) {
         ++handled;
         return frame;
       },

@@ -173,7 +173,8 @@ int main(int argc, char** argv) {
                  "            [--shards=N]         server memo/translate shards\n"
                  "            [--workers=N]        dedicated server threads\n"
                  "                                 draining the shard lanes\n"
-                 "                                 (0 = borrowed-thread serving;\n"
+                 "                                 (0 = client threads pump\n"
+                 "                                 their own shard's lane;\n"
                  "                                 requires N <= shards)\n"
                  "            [--threads=N]        host threads for client VMs\n"
                  "            [--verify]           re-run each client solo and\n"
