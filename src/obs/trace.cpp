@@ -97,8 +97,12 @@ void EnsureEchoTracerForLogging() {
 }
 
 void Tracer::Enable(size_t capacity) {
-  if (ring_.size() != capacity) {
-    ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
+  if (capacity == 0) capacity = 1;
+  if (capacity_ != capacity) {
+    // Swap with a fresh vector: clear() would keep the old reservation.
+    std::vector<TraceEvent>().swap(ring_);
+    ring_.reserve(capacity);
+    capacity_ = capacity;
     head_ = 0;
     count_ = 0;
     dropped_ = 0;
@@ -143,11 +147,19 @@ void Tracer::Record(Phase ph, const char* cat, const char* name, uint8_t nargs,
     }
     util::LogLine(util::LogLevel::kTrace, line.str());
   }
-  if (!enabled_ || ring_.empty()) return;  // echo-only tracer: no buffering
+  if (!enabled_) return;  // echo-only tracer: no buffering
   CheckThread();
-  ring_[head_] = event;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) {
+  Push(event);
+}
+
+void Tracer::Push(const TraceEvent& event) {
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);  // within the reservation: never reallocates
+  } else {
+    ring_[head_] = event;
+  }
+  head_ = (head_ + 1) % capacity_;
+  if (count_ < capacity_) {
     ++count_;
   } else {
     ++dropped_;  // overwrote the oldest event
@@ -156,7 +168,7 @@ void Tracer::Record(Phase ph, const char* cat, const char* name, uint8_t nargs,
 
 void Tracer::RecordFlow(Phase ph, const char* cat, const char* name,
                         uint64_t flow_id) {
-  if (!enabled_ || ring_.empty()) return;
+  if (!enabled_) return;
   ++seq_;
   CheckThread();
   TraceEvent event;
@@ -165,21 +177,16 @@ void Tracer::RecordFlow(Phase ph, const char* cat, const char* name,
   event.name = name;
   event.cat = cat;
   event.ph = ph;
-  ring_[head_] = event;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) {
-    ++count_;
-  } else {
-    ++dropped_;
-  }
+  Push(event);
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<TraceEvent> events;
   events.reserve(count_);
-  const size_t start = (head_ + ring_.size() - count_) % ring_.size();
+  if (count_ == 0) return events;
+  const size_t start = (head_ + capacity_ - count_) % capacity_;
   for (size_t i = 0; i < count_; ++i) {
-    events.push_back(ring_[(start + i) % ring_.size()]);
+    events.push_back(ring_[(start + i) % capacity_]);
   }
   return events;
 }
@@ -193,7 +200,7 @@ void Tracer::ExportEventsJson(std::ostream& out, uint64_t pid, uint64_t tid,
                  "shorter window\n",
                  static_cast<unsigned long long>(pid),
                  static_cast<unsigned long long>(tid),
-                 static_cast<unsigned long long>(dropped_), ring_.size());
+                 static_cast<unsigned long long>(dropped_), capacity_);
   }
   const std::vector<TraceEvent> events = Snapshot();
   const auto emit = [&out, first, pid, tid](const TraceEvent& event, Phase ph,

@@ -10,8 +10,9 @@
 //     enabled. A test asserts that cycle counts and every stats counter are
 //     bit-identical with tracing on and off (observation never charges
 //     guest cycles).
-//   * Bounded memory. Events land in a fixed-capacity ring buffer
-//     preallocated at Enable(); when the ring wraps, the oldest events are
+//   * Bounded memory. Events land in a fixed-capacity ring buffer. Enable()
+//     reserves the capacity but writes nothing, so the ring pays for pages
+//     only as events arrive; once it is full it wraps, the oldest events are
 //     overwritten and counted in dropped_events(). Event names/categories
 //     must be string literals (the ring stores the pointers).
 //   * Honest export. The exporter re-balances the span stream so the JSON
@@ -73,10 +74,13 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  // A tracer starts disabled; Enable() preallocates the ring.
+  // A tracer starts disabled and owns no ring memory.
   Tracer() = default;
 
-  // Preallocates a ring of `capacity` events and starts recording.
+  // Starts recording into a ring of `capacity` events (at least 1). The ring
+  // reserves its capacity and pays for pages as events arrive. Re-enabling
+  // with the same capacity keeps the recorded events; a different capacity
+  // starts an empty ring.
   void Enable(size_t capacity = kDefaultCapacity);
   void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_ || echo_log_; }
@@ -152,10 +156,10 @@ class Tracer {
     RecordFlow(Phase::kFlowEnd, cat, name, flow_id);
   }
 
-  size_t recorded_events() const { return ring_.size() == 0 ? 0 : count_; }
+  size_t recorded_events() const { return count_; }
   uint64_t dropped_events() const { return dropped_; }
   const uint64_t* dropped_events_counter() const { return &dropped_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
 
   // Events in recording order (oldest first), after any ring wrap.
   std::vector<TraceEvent> Snapshot() const;
@@ -182,6 +186,8 @@ class Tracer {
               const char* a0, uint64_t v0, const char* a1, uint64_t v1);
   void RecordFlow(Phase ph, const char* cat, const char* name,
                   uint64_t flow_id);
+  // Appends to the ring while it grows, then overwrites the oldest event.
+  void Push(const TraceEvent& event);
   void CheckThread();
   uint64_t Now() const { return CurrentTimestamp(); }
 
@@ -192,9 +198,10 @@ class Tracer {
   std::thread::id owner_;
   const uint64_t* clock_ = nullptr;
   uint64_t floor_ = 0;  // manual-clock floor (AdvanceClockFloor)
-  std::vector<TraceEvent> ring_;
+  std::vector<TraceEvent> ring_;  // grows to capacity_, then wraps
+  size_t capacity_ = 0;  // 0 until Enable()
   size_t head_ = 0;    // next write position
-  size_t count_ = 0;   // live events in the ring (<= ring_.size())
+  size_t count_ = 0;   // live events in the ring (<= capacity_)
   uint64_t dropped_ = 0;
   uint64_t seq_ = 0;   // fallback clock + total event ordinal
 };

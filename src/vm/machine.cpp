@@ -14,7 +14,7 @@ using isa::Instr;
 using isa::Opcode;
 
 Machine::Machine(uint32_t mem_bytes)
-    : mem_(mem_bytes, 0), engine_(DefaultEngine()) {
+    : mem_(mem_bytes), engine_(DefaultEngine()) {
   SC_CHECK_GE(mem_bytes, image::kLocalBase) << "memory must cover local region";
 }
 
@@ -283,9 +283,9 @@ RunResult Machine::Run(uint64_t max_instructions) {
 RunResult Machine::RunInterp(uint64_t max_instructions) {
   if (pending_stop_ != StopReason::kRunning) return MakeResult(pending_stop_);
   if (decode_cache_.empty()) {
-    // {0, Decode(0)} satisfies the cache invariant (instr == Decode(word)),
-    // so no separate valid bit is needed.
-    decode_cache_.assign(kDecodeCacheEntries, DecodeEntry{0, isa::Decode(0)});
+    // Fresh zero pages read as {0, Decode(0)}, which satisfies the cache
+    // invariant (instr == Decode(word)), so no fill and no valid bit.
+    decode_cache_.resize(kDecodeCacheEntries);
   }
 
   for (uint64_t executed = 0; executed < max_instructions; ++executed) {

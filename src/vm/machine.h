@@ -29,6 +29,7 @@
 #include "image/layout.h"
 #include "isa/isa.h"
 #include "util/result.h"
+#include "util/zero_pages.h"
 #include "vm/superblock.h"
 
 namespace sc::vm {
@@ -297,7 +298,8 @@ class Machine {
   // Decode is a pure function of the word, so a word match guarantees the
   // cached Instr is correct even for index aliasing or guest stores that
   // write mem_ directly. WriteWord/WriteBlock into the exec range also reset
-  // affected entries explicitly.
+  // affected entries explicitly. An all-zero entry is {0, Decode(0)} (pinned
+  // by a test), so a fresh zero-page cache is valid without being filled.
   struct DecodeEntry {
     uint32_t word = 0;
     isa::Instr instr;
@@ -309,10 +311,11 @@ class Machine {
 
   std::array<uint32_t, isa::kNumRegs> regs_{};
   uint32_t pc_ = 0;
-  std::vector<uint8_t> mem_;
-  // Allocated lazily on the first Run() (a Machine used only as a memory
-  // container pays nothing).
-  std::vector<DecodeEntry> decode_cache_;
+  // Lazy zero pages: a client pays RSS only for the guest pages it touches.
+  std::vector<uint8_t, util::ZeroPageAllocator<uint8_t>> mem_;
+  // Allocated lazily on the first interpreter Run() (a Machine used only as
+  // a memory container pays nothing), on zero pages for the same reason.
+  std::vector<DecodeEntry, util::ZeroPageAllocator<DecodeEntry>> decode_cache_;
   // Threaded engine state. The cache is allocated lazily on the first
   // threaded Run; sb_lo_/sb_hi_ mirror its bounds so the store hot path's
   // self-modifying-code check is two compares against locals. sb_interrupt_

@@ -294,6 +294,27 @@ TEST(DcacheBehaviour, WritebacksReachTheServer) {
   EXPECT_EQ(v, 10u * 3 + 1);
 }
 
+#ifdef __linux__
+TEST(DcacheBehaviour, WritebackTouchesOnlyGuestPagesInUse) {
+  // Guest memory is lazy zero pages; capacity write-backs and the final
+  // FlushAll move only the D-cache's slots, never whole guest memory.
+  const image::Image img = Compile(kArraySumProgram);
+  vm::Machine machine;
+  machine.LoadImage(img);
+  softcache::MemoryController mc(img, softcache::Style::kSparc, 64);
+  net::Channel channel;
+  DCacheConfig config;
+  config.dcache_blocks = 8;  // force capacity write-backs mid-run
+  DataCache cache(machine, mc, channel, config);
+  cache.Attach();
+  ASSERT_EQ(machine.Run(2'000'000'000).reason, vm::StopReason::kHalted);
+  cache.FlushAll();
+  EXPECT_GT(cache.stats().writebacks, 0u);
+  const size_t touched = testing::ResidentGuestPages(machine);
+  EXPECT_LE(touched, 32u) << "of 4608 guest pages";
+}
+#endif
+
 TEST(DcacheBehaviour, GuaranteedLatencyIsTheSlowHitBound) {
   const image::Image img = Compile(kArraySumProgram);
   vm::Machine machine;

@@ -10,15 +10,18 @@
 // and extra miss traffic, never as changed guest behavior.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "minicc/compiler.h"
 #include "softcache/cc.h"
+#include "softcache/inspector.h"
 #include "softcache/integrity.h"
 #include "softcache/mc.h"
 #include "softcache/protocol.h"
 #include "softcache/system.h"
+#include "tests/testing.h"
 #include "util/check.h"
 #include "vm/machine.h"
 
@@ -465,6 +468,34 @@ TEST(Integrity, VerifyOnUseCatchesHandPlantedFlip) {
   EXPECT_EQ(rest.exit_code, clean.result.exit_code);
   EXPECT_EQ(system.OutputString(), clean.output);
 }
+
+#ifdef __linux__
+TEST(Integrity, ScrubSnapshotsAndSyncTouchOnlyGuestPagesInUse) {
+  // Guest memory is lazy zero pages. Background scrubs, periodic Inspector
+  // snapshots and the end-of-run session sync must read only what the guest
+  // and its cache controller wrote, never walk the whole 18 MiB.
+  const image::Image img = StormImage();
+  MultiClientConfig config;
+  config.clients = 2;
+  config.base = StormConfig();  // scrub every 4 integrity ticks
+  MultiClientSystem fleet(img, config);
+  softcache::Inspector inspector(&fleet);
+  fleet.set_inspection_hook(20'000, [&inspector](uint64_t) {
+    std::ostringstream snapshot;
+    inspector.WriteJson(snapshot, "periodic");
+  });
+  const auto results = fleet.RunAll();
+  ASSERT_TRUE(fleet.SyncSessions());
+  EXPECT_GT(inspector.snapshots_taken(), 2u);
+  for (uint32_t i = 0; i < config.clients; ++i) {
+    ASSERT_EQ(results[i].reason, vm::StopReason::kHalted)
+        << results[i].fault_message;
+    EXPECT_GT(fleet.cc(i).stats().integrity.scrubs, 0u);
+    const size_t touched = testing::ResidentGuestPages(fleet.machine(i));
+    EXPECT_LE(touched, 32u) << "client " << i << ", of 4608 guest pages";
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace sc

@@ -1,5 +1,7 @@
 // SRK32 ISA unit tests: encode/decode round trips, immediate ranges,
 // classification predicates and the disassembler.
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "isa/isa.h"
@@ -64,6 +66,16 @@ TEST(IsaEncode, TcMissCarriesUnsignedIndex) {
 TEST(IsaDecode, UnknownOpcodeIsIllegal) {
   const uint32_t word = 0xffffffffu;
   EXPECT_EQ(Decode(word).op, Opcode::kIllegal);
+}
+
+TEST(IsaDecode, WordZeroDecodesToTheAllZeroInstr) {
+  // The VM's decode cache starts as fresh zero pages and trusts an all-zero
+  // entry as {word 0, Decode(0)}; this pins that invariant.
+  const unsigned char zeros[sizeof(Instr)] = {};
+  Instr zero_bytes;
+  std::memcpy(&zero_bytes, zeros, sizeof zeros);
+  EXPECT_EQ(Decode(0), Instr{});
+  EXPECT_EQ(zero_bytes, Instr{});
 }
 
 TEST(IsaDecode, AllOpcodesRoundTripThroughRandomWords) {

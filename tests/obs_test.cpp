@@ -163,6 +163,68 @@ TEST(Tracer, RingWrapDropsOldestAndCounts) {
   EXPECT_EQ(events.back().arg_val[0], 9u);
 }
 
+TEST(Tracer, FillsToCapacityThenWrapsOnTheNextEvent) {
+  obs::Tracer tracer;
+  tracer.Enable(8);
+  ScopedTracer install(&tracer);
+  for (uint64_t i = 0; i < 8; ++i) OBS_INSTANT("test", "tick", "i", i);
+  EXPECT_EQ(tracer.recorded_events(), 8u);
+  EXPECT_EQ(tracer.dropped_events(), 0u);
+  auto events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 8u);
+  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(events[i].arg_val[0], i);
+
+  OBS_INSTANT("test", "tick", "i", 8u);
+  EXPECT_EQ(tracer.recorded_events(), 8u);
+  EXPECT_EQ(tracer.dropped_events(), 1u);
+  events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 8u);
+  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(events[i].arg_val[0], i + 1);
+}
+
+TEST(Tracer, CapacityIsTheConfiguredSizeBeforeAnyEvent) {
+  obs::Tracer tracer;
+  tracer.Enable(1000);
+  EXPECT_EQ(tracer.capacity(), 1000u);
+  EXPECT_EQ(tracer.recorded_events(), 0u);
+  EXPECT_TRUE(tracer.Snapshot().empty());
+  tracer.Enable(0);
+  EXPECT_EQ(tracer.capacity(), 1u);  // a ring holds at least one event
+}
+
+TEST(Tracer, ReEnableKeepsEventsUnlessTheCapacityChanges) {
+  obs::Tracer tracer;
+  tracer.Enable(2);
+  {
+    ScopedTracer install(&tracer);
+    for (uint64_t i = 0; i < 3; ++i) OBS_INSTANT("test", "tick", "i", i);
+  }
+  tracer.Disable();
+  tracer.Enable(2);
+  EXPECT_EQ(tracer.recorded_events(), 2u);
+  EXPECT_EQ(tracer.dropped_events(), 1u);
+  {
+    ScopedTracer install(&tracer);
+    OBS_INSTANT("test", "tick", "i", 3u);  // still wraps where it left off
+  }
+  auto events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].arg_val[0], 2u);
+  EXPECT_EQ(events[1].arg_val[0], 3u);
+
+  tracer.Enable(4);
+  EXPECT_EQ(tracer.capacity(), 4u);
+  EXPECT_EQ(tracer.recorded_events(), 0u);
+  EXPECT_EQ(tracer.dropped_events(), 0u);
+  {
+    ScopedTracer install(&tracer);
+    OBS_INSTANT("test", "tick", "i", 4u);
+  }
+  events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].arg_val[0], 4u);
+}
+
 TEST(Tracer, ClockSourceTimestamps) {
   obs::Tracer tracer;
   tracer.Enable(16);

@@ -1,10 +1,18 @@
 // Shared helpers for SoftCache tests.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "image/image.h"
 #include "minicc/compiler.h"
@@ -21,6 +29,22 @@ inline uint8_t McDataByte(softcache::MemoryController& mc, uint32_t addr) {
   mc.session(0).ReadData(addr, 1, &byte);
   return byte;
 }
+
+#ifdef __linux__
+// How many of `machine`'s guest memory pages are resident (mincore). Guest
+// memory is lazy zero pages, so this counts the pages something touched.
+inline size_t ResidentGuestPages(vm::Machine& machine) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  uint8_t* base = machine.mem_data();
+  const size_t bytes = machine.mem_size();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % page, 0u);
+  std::vector<unsigned char> resident((bytes + page - 1) / page);
+  EXPECT_EQ(mincore(base, bytes, resident.data()), 0);
+  size_t touched = 0;
+  for (const unsigned char r : resident) touched += r & 1;
+  return touched;
+}
+#endif
 
 struct RunOutcome {
   vm::RunResult result;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sasm/assembler.h"
+#include "tests/testing.h"
 #include "vm/machine.h"
 
 namespace sc {
@@ -144,6 +145,40 @@ TEST(VmMemory, OutOfRangeFaults) {
   EXPECT_EQ(run->result.reason, vm::StopReason::kFault);
   EXPECT_NE(run->result.fault_message.find("out-of-range"), std::string::npos);
 }
+
+#ifdef __linux__
+TEST(VmMemory, UntouchedGuestPagesAreNotResident) {
+  // Guest memory is lazy zero pages: a small program that calls, stores to
+  // bss and touches the stack faults in only the pages it uses, not the
+  // whole address space.
+  const auto run = RunAsm(R"(
+    .bss
+    buf: .space 64
+    .text
+    _start:
+      jal store
+      la t0, buf
+      lw a0, 0(t0)
+      sys 0
+    store:
+      addi sp, sp, -8
+      sw ra, 4(sp)
+      la t0, buf
+      li t1, 7
+      sw t1, 0(t0)
+      lw ra, 4(sp)
+      addi sp, sp, 8
+      ret
+  )");
+  ASSERT_EQ(run->result.reason, vm::StopReason::kHalted)
+      << run->result.fault_message;
+  ASSERT_EQ(run->result.exit_code, 7);
+
+  const size_t touched = testing::ResidentGuestPages(run->machine);
+  EXPECT_GT(touched, 0u);  // text and stack pages at least
+  EXPECT_LE(touched, 16u) << "of 4608 guest pages";
+}
+#endif
 
 TEST(VmControl, JalLinksAndJalrReturns) {
   EXPECT_EQ(RunExit(R"(
