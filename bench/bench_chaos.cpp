@@ -18,6 +18,7 @@
 //   --seed=N     storm seed (default 7); CI sweeps 5 seeds
 //   --out=PATH   JSON output path (default BENCH_chaos.json)
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,42 @@ Row MakeRow(const std::string& workload, const std::string& scenario,
   return row;
 }
 
+// Runs a fleet and folds every client's integrity counters into one row.
+// The row is identical (and completed) only when EVERY client halted with
+// the fault-free reference's output and exit code. `engine` (when set)
+// overrides each client VM's default engine.
+Row RunFleetRow(const std::string& workload, const std::string& scenario,
+                uint64_t seed, const image::Image& img,
+                const std::vector<uint8_t>& input,
+                const softcache::MultiClientConfig& config,
+                std::optional<vm::Engine> engine, const ChaosRun& base) {
+  softcache::MultiClientSystem fleet(img, config);
+  for (uint32_t i = 0; i < config.clients; ++i) {
+    fleet.SetInput(i, input);
+    if (engine) fleet.machine(i).set_engine(*engine);
+  }
+  const auto results = fleet.RunAll();
+  ChaosRun agg;
+  bool all_ok = true;
+  for (uint32_t i = 0; i < config.clients; ++i) {
+    all_ok = all_ok && results[i].reason == vm::StopReason::kHalted &&
+             fleet.OutputString(i) == base.output &&
+             results[i].exit_code == base.result.exit_code;
+    const auto& integrity = fleet.cc(i).stats().integrity;
+    agg.integrity.flips_injected += integrity.flips_injected;
+    agg.integrity.corruptions_detected += integrity.corruptions_detected;
+    agg.integrity.heals += integrity.heals;
+    agg.integrity.quarantines += integrity.quarantines;
+    agg.integrity.scrubs += integrity.scrubs;
+  }
+  agg.result = results[0];
+  agg.server = fleet.mc().server().stats();
+  Row row = MakeRow(workload, scenario, seed, agg, base);
+  row.identical = all_ok;
+  row.completed = all_ok;
+  return row;
+}
+
 void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   SC_CHECK(f != nullptr) << "cannot open " << path;
@@ -281,72 +318,13 @@ int main(int argc, char** argv) {
       config.server.memfault = Storm(seed + 1, 0.02);
       config.server.max_queue = 16;
 
-      struct FleetOut {
-        ChaosRun agg;
-        bool all_ok = true;
-        std::vector<uint64_t> cycles;  // per-client, for bit-identity checks
-      };
-      auto run_fleet = [&](const softcache::MultiClientConfig& cfg) {
-        softcache::MultiClientSystem fleet(img, cfg);
-        for (uint32_t i = 0; i < cfg.clients; ++i) fleet.SetInput(i, input);
-        const auto results = fleet.RunAll();
-        FleetOut out;
-        for (uint32_t i = 0; i < cfg.clients; ++i) {
-          out.all_ok = out.all_ok &&
-                       results[i].reason == vm::StopReason::kHalted &&
-                       fleet.OutputString(i) == base.output &&
-                       results[i].exit_code == base.result.exit_code;
-          out.cycles.push_back(results[i].cycles);
-          const auto& integrity = fleet.cc(i).stats().integrity;
-          out.agg.integrity.flips_injected += integrity.flips_injected;
-          out.agg.integrity.corruptions_detected +=
-              integrity.corruptions_detected;
-          out.agg.integrity.heals += integrity.heals;
-          out.agg.integrity.quarantines += integrity.quarantines;
-          out.agg.integrity.scrubs += integrity.scrubs;
-        }
-        out.agg.result = results[0];
-        out.agg.output = fleet.OutputString(0);
-        out.agg.server = fleet.mc().server().stats();
-        return out;
-      };
-
-      const FleetOut r0 = run_fleet(config);
-      Row row = MakeRow(name, "fleet/adversity", seed, r0.agg, base);
-      row.identical = r0.all_ok;
-      row.completed = r0.all_ok;
+      const Row row = RunFleetRow(name, "fleet/adversity", seed, img, input,
+                                  config, std::nullopt, base);
       rows.push_back(row);
       PrintRow(row);
-      SC_CHECK(r0.all_ok) << name << ": a fleet client diverged under chaos";
+      SC_CHECK(row.identical)
+          << name << ": a fleet client diverged under chaos";
       SC_CHECK(row.heals > 0) << name << "/fleet: no heals";
-
-      // The workers dimension: the identical storm with the memo sharded 4
-      // ways, once pumped by the submitting client thread and once by 4
-      // dedicated workers. The round-robin scheduler keeps one frame in
-      // flight fleet-wide, so the pool may not change ANYTHING the guest
-      // can see — per-client cycle counts and the fleet's injected-flip /
-      // heal totals must match the workers=0 run bit for bit.
-      softcache::MultiClientConfig sharded = config;
-      sharded.server.shards = 4;
-      const FleetOut w0 = run_fleet(sharded);
-      sharded.server.workers = 4;
-      const FleetOut w4 = run_fleet(sharded);
-      Row wrow = MakeRow(name, "fleet/workers", seed, w4.agg, base);
-      wrow.identical = w4.all_ok && w4.cycles == w0.cycles &&
-                       w4.agg.output == w0.agg.output;
-      wrow.completed = w4.all_ok;
-      rows.push_back(wrow);
-      PrintRow(wrow);
-      SC_CHECK(w4.all_ok) << name << ": worker-pool fleet diverged under chaos";
-      SC_CHECK(w4.cycles == w0.cycles)
-          << name << ": the worker pool changed per-client cycle counts";
-      SC_CHECK(w4.agg.integrity.flips_injected ==
-               w0.agg.integrity.flips_injected)
-          << name << ": storm streams diverged across worker counts";
-      SC_CHECK(w4.agg.integrity.heals == w0.agg.integrity.heals &&
-               w4.agg.server.memo_heals == w0.agg.server.memo_heals)
-          << name << ": heal counts diverged across worker counts";
-      SC_CHECK(wrow.heals > 0) << name << "/fleet-workers: no heals";
     }
 
     // The same storm on the host-thread-pool scheduler (threaded engine):
@@ -359,33 +337,11 @@ int main(int argc, char** argv) {
       EnableStorm(&config.base.integrity, seed, 0.05);
       config.server.max_queue = 16;
       config.host_threads = 4;
-      softcache::MultiClientSystem fleet(img, config);
-      for (uint32_t i = 0; i < config.clients; ++i) {
-        fleet.SetInput(i, input);
-        fleet.machine(i).set_engine(vm::Engine::kThreaded);
-      }
-      const auto results = fleet.RunAll();
-      ChaosRun agg;
-      bool all_ok = true;
-      for (uint32_t i = 0; i < config.clients; ++i) {
-        all_ok = all_ok && results[i].reason == vm::StopReason::kHalted &&
-                 fleet.OutputString(i) == base.output &&
-                 results[i].exit_code == base.result.exit_code;
-        const auto& integrity = fleet.cc(i).stats().integrity;
-        agg.integrity.flips_injected += integrity.flips_injected;
-        agg.integrity.corruptions_detected += integrity.corruptions_detected;
-        agg.integrity.heals += integrity.heals;
-        agg.integrity.quarantines += integrity.quarantines;
-        agg.integrity.scrubs += integrity.scrubs;
-      }
-      agg.result = results[0];
-      agg.server = fleet.mc().server().stats();
-      Row row = MakeRow(name, "fleet/threads", seed, agg, base);
-      row.identical = all_ok;
-      row.completed = all_ok;
+      const Row row = RunFleetRow(name, "fleet/threads", seed, img, input,
+                                  config, vm::Engine::kThreaded, base);
       rows.push_back(row);
       PrintRow(row);
-      SC_CHECK(all_ok) << name << ": a threaded-fleet client diverged";
+      SC_CHECK(row.identical) << name << ": a threaded-fleet client diverged";
       SC_CHECK(row.heals > 0) << name << "/threads: no heals";
     }
   }

@@ -22,31 +22,36 @@
 // change timing, never architectural state.
 //
 // A second table measures the SERVER-SCALE story: the same MC core fronted
-// by the loop's per-shard lanes, fed by {256, 1024, 4096} logical clients x
-// {0, 1, 2, 4, 8} worker rows (workers = 0: the driver threads pump their
-// own lanes). Real VMs at 4096 clients are infeasible (each
-// Machine carries the full guest address space), so the fleet is replayed
-// synthetically: a solo run records the genuinely demanded chunk addresses,
-// and each logical client re-demands that sequence as serialized
-// kChunkRequest frames submitted through the loop from a fixed pool of
-// driver threads (stop-and-wait per client, like the real transport). The
-// sweep asserts that the reply byte stream and wire bytes/client are
-// IDENTICAL across worker counts, pump included (who services a lane may
-// only change timing), and
-// on a many-core host that the worker pool actually scales service
-// throughput. Results land in BENCH_server_scale.json.
+// by the loop's per-shard lanes, fed by {256, 1024, 4096} logical clients.
+// Real VMs at 4096 clients are infeasible (each client would need its own
+// Machine), so the fleet is replayed synthetically: a solo run records the
+// genuinely demanded chunk addresses, and each logical client re-demands
+// that sequence as serialized kChunkRequest frames submitted through the
+// loop (stop-and-wait per client, like the real transport). Each client
+// count runs twice: once from one driver thread (the sequential reference)
+// and once from 8 driver threads that pump their lanes concurrently; each
+// row is the median of 5 replays. The sweep asserts that the reply byte
+// stream and wire bytes/client of the concurrent row are IDENTICAL to the
+// reference (concurrent pumping may only change timing). Results land in
+// BENCH_server_scale.json.
 //
 // Flags:
 //   --smoke       one workload, clients {1, 2}; scale sweep at 1024 clients
-//                 x workers {0, 1, 4} only (CI crash + scaling check)
+//                 only (CI crash + determinism check)
 //   --out=PATH    JSON output path (default BENCH_multiclient.json)
 //   --scale-out=PATH  scale-sweep JSON path (default BENCH_server_scale.json)
+//   --check=PATH  fail when a scale row's frames/sec falls below half of the
+//                 same row in PATH (a committed BENCH_server_scale.json);
+//                 armed only when this host's hardware_concurrency equals
+//                 the file's, since throughput is host-specific
 //   --trace=PATH  merged Chrome trace of the first workload's 8-client fleet
 //                 run (2 clients under --smoke): one lane per client plus one
 //                 lane per server shard, misses linked by flow arrows
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +62,7 @@
 #include "softcache/protocol.h"
 #include "softcache/server_loop.h"
 #include "softcache/system.h"
+#include "tools/json_min.h"
 
 using namespace sc;
 
@@ -199,7 +205,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
 
 struct ScaleRow {
   uint32_t clients = 0;
-  uint32_t workers = 0;
+  uint32_t drivers = 0;           // threads submitting (and pumping) frames
   uint64_t frames = 0;            // kChunkRequest frames serviced
   uint64_t server_translates = 0;
   uint64_t memo_hits = 0;
@@ -236,18 +242,21 @@ std::vector<uint32_t> RecordDemandAddrs(const image::Image& img,
   return addrs;
 }
 
-// Lanes/shards for the replay server: finer than the worker count so the
-// modulo lane->worker ownership spreads clustered hot addresses (real text
-// is front-loaded) across the pool.
+// Lanes/shards for the replay server: fine enough that concurrent drivers
+// mostly pump different lanes despite clustered hot addresses (real text is
+// front-loaded).
 constexpr uint32_t kScaleShards = 64;
-// Driver threads submitting frames (each drives its clients stop-and-wait,
-// so at most kScaleDrivers frames are in flight). Fixed across rows so only
-// the worker count varies between measurements.
+// Driver threads of the concurrent row (each drives its clients
+// stop-and-wait, so at most kScaleDrivers frames are in flight).
 constexpr uint32_t kScaleDrivers = 8;
+// Replays per row. The row is the median replay: the 8-driver rows swing by
+// 2x between runs on a shared host, and a median baseline keeps --check
+// from firing on a slow spell or being armed by a lucky one.
+constexpr uint32_t kScaleReps = 5;
 
 ScaleRow ReplayFleet(const image::Image& img,
                      const std::vector<uint32_t>& addrs, uint32_t clients,
-                     uint32_t workers) {
+                     uint32_t drivers) {
   softcache::McServerConfig scfg;
   scfg.shards = kScaleShards;
   softcache::MemoryController mc(img, softcache::Style::kSparc, 64, 1, scfg);
@@ -257,17 +266,17 @@ ScaleRow ReplayFleet(const image::Image& img,
       [&mc](uint32_t, const std::vector<uint8_t>& frame) {
         return mc.server().ShardFor(softcache::PeekFrameAddr(frame));
       },
-      softcache::McServerLoopConfig{kScaleShards, workers, 0});
+      softcache::McServerLoopConfig{kScaleShards});
 
   const uint32_t n = static_cast<uint32_t>(addrs.size());
   std::vector<uint64_t> client_bytes(clients, 0);
   std::vector<uint64_t> client_hash(clients, 14695981039346656037ull);
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> drivers;
-  drivers.reserve(kScaleDrivers);
-  for (uint32_t d = 0; d < kScaleDrivers; ++d) {
-    drivers.emplace_back([&, d] {
-      for (uint32_t c = d; c < clients; c += kScaleDrivers) {
+  std::vector<std::thread> threads;
+  threads.reserve(drivers);
+  for (uint32_t d = 0; d < drivers; ++d) {
+    threads.emplace_back([&, d] {
+      for (uint32_t c = d; c < clients; c += drivers) {
         // Rotate each client's demand order so concurrent clients hit
         // different shards at any instant (a fleet's miss streams are not
         // phase-locked); the rotation is a pure function of the client id,
@@ -287,7 +296,7 @@ ScaleRow ReplayFleet(const image::Image& img,
       }
     });
   }
-  for (std::thread& t : drivers) t.join();
+  for (std::thread& t : threads) t.join();
   const uint64_t wall_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -295,7 +304,7 @@ ScaleRow ReplayFleet(const image::Image& img,
 
   ScaleRow row;
   row.clients = clients;
-  row.workers = workers;
+  row.drivers = drivers;
   row.frames = static_cast<uint64_t>(clients) * n;
   SC_CHECK(loop.stats().requests_enqueued == row.frames)
       << "loop lost frames: " << loop.stats().requests_enqueued;
@@ -304,8 +313,8 @@ ScaleRow ReplayFleet(const image::Image& img,
       << "server lost frames: " << server.requests_served;
   row.server_translates = server.translates;
   row.memo_hits = server.translate_memo_hits;
-  // Translate-once economics must hold under the pool: every address cut
-  // exactly once fleet-wide, everything else a memo hit.
+  // Translate-once economics must hold under concurrent pumping: every
+  // address cut exactly once fleet-wide, everything else a memo hit.
   SC_CHECK(row.server_translates == n)
       << "expected " << n << " cuts, got " << row.server_translates;
   SC_CHECK(row.memo_hits == row.frames - n) << "memo hits diverged";
@@ -317,7 +326,7 @@ ScaleRow ReplayFleet(const image::Image& img,
   // bodies), so per-client flatness is exact, not approximate.
   for (uint32_t c = 0; c < clients; ++c) {
     SC_CHECK(client_bytes[c] == client_bytes[0])
-        << "client " << c << " wire bytes diverged under workers=" << workers;
+        << "client " << c << " wire bytes diverged under drivers=" << drivers;
     row.wire_bytes += client_bytes[c];
     row.reply_hash = Fnv64(reinterpret_cast<const uint8_t*>(&client_hash[c]),
                            sizeof(client_hash[c]), row.reply_hash);
@@ -327,27 +336,45 @@ ScaleRow ReplayFleet(const image::Image& img,
   return row;
 }
 
+// kScaleReps replays of one row. Every replay must return the identical
+// reply stream and wire bytes; the median-wall replay is the row.
+ScaleRow MedianReplay(const image::Image& img,
+                      const std::vector<uint32_t>& addrs, uint32_t clients,
+                      uint32_t drivers) {
+  std::vector<ScaleRow> reps;
+  for (uint32_t r = 0; r < kScaleReps; ++r) {
+    reps.push_back(ReplayFleet(img, addrs, clients, drivers));
+    SC_CHECK(reps.back().reply_hash == reps.front().reply_hash &&
+             reps.back().wire_bytes == reps.front().wire_bytes)
+        << "x" << clients << " drivers=" << drivers
+        << ": replies diverged between identical replays";
+  }
+  std::sort(reps.begin(), reps.end(), [](const ScaleRow& a, const ScaleRow& b) {
+    return a.wall_ns < b.wall_ns;
+  });
+  return reps[kScaleReps / 2];
+}
+
 void WriteScaleJson(const std::string& path, const std::string& workload,
-                    size_t chunk_addrs, const std::vector<ScaleRow>& rows,
-                    double speedup, bool speedup_asserted) {
+                    size_t chunk_addrs, const std::vector<ScaleRow>& rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   SC_CHECK(f != nullptr) << "cannot open " << path;
   std::fprintf(f,
                "{\n  \"bench\": \"server_scale\",\n  \"workload\": \"%s\",\n"
                "  \"chunk_addrs\": %zu,\n  \"shards\": %u,\n"
-               "  \"drivers\": %u,\n  \"hardware_concurrency\": %u,\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"rows\": [\n",
-               workload.c_str(), chunk_addrs, kScaleShards, kScaleDrivers,
+               workload.c_str(), chunk_addrs, kScaleShards,
                std::thread::hardware_concurrency());
   for (size_t i = 0; i < rows.size(); ++i) {
     const ScaleRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"clients\": %u, \"workers\": %u, \"frames\": %llu, "
+                 "    {\"clients\": %u, \"drivers\": %u, \"frames\": %llu, "
                  "\"server_translates\": %llu, \"memo_hits\": %llu, "
                  "\"wall_ns\": %llu, \"frames_per_sec\": %.0f, "
                  "\"wire_bytes\": %llu, \"wire_bytes_per_client\": %.1f, "
                  "\"reply_hash\": \"0x%016llx\"}%s\n",
-                 r.clients, r.workers,
+                 r.clients, r.drivers,
                  static_cast<unsigned long long>(r.frames),
                  static_cast<unsigned long long>(r.server_translates),
                  static_cast<unsigned long long>(r.memo_hits),
@@ -357,58 +384,103 @@ void WriteScaleJson(const std::string& path, const std::string& workload,
                  static_cast<unsigned long long>(r.reply_hash),
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"speedup_w4_over_w1_at_1024\": %.3f,\n"
-               "  \"speedup_asserted\": %s\n}\n",
-               speedup, speedup_asserted ? "true" : "false");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
-// Real-VM cross-check riding the sweep: a small fleet run end-to-end with
-// workers=0, 1 and 4 must produce byte-identical guest output (and
-// identical instruction/translation counts) — who services a lane may only
-// change which thread runs a frame, never what the frame returns.
-void CheckRealFleetWorkerIdentity(const workloads::WorkloadSpec& spec,
-                                  const image::Image& img,
-                                  const std::vector<uint8_t>& input) {
-  std::vector<std::string> outputs;
-  std::vector<uint64_t> instructions;
-  std::vector<uint64_t> translates;
-  for (const uint32_t workers : {0u, 1u, 4u}) {
+// Real-VM cross-check riding the sweep: a 4-client fleet run end-to-end on
+// the round-robin scheduler and on 4 host threads (whose clients pump their
+// shard lanes concurrently) must produce byte-identical guest output and
+// identical instruction and translation counts — concurrent pumping may
+// only change which thread runs a frame, never what the frame returns.
+void CheckRealFleetSchedulerIdentity(const workloads::WorkloadSpec& spec,
+                                     const image::Image& img,
+                                     const std::vector<uint8_t>& input) {
+  struct Outcome {
+    std::string output;          // every client's output, concatenated
+    uint64_t instructions = 0;   // summed over clients
+    uint64_t client_blocks = 0;  // summed client-side translations
+    uint64_t server_cuts = 0;    // server-side chunk translations
+    bool operator==(const Outcome&) const = default;
+  };
+  std::vector<Outcome> outcomes;
+  for (const uint32_t host_threads : {0u, 4u}) {
     softcache::MultiClientConfig config;
     config.clients = 4;
     config.base = BaseConfig();
     config.server.shards = 4;
-    config.server.workers = workers;
+    config.host_threads = host_threads;
     softcache::MultiClientSystem fleet(img, config);
     for (uint32_t i = 0; i < config.clients; ++i) fleet.SetInput(i, input);
     const std::vector<vm::RunResult> results =
         fleet.RunAll(16'000'000'000ull);
-    std::string out;
-    uint64_t instrs = 0;
+    Outcome o;
     for (uint32_t i = 0; i < config.clients; ++i) {
       SC_CHECK(results[i].reason == vm::StopReason::kHalted)
-          << spec.name << " workers=" << workers << " client " << i << ": "
-          << results[i].fault_message;
-      out += fleet.OutputString(i);
-      instrs += results[i].instructions;
+          << spec.name << " host_threads=" << host_threads << " client " << i
+          << ": " << results[i].fault_message;
+      o.output += fleet.OutputString(i);
+      o.instructions += results[i].instructions;
+      o.client_blocks += fleet.cc(i).stats().blocks_translated;
     }
-    outputs.push_back(out);
-    instructions.push_back(instrs);
-    translates.push_back(fleet.mc().server().stats().translates);
+    o.server_cuts = fleet.mc().server().stats().translates;
+    outcomes.push_back(o);
   }
-  for (size_t i = 1; i < outputs.size(); ++i) {
-    SC_CHECK(outputs[i] == outputs[0])
-        << spec.name << ": guest output diverged from the workers=0 run";
-    SC_CHECK(instructions[i] == instructions[0])
-        << spec.name << ": instruction counts diverged between worker counts";
-    SC_CHECK(translates[i] == translates[0])
-        << spec.name << ": server translation counts diverged";
-  }
-  std::printf("real 4-client fleet: workers=0, 1 and 4 guest output "
+  SC_CHECK(outcomes[1] == outcomes[0])
+      << spec.name << ": guest output, instruction or translation counts "
+      << "diverged between the round-robin and host-thread schedulers";
+  std::printf("real 4-client fleet: round-robin and 4 host threads "
               "byte-identical (%llu instrs, %llu cuts)\n",
-              static_cast<unsigned long long>(instructions[0]),
-              static_cast<unsigned long long>(translates[0]));
+              static_cast<unsigned long long>(outcomes[0].instructions),
+              static_cast<unsigned long long>(outcomes[0].server_cuts));
+}
+
+// The opt-in throughput gate: every row must reach half the frames/sec of
+// the same (clients, drivers) row in the committed file at `path`. Returns
+// false on a regression, an unreadable file or no comparable row; a host
+// whose hardware_concurrency differs from the file's only reports.
+bool CheckScaleThroughput(const std::string& path,
+                          const std::vector<ScaleRow>& rows) {
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  tools::JsonValue committed;
+  std::string error;
+  if (!tools::JsonParser::Parse(text, &committed, &error)) {
+    std::printf("!! --check: %s: %s\n", path.c_str(), error.c_str());
+    return false;
+  }
+  const uint64_t host = std::thread::hardware_concurrency();
+  const uint64_t file = committed["hardware_concurrency"].AsU64();
+  const bool armed = host == file;
+  bool ok = true;
+  size_t compared = 0;
+  for (const ScaleRow& row : rows) {
+    for (const tools::JsonValue& c : committed["rows"].array) {
+      if (c["clients"].AsU64() != row.clients ||
+          c["drivers"].AsU64() != row.drivers) {
+        continue;
+      }
+      ++compared;
+      const double floor = 0.5 * c["frames_per_sec"].number;
+      const bool pass = row.frames_per_sec >= floor;
+      std::printf("--check x%u drivers=%u: %.0f frames/s vs floor %.0f%s\n",
+                  row.clients, row.drivers, row.frames_per_sec, floor,
+                  pass ? "" : (armed ? "  !! REGRESSED" : "  (below)"));
+      ok = ok && (pass || !armed);
+    }
+  }
+  if (!armed) {
+    std::printf("--check disarmed: host has %llu hardware threads, %s was "
+                "measured on %llu\n",
+                static_cast<unsigned long long>(host), path.c_str(),
+                static_cast<unsigned long long>(file));
+  } else if (compared == 0) {
+    std::printf("!! --check: %s has no row to compare against\n",
+                path.c_str());
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace
@@ -418,6 +490,7 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_multiclient.json";
   std::string scale_out_path = "BENCH_server_scale.json";
   std::string trace_path;
+  std::string check_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
@@ -425,6 +498,7 @@ int main(int argc, char** argv) {
       scale_out_path = argv[i] + 12;
     }
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
+    if (std::strncmp(argv[i], "--check=", 8) == 0) check_path = argv[i] + 8;
   }
 
   bench::PrintHeader(
@@ -501,9 +575,9 @@ int main(int argc, char** argv) {
               wire_decreasing ? "yes" : "NO");
   std::printf("wrote %s\n", out_path.c_str());
 
-  // ---- server-scale sweep: pump vs worker pool under synthetic load ----
+  // ---- server-scale sweep: lane service under synthetic fleet load ----
   bench::PrintHeader(
-      "Server lane service scaling, pump vs pool (synthetic frame replay)",
+      "Server lane service under fleet load (synthetic frame replay)",
       "Section 1 (one powerful MC: service throughput under fleet load)");
   const std::string scale_name = names.front();
   const auto* scale_spec = workloads::FindWorkload(scale_name);
@@ -515,84 +589,51 @@ int main(int argc, char** argv) {
               demand_addrs.size(), scale_name.c_str());
 
   std::vector<uint32_t> scale_clients = {256, 1024, 4096};
-  // workers = 0 comes first: the driver threads pump their own lanes, and
-  // that row's replies and wire bytes are the baseline every pool row must
-  // match.
-  std::vector<uint32_t> scale_workers = {0, 1, 2, 4, 8};
-  if (smoke) {
-    scale_clients = {1024};
-    scale_workers = {0, 1, 4};
-  }
-  std::printf("%8s %8s %10s %10s %10s %12s %10s\n", "clients", "workers",
+  if (smoke) scale_clients = {1024};
+  std::printf("%8s %8s %10s %10s %10s %12s %10s\n", "clients", "drivers",
               "frames", "translate", "memo hits", "frames/sec", "bytes/cl");
   bench::PrintRule();
   std::vector<ScaleRow> scale_rows;
   bool replies_identical = true;
   bool wire_flat = true;
-  double speedup_w4 = 0.0;
   for (const uint32_t clients : scale_clients) {
-    ScaleRow baseline;  // this client count's workers=0 row, by value
-    uint64_t w1_wall = 0;
-    uint64_t w4_wall = 0;
-    for (const uint32_t workers : scale_workers) {
+    // The one-driver replay is the sequential reference; the concurrent
+    // row's replies and wire bytes must match it exactly.
+    for (const uint32_t drivers : {1u, kScaleDrivers}) {
       const ScaleRow row =
-          ReplayFleet(scale_img, demand_addrs, clients, workers);
+          MedianReplay(scale_img, demand_addrs, clients, drivers);
       scale_rows.push_back(row);
       std::printf("%8u %8u %10llu %10llu %10llu %12.0f %10.1f\n", row.clients,
-                  row.workers, static_cast<unsigned long long>(row.frames),
+                  row.drivers, static_cast<unsigned long long>(row.frames),
                   static_cast<unsigned long long>(row.server_translates),
                   static_cast<unsigned long long>(row.memo_hits),
                   row.frames_per_sec, row.wire_bytes_per_client);
-      if (workers == scale_workers.front()) {
-        baseline = row;
-      } else {
-        // Who services the lanes may only change TIMING: the reply byte
-        // streams and the wire cost per client must match the pump row.
-        if (row.reply_hash != baseline.reply_hash) {
-          replies_identical = false;
-          std::printf("!! x%u workers=%u: reply stream diverged\n", clients,
-                      workers);
-        }
-        if (row.wire_bytes != baseline.wire_bytes) {
-          wire_flat = false;
-          std::printf("!! x%u workers=%u: wire bytes moved with workers\n",
-                      clients, workers);
-        }
-      }
-      if (workers == 1) w1_wall = row.wall_ns;
-      if (workers == 4) w4_wall = row.wall_ns;
     }
-    if (clients == 1024 && w1_wall != 0 && w4_wall != 0) {
-      speedup_w4 = static_cast<double>(w1_wall) / static_cast<double>(w4_wall);
+    const ScaleRow& reference = scale_rows[scale_rows.size() - 2];
+    const ScaleRow& concurrent = scale_rows.back();
+    if (concurrent.reply_hash != reference.reply_hash) {
+      replies_identical = false;
+      std::printf("!! x%u: concurrent reply stream diverged\n", clients);
+    }
+    if (concurrent.wire_bytes != reference.wire_bytes) {
+      wire_flat = false;
+      std::printf("!! x%u: wire bytes moved with concurrent pumping\n",
+                  clients);
     }
     bench::PrintRule();
   }
 
-  // The throughput-scaling gate only fires on a host with enough cores for
-  // the 4 workers plus the drivers to actually run concurrently; on small
-  // hosts the sweep still proves determinism and reports the measurement.
-  const bool many_core = std::thread::hardware_concurrency() >= 8;
-  bool scaling_ok = true;
-  if (speedup_w4 != 0.0) {
-    std::printf("1024-client sweep: workers=4 speedup over workers=1 = %.2fx"
-                " (%s)\n",
-                speedup_w4,
-                many_core ? "asserted >= 2x" : "informational, host is small");
-    if (many_core && speedup_w4 < 2.0) {
-      scaling_ok = false;
-      std::printf("!! worker pool failed to scale on a many-core host\n");
-    }
-  }
-  CheckRealFleetWorkerIdentity(*scale_spec, scale_img, scale_input);
-  WriteScaleJson(scale_out_path, scale_name, demand_addrs.size(), scale_rows,
-                 speedup_w4, many_core);
-  std::printf("reply streams identical across worker counts: %s\n",
+  CheckRealFleetSchedulerIdentity(*scale_spec, scale_img, scale_input);
+  WriteScaleJson(scale_out_path, scale_name, demand_addrs.size(), scale_rows);
+  std::printf("reply streams identical to the sequential replay: %s\n",
               replies_identical ? "yes" : "NO");
-  std::printf("wire bytes/client flat across worker counts: %s\n",
+  std::printf("wire bytes identical to the sequential replay: %s\n",
               wire_flat ? "yes" : "NO");
   std::printf("wrote %s\n", scale_out_path.c_str());
+  const bool throughput_ok =
+      check_path.empty() || CheckScaleThroughput(check_path, scale_rows);
   return (translations_flat && wire_decreasing && replies_identical &&
-          wire_flat && scaling_ok)
+          wire_flat && throughput_ok)
              ? 0
              : 1;
 }

@@ -147,14 +147,11 @@ struct McServerConfig {
   // may grow before submitters defer (0 = unbounded, the historical
   // behavior). See server_loop.h.
   size_t max_queue = 0;
-  // Dedicated server worker threads draining the per-shard lane queues.
-  // The loop always routes each frame to its shard's lane. With workers = 0
-  // the submitting client thread pumps its own lane (zero threads spawned);
-  // with workers >= 1, `workers` dedicated threads drain the lanes with
-  // static ownership (lane l -> worker l % workers). Either way,
-  // translations in different shards proceed concurrently. Requires
-  // workers <= shards (validated at the CLI; the MultiClientSystem
-  // constructor SC_CHECKs).
+  // Retired: the server has no worker threads. Each frame's submitting
+  // client thread pumps its shard's McServerLoop lane, so translations in
+  // different shards proceed concurrently without any. The field survives,
+  // always 0, only because the repo benchmark (perfbench/sample.cpp) still
+  // assigns it; the MultiClientSystem constructor SC_CHECKs that it is 0.
   uint32_t workers = 0;
 };
 

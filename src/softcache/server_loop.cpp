@@ -13,27 +13,12 @@ McServerLoop::McServerLoop(PortHandler handler, LaneRouter router,
     : handler_(std::move(handler)),
       router_(std::move(router)),
       max_queue_(config.max_queue),
-      worker_count_(config.workers),
       lanes_(std::max<uint32_t>(config.lanes, 1)),
-      worker_stats_(config.workers),
       // Queue waits are host time: sub-microsecond uncontended, tens of
       // microseconds when many client threads arrive at once. One bucket
       // per 8 us to 1 ms; slower outliers clamp into the last bucket.
       queue_wait_ns_(0, 1e6, 128) {
   SC_CHECK(handler_ != nullptr) << "McServerLoop needs a port handler";
-  threads_.reserve(config.workers);
-  for (uint32_t w = 0; w < config.workers; ++w) {
-    threads_.emplace_back([this, w] { WorkerMain(w); });
-  }
-}
-
-McServerLoop::~McServerLoop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
 }
 
 McServerLoop::Ticket* McServerLoop::Pop(uint32_t l) {
@@ -52,54 +37,17 @@ McServerLoop::Ticket* McServerLoop::Pop(uint32_t l) {
   return t;
 }
 
-void McServerLoop::Service(std::unique_lock<std::mutex>& lock, Ticket* t,
-                           McWorkerStats* worker) {
+void McServerLoop::Service(std::unique_lock<std::mutex>& lock, Ticket* t) {
   ++busy_;
   lock.unlock();
-  const bool timed = worker != nullptr;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
   std::vector<uint8_t> reply = handler_(t->info, *t->frame);
-  const auto end = timed ? std::chrono::steady_clock::now() : start;
   lock.lock();
   --busy_;
-  if (timed) {
-    ++worker->frames;
-    worker->busy_hist_ns.Add(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count()));
-  }
   t->reply = std::move(reply);
   t->done = true;
   // Wakes the ticket's submitter, deferred submitters, and any exclusive
   // waiting for busy_ to reach zero.
   cv_.notify_all();
-}
-
-void McServerLoop::WorkerMain(uint32_t w) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const uint32_t n = static_cast<uint32_t>(lanes_.size());
-  uint64_t burst = 0;  // tickets serviced since the last idle wait
-  for (;;) {
-    if (shutdown_) return;
-    // Static ownership: worker w drains exactly the lanes congruent to w
-    // modulo the pool size, so a given lane — hence a given memo shard — is
-    // only ever touched by one worker thread.
-    Ticket* t = nullptr;
-    for (uint32_t l = w; l < n && t == nullptr; l += worker_count_) {
-      t = Pop(l);
-    }
-    if (t == nullptr) {
-      if (burst != 0) {
-        ++stats_.batches_drained;
-        burst = 0;
-      }
-      work_cv_.wait(lock);
-      continue;
-    }
-    Service(lock, t, &worker_stats_[w]);
-    ++burst;
-  }
 }
 
 std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
@@ -127,8 +75,8 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
   std::unique_lock<std::mutex> lock(mu_);
   Lane& lane = lanes_[lane_index];
   // Backpressure: defer while this lane sits at its bound. The waiter holds
-  // no queued ticket, so service (the lane's pumper, or its owning worker)
-  // always has a live thread to drain the lane — deferral cannot deadlock.
+  // no queued ticket, and every queued ticket's submitter is either pumping
+  // the lane or waiting to claim it, so deferral cannot deadlock.
   // The single-threaded schedulers never defer: their depth is at most 1.
   if (max_queue_ != 0 && lane.queue.size() >= max_queue_) {
     ++stats_.requests_deferred;
@@ -140,16 +88,9 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
   stats_.max_queue_depth =
       std::max<uint64_t>(stats_.max_queue_depth, lane.queue.size());
 
-  if (worker_count_ != 0) {
-    // Worker pool: hand the ticket to the lane's owner and wait.
-    work_cv_.notify_all();
-    cv_.wait(lock, [&] { return ticket.done; });
-    return std::move(ticket.reply);
-  }
-
-  // No pool: claim the lane and pump it ourselves, unless another thread is
-  // already pumping it (it will complete our ticket) or an exclusive is
-  // pending (it would starve if we started new service).
+  // Claim the lane and pump it ourselves, unless another thread is already
+  // pumping it (it will complete our ticket) or an exclusive is pending (it
+  // would starve if we started new service).
   for (;;) {
     cv_.wait(lock, [&] {
       return ticket.done || (!lane.pumping && !ExclusivePending());
@@ -159,7 +100,7 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
     // server core are seen on the next Pop, so one drain services every
     // frame queued behind ours too.
     lane.pumping = true;
-    while (Ticket* t = Pop(lane_index)) Service(lock, t, nullptr);
+    while (Ticket* t = Pop(lane_index)) Service(lock, t);
     lane.pumping = false;
     ++stats_.batches_drained;
     cv_.notify_all();
@@ -169,9 +110,9 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
 void McServerLoop::RunExclusive(const std::function<void()>& fn) {
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.exclusive_sections;
-  // Park-all: raising exclusive_waiters_ stops pumpers and workers from
-  // starting new tickets; busy_ reaching zero means every in-flight handler
-  // has drained. Concurrent exclusives serialize on exclusive_active_.
+  // Park-all: raising exclusive_waiters_ stops pumpers from starting new
+  // tickets; busy_ reaching zero means every in-flight handler has drained.
+  // Concurrent exclusives serialize on exclusive_active_.
   ++exclusive_waiters_;
   cv_.wait(lock, [this] { return !exclusive_active_ && busy_ == 0; });
   --exclusive_waiters_;
@@ -180,9 +121,8 @@ void McServerLoop::RunExclusive(const std::function<void()>& fn) {
   fn();
   lock.lock();
   exclusive_active_ = false;
-  // Resume the lanes: wake parked pumpers/submitters and idle workers.
+  // Resume the lanes: wake parked pumpers and submitters.
   cv_.notify_all();
-  work_cv_.notify_all();
 }
 
 void McServerLoop::RegisterMetrics(obs::MetricsRegistry* registry,
@@ -214,18 +154,6 @@ void McServerLoop::RegisterMetrics(obs::MetricsRegistry* registry,
   });
   // Host-time histogram: excluded from snapshot determinism on purpose.
   registry->RegisterHistogram(prefix + "queue_wait_ns", &queue_wait_ns_);
-  // Per-pool-worker service counters: mc.worker<i>.* alongside mc.loop.*.
-  // The vector is sized once in the constructor, so the addresses are
-  // stable for the registry's whole lifetime.
-  const std::string root = prefix.substr(0, prefix.find('.') + 1);
-  for (size_t w = 0; w < worker_stats_.size(); ++w) {
-    const std::string wp = root + "worker" + std::to_string(w) + ".";
-    registry->RegisterCounter(wp + "frames", &worker_stats_[w].frames);
-    // Host wall-clock, so a histogram (per-ticket service ns): host-time
-    // metrics stay out of the scalar snapshot determinism checks.
-    registry->RegisterHistogram(wp + "busy_ns",
-                                &worker_stats_[w].busy_hist_ns);
-  }
 }
 
 }  // namespace sc::softcache

@@ -7,26 +7,24 @@
 //   * every arriving frame becomes a *ticket*, routed to a **lane** (one
 //     bounded queue per memo shard when a router is installed, a single
 //     lane otherwise);
-//   * one routine pops, services and completes a lane's tickets in arrival
-//     order. What differs between service modes is only who claims a lane:
-//     with workers = 0 the first submitter to find its lane unclaimed pumps
-//     it — servicing its own ticket AND any tickets queued behind it — and
-//     with workers >= 1 lane l belongs to pool worker l % workers;
-//   * either way, frames routed to different lanes are serviced
-//     concurrently (there is no core-wide lock on the frame path), and
-//     threads whose tickets are queued block until their reply is ready.
+//   * the loop owns no threads. The first submitter to find its lane
+//     unclaimed pumps it: it pops, services and completes the lane's
+//     tickets in arrival order — its own AND any queued behind it — while
+//     other submitters to that lane block until their reply is ready;
+//   * frames routed to different lanes are serviced concurrently (there is
+//     no core-wide lock on the frame path).
 //
 // Single-threaded callers (the deterministic round-robin scheduler) have at
-// most one frame in flight fleet-wide, so ticket service order — and hence
-// replies, wire traffic and guest execution — is identical no matter how
-// many workers drain the lanes.
+// most one frame in flight fleet-wide, so the submitter always services its
+// own ticket and ticket service order — hence replies, wire traffic and
+// guest execution — is a pure function of the guest run.
 //
 // RunExclusive is a park-all barrier (the same publish/park/resume shape as
 // the threaded scheduler's inspection safepoint): out-of-band server
 // mutations (crash-schedule restarts, whole-fleet snapshots) first stop new
 // ticket service, wait for every in-flight handler to finish, run, then
 // wake the lanes back up. A restart can therefore never interleave with
-// frame handling, worker pool or not.
+// frame handling, however many client threads are pumping.
 //
 // Lock ownership (the loop side of the table in docs/DESIGN.md): ONE mutex
 // (mu_) owns every queue, flag, loop counter and the queue-wait histogram —
@@ -37,7 +35,7 @@
 // Observability: the loop records no trace events. It hands the handler
 // the lane index and the ticket's guest-cycle enqueue stamp, and the
 // handler writes the ticket's spans into that lane's trace lane — a lane is
-// serviced by one thread at a time, so that trace lane has one writer at a
+// pumped by one thread at a time, so that trace lane has one writer at a
 // time. The host-nanosecond queue-wait histogram (enqueue -> handler
 // entry) never charges guest cycles and is excluded from snapshot
 // determinism.
@@ -50,8 +48,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/stats.h"
@@ -64,33 +60,18 @@ namespace sc::softcache {
 
 struct McServerLoopStats {
   uint64_t requests_enqueued = 0;  // tickets admitted to the lane queues
-  uint64_t batches_drained = 0;    // contiguous drain bursts (pump or worker)
+  uint64_t batches_drained = 0;    // contiguous drain bursts (one per pump)
   uint64_t max_queue_depth = 0;    // deepest single lane ever observed
   uint64_t queue_depth_sum = 0;    // sum of lane depth-at-enqueue
   uint64_t exclusive_sections = 0; // RunExclusive invocations
   uint64_t requests_deferred = 0;  // submits parked by the lane bound
 };
 
-// Per-worker service counters (mc.worker<i>.* in the metrics registry).
-// `frames` is deterministic for a deterministic run (frame->lane->worker is a
-// pure function) and exports as a counter; the per-ticket service times are
-// host wall-clock and export as a histogram, keeping them out of the
-// snapshot determinism checks like every other host-time metric.
-struct McWorkerStats {
-  uint64_t frames = 0;  // tickets this worker serviced
-  util::Histogram busy_hist_ns{0, 1e6, 128};  // host ns inside the handler
-};
-
-// How the loop's queues and threads are shaped. The default is one
-// unbounded lane pumped by its submitters.
+// How the loop's queues are shaped. The default is one unbounded lane.
 struct McServerLoopConfig {
   // Lane (queue) count; with a router installed this should equal the
   // server's shard count so each shard's translations queue independently.
   uint32_t lanes = 1;
-  // Dedicated worker threads; 0 = submitters pump their own lanes (zero
-  // threads spawned). Workers beyond the lane count would never own a lane
-  // (validated at the CLI).
-  uint32_t workers = 0;
   // Per-lane ticket bound (0 = unbounded). A submitter arriving at a full
   // lane defers — parks WITHOUT holding a queued ticket — and retries once
   // the lane drains below the bound, so the server's memory footprint under
@@ -130,12 +111,9 @@ class McServerLoop {
   McServerLoop(const McServerLoop&) = delete;
   McServerLoop& operator=(const McServerLoop&) = delete;
 
-  // Stops and joins the worker pool (after completing in-flight tickets).
-  ~McServerLoop();
-
-  // The switch's server handler: enqueues the frame on its lane, pumps (or
-  // waits) until its reply is ready, and returns it. Safe to call from many
-  // threads.
+  // The switch's server handler: enqueues the frame on its lane, pumps the
+  // lane (or waits for its current pumper) until the reply is ready, and
+  // returns it. Safe to call from many threads.
   std::vector<uint8_t> Submit(uint32_t port, const std::vector<uint8_t>& frame);
 
   // Park-all barrier: stops new ticket service, waits for every in-flight
@@ -148,17 +126,13 @@ class McServerLoop {
   // Quiescent read surface: loop counters are written only under mu_; read
   // them after the run (or inside an exclusive section / safepoint).
   const McServerLoopStats& stats() const { return stats_; }
-  const std::vector<McWorkerStats>& worker_stats() const {
-    return worker_stats_;
-  }
 
   uint32_t lanes() const { return static_cast<uint32_t>(lanes_.size()); }
 
   // Host nanoseconds each ticket spent queued before a handler took it.
   const util::Histogram& queue_wait_ns() const { return queue_wait_ns_; }
 
-  // Registers the queue counters under `prefix` (e.g. "mc.loop."), plus
-  // `<prefix-root>worker<i>.*` per pool worker.
+  // Registers the queue counters under `prefix` (e.g. "mc.loop.").
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
 
@@ -171,8 +145,7 @@ class McServerLoop {
     std::chrono::steady_clock::time_point enqueue_host;  // queue-wait start
   };
 
-  // One inbound queue. `pumping` is set while a submitter claims the lane
-  // (workers = 0); pool lanes are claimed by their owning worker instead.
+  // One inbound queue. `pumping` is set while a submitter claims the lane.
   struct Lane {
     std::deque<Ticket*> queue;
     bool pumping = false;
@@ -187,40 +160,25 @@ class McServerLoop {
   // exclusive is pending. Caller holds mu_.
   Ticket* Pop(uint32_t l);
   // Runs the handler on a popped ticket with mu_ released, then completes
-  // it; counts and times it into `worker` when non-null. `lock` holds mu_
-  // on entry and on return.
-  void Service(std::unique_lock<std::mutex>& lock, Ticket* t,
-               McWorkerStats* worker);
-
-  void WorkerMain(uint32_t w);
+  // it. `lock` holds mu_ on entry and on return.
+  void Service(std::unique_lock<std::mutex>& lock, Ticket* t);
 
   PortHandler handler_;
   LaneRouter router_;
   const size_t max_queue_;
-  // Fixed at construction BEFORE any worker thread spawns: workers read it
-  // as their lane-ownership stride, and the first worker can start running
-  // while the constructor is still populating threads_ — so threads_.size()
-  // must never be consulted on the worker path.
-  const uint32_t worker_count_;
 
   // THE loop lock: queues, flags, stats, histogram.
   // Mutable so const registration lambdas can lock for gauges.
   mutable std::mutex mu_;
   // Ticket completion, pump handoff, deferred admission, exclusive parking.
   std::condition_variable cv_;
-  // Worker wakeups (new ticket, exclusive finished, shutdown).
-  std::condition_variable work_cv_;
 
   std::deque<Lane> lanes_;
   uint64_t busy_ = 0;               // threads currently inside the handler
   uint32_t exclusive_waiters_ = 0;  // RunExclusive calls waiting to park all
   bool exclusive_active_ = false;   // an exclusive section is running
-  bool shutdown_ = false;
   McServerLoopStats stats_;
-  std::vector<McWorkerStats> worker_stats_;
   util::Histogram queue_wait_ns_;  // written under mu_
-
-  std::vector<std::thread> threads_;  // the worker pool (empty = pumped)
 };
 
 }  // namespace sc::softcache

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -15,28 +14,6 @@
 namespace sc::softcache {
 
 namespace {
-
-// McServerConfig::shards as the MemoryController will actually clamp it.
-uint32_t ServerShards(const McServerConfig& config) {
-  return config.shards == 0 ? 1 : config.shards;
-}
-
-// Applies the SOFTCACHE_WORKERS environment override (used by the CI
-// parallel-server job to re-run the whole suite under a worker pool) when
-// the caller left workers at the default. Unlike the CLI path — which
-// rejects workers > shards outright — the blanket override clamps to the
-// shard count, since it applies to fixtures of every shape.
-MultiClientConfig WithEffectiveWorkers(MultiClientConfig config) {
-  if (config.server.workers == 0 && config.clients > 1) {
-    if (const char* env = std::getenv("SOFTCACHE_WORKERS");
-        env != nullptr && *env != '\0') {
-      const unsigned long parsed = std::strtoul(env, nullptr, 10);
-      config.server.workers = static_cast<uint32_t>(
-          std::min<unsigned long>(parsed, ServerShards(config.server)));
-    }
-  }
-  return config;
-}
 
 // With integrity on, every scheduler steps a client by the integrity
 // quantum (0 meaning 1024), so its tick stream is a pure function of its
@@ -82,8 +59,11 @@ double SoftCacheSystem::MissRate() const {
 
 MultiClientSystem::MultiClientSystem(const image::Image& image,
                                      const MultiClientConfig& config)
-    : config_(WithEffectiveWorkers(config)),
+    : config_(config),
       step_quantum_(StepQuantum(config_)),
+      mc_(std::make_unique<MemoryController>(
+          image, config.base.style, config.base.max_block_instrs,
+          config.base.max_trace_blocks, config.server)),
       // Every frame is routed through the event loop, which queues it on
       // its memo shard's lane; ServeTicket services it there.
       loop_([this](const McServerLoop::TicketInfo& ticket,
@@ -97,9 +77,8 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
             [this](uint32_t /*port*/, const std::vector<uint8_t>& frame) {
               return mc_->server().ShardFor(PeekFrameAddr(frame));
             },
-            McServerLoopConfig{/*lanes=*/ServerShards(config_.server),
-                               /*workers=*/config_.server.workers,
-                               /*max_queue=*/config_.server.max_queue}),
+            McServerLoopConfig{/*lanes=*/mc_->server().shards(),
+                               /*max_queue=*/config.server.max_queue}),
       switch_([this](uint32_t port, const std::vector<uint8_t>& frame) {
         return loop_.Submit(port, frame);
       }) {
@@ -107,12 +86,9 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
   SC_CHECK_LE(config.clients, kMaxClients) << "exceeds 12-bit wire id space";
   SC_CHECK_GE(config.quantum_instructions, 1u)
       << "a zero scheduler quantum never makes progress";
-  SC_CHECK_LE(config_.server.workers, ServerShards(config_.server))
-      << "workers must be <= shards";
+  SC_CHECK_EQ(config.server.workers, 0u)
+      << "McServerConfig::workers is retired: client threads pump the lanes";
   obs::EnsureEchoTracerForLogging();
-  mc_ = std::make_unique<MemoryController>(
-      image, config.base.style, config.base.max_block_instrs,
-      config.base.max_trace_blocks, config.server);
   clients_.reserve(config.clients);
   for (uint32_t i = 0; i < config.clients; ++i) {
     Client client;

@@ -73,36 +73,16 @@ inline bool ValidateClientCount(int64_t clients, std::string* error) {
   return true;
 }
 
-// CLI-level validation of the server parallelism knobs (--shards /
-// --workers against --clients). NO silent clamping: every nonsensical
-// combination is a clean error the CLI turns into exit 2. The
-// MultiClientSystem constructor treats violations as programmer error and
-// SC_CHECKs instead.
-inline bool ValidateServerParallelism(int64_t shards, int64_t workers,
-                                      int64_t clients, std::string* error) {
+// CLI-level validation of a --shards value: [1, kMaxClients], with the same
+// error-string contract as ValidateClientCount. NO silent clamping: a zero
+// or oversized shard count is a clean error the CLI turns into exit 2.
+inline bool ValidateShardCount(int64_t shards, std::string* error) {
   if (shards < 1) {
     *error = "shards must be >= 1 (the server core needs at least one slice)";
     return false;
   }
   if (shards > static_cast<int64_t>(kMaxClients)) {
     *error = "shards must be <= " + std::to_string(kMaxClients);
-    return false;
-  }
-  if (workers < 0) {
-    *error = "workers must be >= 0 (0 = submitters pump their own lanes)";
-    return false;
-  }
-  if (workers > shards) {
-    *error = "workers must be <= shards (" + std::to_string(workers) + " > " +
-             std::to_string(shards) +
-             "): each worker statically owns whole shard lanes, so extra "
-             "workers would never run";
-    return false;
-  }
-  if (workers > 0 && clients < 2) {
-    *error = "workers requires a multi-client run (--clients >= 2): one "
-             "client has at most one frame in flight, so a pool would only "
-             "add a thread handoff per frame";
     return false;
   }
   return true;

@@ -753,6 +753,16 @@ TEST(MultiClientSystemDeathTest, ZeroQuantumIsRejected) {
   EXPECT_DEATH(softcache::MultiClientSystem(img, config), "zero scheduler");
 }
 
+TEST(MultiClientSystemDeathTest, RetiredWorkersFieldIsRejected) {
+  // The server has no worker pool; a config still asking for one is a bug.
+  const image::Image img = LoopImage();
+  softcache::MultiClientConfig config;
+  config.clients = 2;
+  config.server.shards = 2;
+  config.server.workers = 1;
+  EXPECT_DEATH(softcache::MultiClientSystem(img, config), "retired");
+}
+
 // ---------------------------------------------------------------------------
 // Metrics: per-client labels, per-session labels, server aggregates
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 // JSON documents parseable), the fleet-wide inspection safepoint, and the
 // load-bearing invariant: observability fully on — lanes, metrics, periodic
 // inspection — changes NOTHING guest-visible under either scheduler or
-// engine. The merged trace is also the same for every server worker count.
+// engine. Server trace lanes are the memo shards, one per loop lane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -295,82 +295,69 @@ TEST(FleetObservability, MergedTraceUnder64ThreadedClients) {
   EXPECT_TRUE(parsed["server"].is_object());
 }
 
-// --- One service path: the trace does not show who serviced a lane -------
+// --- Server trace lanes follow the memo shards ---------------------------
 
-TEST(ObsFleet, ServerTraceIdenticalAcrossServiceModes) {
-  // Submitters pumping their own shard lanes (workers = 0) and pool workers
-  // draining them are one service path: the round-robin fleet's merged
-  // trace is the same document byte for byte, and every frame's server
-  // work lands in the trace lane of the shard its address maps to.
-  // adpcm_enc's demand reaches past the first quarter of its text, so the
-  // fleet's frames spread over more than one shard lane.
+TEST(ObsFleet, ServerTraceLanesFollowShards) {
+  // The server's trace lanes are its memo shards, whoever pumps them: no
+  // "loop" or "worker" lane exists, and every frame's server work lands in
+  // the trace lane of the shard its address maps to. adpcm_enc's demand
+  // reaches past the first quarter of its text, so the fleet's frames
+  // spread over more than one shard lane.
   const image::Image img =
       workloads::CompileWorkload(*workloads::FindWorkload("adpcm_enc"));
   constexpr uint32_t kShards = 4;
-  std::string reference;
-  for (const uint32_t workers : {0u, 1u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    softcache::MultiClientConfig config;
-    config.clients = 8;
-    config.base.tcache_bytes = 4 * 1024;
-    config.server.shards = kShards;
-    config.server.workers = workers;
-    softcache::MultiClientSystem fleet(img, config);
-    for (uint32_t i = 0; i < config.clients; ++i) {
-      fleet.SetInput(i, workloads::MakeInput("adpcm_enc", 1, 7 + i));
-    }
-    EXPECT_EQ(fleet.server_loop().lanes(), kShards);
-    obs::TraceMux mux;
-    fleet.AttachTraceMux(&mux);
-    mux.EnableAll(1 << 16);
-    for (const auto& r : fleet.RunAll()) {
-      EXPECT_EQ(r.reason, vm::StopReason::kHalted);
-    }
-    ASSERT_EQ(mux.TotalDropped(), 0u);
-    std::ostringstream out;
-    mux.ExportChromeJson(out);
-    if (reference.empty()) {
-      reference = out.str();
-    } else {
-      // Not EXPECT_EQ: a mismatch would print two multi-megabyte strings.
-      EXPECT_TRUE(out.str() == reference)
-          << "merged trace differs from the workers=0 run";
-    }
-
-    const JsonValue trace = MustParse(out.str());
-    std::map<uint64_t, uint64_t> tickets_per_tid;
-    std::set<uint64_t> awaiting_handle;  // tids inside an unchecked ticket
-    uint64_t checked = 0;
-    for (const JsonValue& e : trace["traceEvents"].array) {
-      const std::string& ph = e["ph"].AsString();
-      if (ph == "M" && e["name"].AsString() == "thread_name") {
-        const std::string& thread = e["args"]["name"].AsString();
-        EXPECT_NE(thread, "loop");
-        EXPECT_NE(thread.rfind("worker ", 0), 0u) << "lane " << thread;
-      }
-      if (ph != "B") continue;
-      const std::string& name = e["name"].AsString();
-      const uint64_t tid = e["tid"].AsU64();
-      if (name == "ticket") {
-        ASSERT_EQ(e["pid"].AsU64(), 0u);
-        ASSERT_GE(tid, 1u);
-        ASSERT_LE(tid, kShards);
-        ++tickets_per_tid[tid];
-        awaiting_handle.insert(tid);
-      } else if (name == "handle" && awaiting_handle.erase(tid) != 0) {
-        // The ticket's mc.handle span names the frame's address.
-        const uint32_t addr = static_cast<uint32_t>(e["args"]["addr"].AsU64());
-        EXPECT_EQ(1 + fleet.mc().server().ShardFor(addr), tid)
-            << "ticket for addr " << addr << " in the wrong shard lane";
-        ++checked;
-      }
-    }
-    uint64_t tickets = 0;
-    for (const auto& [tid, n] : tickets_per_tid) tickets += n;
-    EXPECT_GT(tickets, 0u);
-    EXPECT_EQ(checked, tickets);
-    EXPECT_GE(tickets_per_tid.size(), 2u) << "demand never left one shard";
+  softcache::MultiClientConfig config;
+  config.clients = 8;
+  config.base.tcache_bytes = 4 * 1024;
+  config.server.shards = kShards;
+  softcache::MultiClientSystem fleet(img, config);
+  for (uint32_t i = 0; i < config.clients; ++i) {
+    fleet.SetInput(i, workloads::MakeInput("adpcm_enc", 1, 7 + i));
   }
+  EXPECT_EQ(fleet.server_loop().lanes(), kShards);
+  obs::TraceMux mux;
+  fleet.AttachTraceMux(&mux);
+  mux.EnableAll(1 << 16);
+  for (const auto& r : fleet.RunAll()) {
+    EXPECT_EQ(r.reason, vm::StopReason::kHalted);
+  }
+  ASSERT_EQ(mux.TotalDropped(), 0u);
+  std::ostringstream out;
+  mux.ExportChromeJson(out);
+
+  const JsonValue trace = MustParse(out.str());
+  std::map<uint64_t, uint64_t> tickets_per_tid;
+  std::set<uint64_t> awaiting_handle;  // tids inside an unchecked ticket
+  uint64_t checked = 0;
+  for (const JsonValue& e : trace["traceEvents"].array) {
+    const std::string& ph = e["ph"].AsString();
+    if (ph == "M" && e["name"].AsString() == "thread_name") {
+      const std::string& thread = e["args"]["name"].AsString();
+      EXPECT_NE(thread, "loop");
+      EXPECT_NE(thread.rfind("worker ", 0), 0u) << "lane " << thread;
+    }
+    if (ph != "B") continue;
+    const std::string& name = e["name"].AsString();
+    const uint64_t tid = e["tid"].AsU64();
+    if (name == "ticket") {
+      ASSERT_EQ(e["pid"].AsU64(), 0u);
+      ASSERT_GE(tid, 1u);
+      ASSERT_LE(tid, kShards);
+      ++tickets_per_tid[tid];
+      awaiting_handle.insert(tid);
+    } else if (name == "handle" && awaiting_handle.erase(tid) != 0) {
+      // The ticket's mc.handle span names the frame's address.
+      const uint32_t addr = static_cast<uint32_t>(e["args"]["addr"].AsU64());
+      EXPECT_EQ(1 + fleet.mc().server().ShardFor(addr), tid)
+          << "ticket for addr " << addr << " in the wrong shard lane";
+      ++checked;
+    }
+  }
+  uint64_t tickets = 0;
+  for (const auto& [tid, n] : tickets_per_tid) tickets += n;
+  EXPECT_GT(tickets, 0u);
+  EXPECT_EQ(checked, tickets);
+  EXPECT_GE(tickets_per_tid.size(), 2u) << "demand never left one shard";
 }
 
 // --- Observability on == observability off, bit for bit -------------------

@@ -4,14 +4,10 @@
 //
 // Covers the shard routing edge cases (one shard, a shard count that does
 // not divide the text range, a chunk straddling a shard boundary), the
-// loop semantics (static lane ownership; bounded-lane deferral and the
-// park-all exclusive barrier under both the submitter pump and the worker
-// pool), the CLI-level validation of --shards/--workers combinations,
+// submitter pump's lane semantics (bounded-lane deferral and the park-all
+// exclusive barrier), the CLI-level validation of --shards, and
 // digest-reply coalescing raced against a concurrent same-shard install (a
-// TSan target: two handlers inside the core at once), and end-to-end bit
-// identity — the round-robin fleet must produce identical guest results
-// INCLUDING cycle counts no matter how many workers drain the lanes, crash
-// schedules and all.
+// TSan target: two handlers inside the core at once).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +21,6 @@
 #include "softcache/protocol.h"
 #include "softcache/server_loop.h"
 #include "softcache/system.h"
-#include "vm/machine.h"
 
 namespace sc {
 namespace {
@@ -130,29 +125,21 @@ TEST(ShardRouting, InvalidateRangeStraddlingShardBoundaryDropsBothSlices) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI-level validation of the parallelism knobs
+// CLI-level validation of the shard count
 // ---------------------------------------------------------------------------
 
 TEST(ValidateParallelism, AcceptsAndRejectsTheBoundaries) {
   std::string error;
-  // Happy paths, including workers == shards.
-  EXPECT_TRUE(softcache::ValidateServerParallelism(1, 0, 1, &error));
-  EXPECT_TRUE(softcache::ValidateServerParallelism(4, 4, 2, &error));
-  EXPECT_TRUE(softcache::ValidateServerParallelism(4096, 8, 64, &error));
+  EXPECT_TRUE(softcache::ValidateShardCount(1, &error));
+  EXPECT_TRUE(softcache::ValidateShardCount(4, &error));
+  EXPECT_TRUE(softcache::ValidateShardCount(4096, &error));
 
-  // Zero-value boundaries are hard errors, never silent clamps.
-  EXPECT_FALSE(softcache::ValidateServerParallelism(0, 0, 1, &error));
+  // Out-of-range shard counts are hard errors, never silent clamps.
+  EXPECT_FALSE(softcache::ValidateShardCount(0, &error));
   EXPECT_NE(error.find("shards"), std::string::npos);
-  EXPECT_FALSE(softcache::ValidateServerParallelism(4097, 0, 1, &error));
-
-  // workers > shards: extra workers would never own a lane.
-  EXPECT_FALSE(softcache::ValidateServerParallelism(2, 3, 4, &error));
-  EXPECT_NE(error.find("workers"), std::string::npos);
-  EXPECT_FALSE(softcache::ValidateServerParallelism(4, -1, 4, &error));
-
-  // A worker pool needs a fleet: solo runs bypass the loop entirely.
-  EXPECT_FALSE(softcache::ValidateServerParallelism(4, 2, 1, &error));
-  EXPECT_NE(error.find("clients"), std::string::npos);
+  EXPECT_FALSE(softcache::ValidateShardCount(-1, &error));
+  EXPECT_FALSE(softcache::ValidateShardCount(4097, &error));
+  EXPECT_NE(error.find("4096"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,57 +156,7 @@ std::vector<uint8_t> Echo(const McServerLoop::TicketInfo& ticket,
   return reply;
 }
 
-TEST(WorkerPool, StaticLaneOwnershipServicesEveryFrame) {
-  // 3 lanes, 2 workers: worker 0 owns lanes {0, 2}, worker 1 owns {1} — a
-  // deliberately non-dividing split. Route by the first frame byte.
-  McServerLoop loop(
-      Echo,
-      [](uint32_t, const std::vector<uint8_t>& frame) {
-        return static_cast<uint32_t>(frame[0]);
-      },
-      McServerLoopConfig{3, 2, 0});
-  constexpr uint32_t kThreads = 4;
-  constexpr uint32_t kFrames = 64;
-  std::vector<std::thread> clients;
-  std::atomic<uint32_t> wrong{0};
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&loop, &wrong, t] {
-      for (uint32_t i = 0; i < kFrames; ++i) {
-        const std::vector<uint8_t> frame = {static_cast<uint8_t>(i % 3),
-                                            static_cast<uint8_t>(t),
-                                            static_cast<uint8_t>(i)};
-        const std::vector<uint8_t> reply = loop.Submit(t, frame);
-        if (reply.size() != 4 || reply[0] != t || reply[1] != frame[0] ||
-            reply[2] != t || reply[3] != static_cast<uint8_t>(i)) {
-          ++wrong;
-        }
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-  EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_EQ(loop.stats().requests_enqueued, kThreads * kFrames);
-  // Every serviced frame is attributed to exactly one pool worker.
-  uint64_t worker_frames = 0;
-  for (const auto& w : loop.worker_stats()) worker_frames += w.frames;
-  EXPECT_EQ(worker_frames, kThreads * kFrames);
-  EXPECT_GE(loop.stats().batches_drained, 1u);
-}
-
-// The lane-service proofs below run once per way a lane gets claimed: by
-// the submitter that finds it unclaimed (workers = 0, "pump") and by the
-// pool worker that owns it (one worker per lane, "pool").
-class LaneService : public ::testing::TestWithParam<bool> {
- protected:
-  uint32_t Workers(uint32_t lanes) const { return GetParam() ? lanes : 0; }
-};
-
-INSTANTIATE_TEST_SUITE_P(PumpAndPool, LaneService, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param) {
-                           return param.param ? "pool" : "pump";
-                         });
-
-TEST_P(LaneService, BoundedLaneDefersTheOverflowingSubmitter) {
+TEST(LaneService, BoundedLaneDefersTheOverflowingSubmitter) {
   // One lane bounded at 1 ticket. The handler parks until all three
   // submitters have arrived, so the queue admission order is forced: one
   // ticket in service, one queued (at the bound), one deferred.
@@ -234,7 +171,7 @@ TEST_P(LaneService, BoundedLaneDefersTheOverflowingSubmitter) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return Echo(ticket, frame);
       },
-      nullptr, McServerLoopConfig{1, Workers(1), 1});
+      nullptr, McServerLoopConfig{1, /*max_queue=*/1});
   std::vector<std::thread> clients;
   for (uint32_t t = 0; t < 3; ++t) {
     clients.emplace_back([&, t] {
@@ -250,7 +187,7 @@ TEST_P(LaneService, BoundedLaneDefersTheOverflowingSubmitter) {
   EXPECT_GE(loop.stats().requests_deferred, 1u);
 }
 
-TEST_P(LaneService, ParkAllExclusiveWaitsOutInFlightHandlers) {
+TEST(LaneService, ParkAllExclusiveWaitsOutInFlightHandlers) {
   std::atomic<uint32_t> in_flight{0};
   std::atomic<bool> gate{false};
   McServerLoop loop(
@@ -264,9 +201,9 @@ TEST_P(LaneService, ParkAllExclusiveWaitsOutInFlightHandlers) {
       [](uint32_t, const std::vector<uint8_t>& frame) {
         return static_cast<uint32_t>(frame[0]);
       },
-      McServerLoopConfig{2, Workers(2), 0});
-  // Two tickets in flight on two lanes, both parked inside the handler:
-  // each pumped by its own submitter, or each held by its lane's worker.
+      McServerLoopConfig{/*lanes=*/2});
+  // Two tickets in flight on two lanes, both parked inside the handler,
+  // each pumped by its own submitter.
   std::thread c0([&loop] { loop.Submit(0, {0}); });
   std::thread c1([&loop] { loop.Submit(1, {1}); });
   while (in_flight.load() < 2) std::this_thread::yield();
@@ -346,69 +283,6 @@ TEST(SharedReplyRace, ConcurrentSameShardDemandsStayCoherent) {
   EXPECT_EQ(mc.server().shard_memo_entries(0), 8u);
   EXPECT_GE(stats.digest_replies, 1u);
   EXPECT_EQ(stats.translates + stats.translate_memo_hits, 2 * kRounds);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end bit identity across worker counts
-// ---------------------------------------------------------------------------
-
-struct FleetStory {
-  std::vector<std::string> outputs;
-  std::vector<uint64_t> cycles;
-  std::vector<uint64_t> instructions;
-  uint64_t translates = 0;
-};
-
-FleetStory RunFleetStory(const image::Image& img, uint32_t shards,
-                         uint32_t workers, uint64_t crash_period = 0) {
-  softcache::MultiClientConfig config;
-  config.clients = 4;
-  config.base.style = softcache::Style::kSparc;
-  config.base.tcache_bytes = 8 * 1024;
-  config.server.shards = shards;
-  config.server.workers = workers;
-  if (crash_period != 0) {
-    config.base.fault.seed = 11;
-    config.base.fault.crash_period = crash_period;
-  }
-  softcache::MultiClientSystem fleet(img, config);
-  const auto results = fleet.RunAll(200'000'000ull);
-  FleetStory story;
-  for (uint32_t i = 0; i < config.clients; ++i) {
-    SC_CHECK(results[i].reason == vm::StopReason::kHalted)
-        << "client " << i << ": " << results[i].fault_message;
-    story.outputs.push_back(fleet.OutputString(i));
-    story.cycles.push_back(results[i].cycles);
-    story.instructions.push_back(results[i].instructions);
-  }
-  story.translates = fleet.mc().server().stats().translates;
-  return story;
-}
-
-TEST(WorkerFleetIdentity, RoundRobinIsBitIdenticalAcrossWorkerCounts) {
-  const image::Image img = LoopImage();
-  // The round-robin scheduler keeps ONE frame in flight fleet-wide, so the
-  // worker pool may change nothing at all — cycles included.
-  const FleetStory w0 = RunFleetStory(img, 2, 0);
-  const FleetStory w1 = RunFleetStory(img, 2, 1);
-  const FleetStory w2 = RunFleetStory(img, 2, 2);
-  EXPECT_EQ(w0.outputs, w1.outputs);
-  EXPECT_EQ(w0.outputs, w2.outputs);
-  EXPECT_EQ(w0.cycles, w1.cycles);
-  EXPECT_EQ(w0.cycles, w2.cycles);
-  EXPECT_EQ(w0.instructions, w2.instructions);
-  EXPECT_EQ(w0.translates, w2.translates);
-}
-
-TEST(WorkerFleetIdentity, CrashRestartsAreIdenticalUnderWorkers) {
-  const image::Image img = LoopImage();
-  // Server crash schedules restart sessions through the loop's park-all
-  // exclusive section; a worker pool must not change what the guest sees.
-  const FleetStory w0 = RunFleetStory(img, 2, 0, /*crash_period=*/3000);
-  const FleetStory w2 = RunFleetStory(img, 2, 2, /*crash_period=*/3000);
-  EXPECT_EQ(w0.outputs, w2.outputs);
-  EXPECT_EQ(w0.cycles, w2.cycles);
-  EXPECT_EQ(w0.instructions, w2.instructions);
 }
 
 }  // namespace

@@ -306,7 +306,7 @@ TEST(ServerLoop, BoundedQueueDefersInsteadOfGrowing) {
         reply.push_back(static_cast<uint8_t>(ticket.port));
         return reply;
       },
-      nullptr, McServerLoopConfig{1, 0, /*max_queue=*/2});
+      nullptr, McServerLoopConfig{1, /*max_queue=*/2});
   constexpr int kThreads = 8;
   constexpr int kFramesEach = 50;
   std::atomic<int> wrong_replies{0};

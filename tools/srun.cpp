@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
        "input", "stats", "profile", "max-instr", "dump-tcache", "help",
        "workload", "scale", "prefetch", "trace", "metrics", "crash-period",
        "crash-after", "crash-rate", "crash-at-cycle", "fault-seed", "clients",
-       "verify", "shared-reply", "shards", "workers", "threads", "engine",
+       "verify", "shared-reply", "shards", "threads", "engine",
        "inspect", "inspect-every", "memfaults", "scrub-every"});
   const bool use_workload = args.Has("workload");
   const size_t want_positional = use_workload ? 0 : 1;
@@ -171,11 +171,8 @@ int main(int argc, char** argv) {
                  "            [--shared-reply]     content-addressed coalesced\n"
                  "                                 replies (broadcast snooping)\n"
                  "            [--shards=N]         server memo/translate shards\n"
-                 "            [--workers=N]        dedicated server threads\n"
-                 "                                 draining the shard lanes\n"
-                 "                                 (0 = client threads pump\n"
-                 "                                 their own shard's lane;\n"
-                 "                                 requires N <= shards)\n"
+                 "                                 (each frame's client thread\n"
+                 "                                 services its shard's lane)\n"
                  "            [--threads=N]        host threads for client VMs\n"
                  "            [--verify]           re-run each client solo and\n"
                  "                                 check bit-identical behavior\n",
@@ -322,18 +319,12 @@ int main(int argc, char** argv) {
   }
   const uint32_t n_clients = static_cast<uint32_t>(clients_arg);
 
-  // Same pattern for the server parallelism knobs: every nonsensical
-  // --shards/--workers combination is a usage error (exit 2), NEVER a
-  // silent clamp — a benchmark invoked with --workers=8 --shards=4 must
-  // not quietly measure a 4-worker server.
+  // Same pattern for --shards: a usage error (exit 2), never a silent clamp.
   const int64_t shards_arg = static_cast<int64_t>(args.GetInt("shards", 1));
-  const int64_t workers_arg = static_cast<int64_t>(args.GetInt("workers", 0));
-  std::string parallel_error;
-  if (!softcache::ValidateServerParallelism(shards_arg, workers_arg,
-                                            clients_arg, &parallel_error)) {
-    std::fprintf(stderr, "--shards=%lld --workers=%lld: %s\n",
-                 static_cast<long long>(shards_arg),
-                 static_cast<long long>(workers_arg), parallel_error.c_str());
+  std::string shards_error;
+  if (!softcache::ValidateShardCount(shards_arg, &shards_error)) {
+    std::fprintf(stderr, "--shards=%lld: %s\n",
+                 static_cast<long long>(shards_arg), shards_error.c_str());
     return 2;
   }
 
@@ -365,7 +356,6 @@ int main(int argc, char** argv) {
     mcfg.base = config;
     mcfg.base.shared_reply = args.Has("shared-reply");
     mcfg.server.shards = static_cast<uint32_t>(shards_arg);
-    mcfg.server.workers = static_cast<uint32_t>(workers_arg);
     // The server memo rides the same fault schedule (its own salted RNG
     // stream), so --memfaults storms every layer of the stack at once.
     mcfg.server.memfault = config.integrity.memfault;
