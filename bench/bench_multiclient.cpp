@@ -30,7 +30,8 @@
 // loop (stop-and-wait per client, like the real transport). Each client
 // count runs twice: once from one driver thread (the sequential reference)
 // and once from 8 driver threads that pump their lanes concurrently; each
-// row is the median of 5 replays. The sweep asserts that the reply byte
+// row is the median of 5 replays (one under --smoke without --check). The
+// sweep asserts that the reply byte
 // stream and wire bytes/client of the concurrent row are IDENTICAL to the
 // reference (concurrent pumping may only change timing). Results land in
 // BENCH_server_scale.json.
@@ -43,13 +44,16 @@
 //   --check=PATH  fail when a scale row's frames/sec falls below half of the
 //                 same row in PATH (a committed BENCH_server_scale.json);
 //                 armed only when this host's hardware_concurrency equals
-//                 the file's, since throughput is host-specific
+//                 the file's, since throughput is host-specific. PATH is
+//                 read before the sweep and must not be the --scale-out
+//                 path; an unreadable PATH or that clash exits 2.
 //   --trace=PATH  merged Chrome trace of the first workload's 8-client fleet
 //                 run (2 clients under --smoke): one lane per client plus one
 //                 lane per server shard, misses linked by flow arrows
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -249,8 +253,9 @@ constexpr uint32_t kScaleShards = 64;
 // Driver threads of the concurrent row (each drives its clients
 // stop-and-wait, so at most kScaleDrivers frames are in flight).
 constexpr uint32_t kScaleDrivers = 8;
-// Replays per row. The row is the median replay: the 8-driver rows swing by
-// 2x between runs on a shared host, and a median baseline keeps --check
+// Replays per row when the row is a throughput figure (the committed file,
+// or a --check run). The row is the median replay: the 8-driver rows swing
+// by 2x between runs on a shared host, and a median baseline keeps --check
 // from firing on a slow spell or being armed by a lucky one.
 constexpr uint32_t kScaleReps = 5;
 
@@ -336,13 +341,13 @@ ScaleRow ReplayFleet(const image::Image& img,
   return row;
 }
 
-// kScaleReps replays of one row. Every replay must return the identical
+// `replays` replays of one row. Every replay must return the identical
 // reply stream and wire bytes; the median-wall replay is the row.
 ScaleRow MedianReplay(const image::Image& img,
                       const std::vector<uint32_t>& addrs, uint32_t clients,
-                      uint32_t drivers) {
+                      uint32_t drivers, uint32_t replays) {
   std::vector<ScaleRow> reps;
-  for (uint32_t r = 0; r < kScaleReps; ++r) {
+  for (uint32_t r = 0; r < replays; ++r) {
     reps.push_back(ReplayFleet(img, addrs, clients, drivers));
     SC_CHECK(reps.back().reply_hash == reps.front().reply_hash &&
              reps.back().wire_bytes == reps.front().wire_bytes)
@@ -352,7 +357,7 @@ ScaleRow MedianReplay(const image::Image& img,
   std::sort(reps.begin(), reps.end(), [](const ScaleRow& a, const ScaleRow& b) {
     return a.wall_ns < b.wall_ns;
   });
-  return reps[kScaleReps / 2];
+  return reps[replays / 2];
 }
 
 void WriteScaleJson(const std::string& path, const std::string& workload,
@@ -435,21 +440,50 @@ void CheckRealFleetSchedulerIdentity(const workloads::WorkloadSpec& spec,
               static_cast<unsigned long long>(outcomes[0].server_cuts));
 }
 
-// The opt-in throughput gate: every row must reach half the frames/sec of
-// the same (clients, drivers) row in the committed file at `path`. Returns
-// false on a regression, an unreadable file or no comparable row; a host
-// whose hardware_concurrency differs from the file's only reports.
-bool CheckScaleThroughput(const std::string& path,
-                          const std::vector<ScaleRow>& rows) {
+// Reads the --check baseline. It is read before the sweep runs, and a path
+// naming the sweep's own output is refused: the sweep would overwrite the
+// baseline and then compare its rows with themselves.
+bool ReadScaleBaseline(const std::string& path,
+                       const std::string& scale_out_path,
+                       tools::JsonValue* committed) {
+  std::error_code check_ec, out_ec;
+  const std::filesystem::path check_file =
+      std::filesystem::weakly_canonical(path, check_ec);
+  const std::filesystem::path out_file =
+      std::filesystem::weakly_canonical(scale_out_path, out_ec);
+  if (!check_ec && !out_ec && check_file == out_file) {
+    std::printf("!! --check=%s is also the --scale-out path; pass "
+                "--scale-out=OTHER so the sweep cannot overwrite its "
+                "baseline\n",
+                path.c_str());
+    return false;
+  }
   std::ifstream in(path);
+  if (!in) {
+    std::printf("!! --check: cannot read %s\n", path.c_str());
+    return false;
+  }
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  tools::JsonValue committed;
   std::string error;
-  if (!tools::JsonParser::Parse(text, &committed, &error)) {
+  if (!tools::JsonParser::Parse(text, committed, &error)) {
     std::printf("!! --check: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
+  if (!(*committed)["rows"].is_array()) {
+    std::printf("!! --check: %s has no rows array\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+// The opt-in throughput gate: every row must reach half the frames/sec of
+// the same (clients, drivers) row of the `committed` file read from `path`.
+// Returns false on a regression or no comparable row; a host whose
+// hardware_concurrency differs from the file's only reports.
+bool CheckScaleThroughput(const std::string& path,
+                          const tools::JsonValue& committed,
+                          const std::vector<ScaleRow>& rows) {
   const uint64_t host = std::thread::hardware_concurrency();
   const uint64_t file = committed["hardware_concurrency"].AsU64();
   const bool armed = host == file;
@@ -499,6 +533,11 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
     if (std::strncmp(argv[i], "--check=", 8) == 0) check_path = argv[i] + 8;
+  }
+  tools::JsonValue committed_scale;
+  if (!check_path.empty() &&
+      !ReadScaleBaseline(check_path, scale_out_path, &committed_scale)) {
+    return 2;
   }
 
   bench::PrintHeader(
@@ -593,6 +632,9 @@ int main(int argc, char** argv) {
   std::printf("%8s %8s %10s %10s %10s %12s %10s\n", "clients", "drivers",
               "frames", "translate", "memo hits", "frames/sec", "bytes/cl");
   bench::PrintRule();
+  // The smoke sweep only checks determinism, so one replay per row does;
+  // throughput rows (the committed file, a --check run) take the median.
+  const uint32_t replays = smoke && check_path.empty() ? 1 : kScaleReps;
   std::vector<ScaleRow> scale_rows;
   bool replies_identical = true;
   bool wire_flat = true;
@@ -601,7 +643,7 @@ int main(int argc, char** argv) {
     // row's replies and wire bytes must match it exactly.
     for (const uint32_t drivers : {1u, kScaleDrivers}) {
       const ScaleRow row =
-          MedianReplay(scale_img, demand_addrs, clients, drivers);
+          MedianReplay(scale_img, demand_addrs, clients, drivers, replays);
       scale_rows.push_back(row);
       std::printf("%8u %8u %10llu %10llu %10llu %12.0f %10.1f\n", row.clients,
                   row.drivers, static_cast<unsigned long long>(row.frames),
@@ -631,7 +673,8 @@ int main(int argc, char** argv) {
               wire_flat ? "yes" : "NO");
   std::printf("wrote %s\n", scale_out_path.c_str());
   const bool throughput_ok =
-      check_path.empty() || CheckScaleThroughput(check_path, scale_rows);
+      check_path.empty() ||
+      CheckScaleThroughput(check_path, committed_scale, scale_rows);
   return (translations_flat && wire_decreasing && replies_identical &&
           wire_flat && throughput_ok)
              ? 0
