@@ -451,6 +451,13 @@ CacheController::Block* CacheController::Translate(uint32_t orig_pc) {
   return block;
 }
 
+void CacheController::DecodeChunk(const Chunk& chunk) {
+  install_decoded_.resize(chunk.words.size());
+  for (size_t i = 0; i < chunk.words.size(); ++i) {
+    install_decoded_[i] = isa::Decode(chunk.words[i]);
+  }
+}
+
 CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
   const uint32_t body_words = static_cast<uint32_t>(chunk.words.size());
   uint32_t slots = 0;
@@ -461,17 +468,19 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
     case ExitKind::kBranch: slots = 2; break;
     case ExitKind::kCall: slots = 2; break;
   }
+  DecodeChunk(chunk);
   // Trace chunking: every conditional branch that is not the terminator is
   // a mid-chunk side exit needing its own miss slot.
-  const auto is_mid_branch = [&chunk, body_words](uint32_t i) {
-    if (!isa::IsConditionalBranch(isa::Decode(chunk.words[i]).op)) return false;
+  const auto is_mid_branch = [this, &chunk, body_words](uint32_t i) {
+    if (!isa::IsConditionalBranch(install_decoded_[i].op)) return false;
     return !(i == body_words - 1 && chunk.exit == ExitKind::kBranch);
   };
   uint32_t mid_count = 0;
   for (uint32_t i = 0; i < body_words; ++i) {
     if (is_mid_branch(i)) ++mid_count;
   }
-  const uint32_t total_bytes = (body_words + slots + mid_count) * 4;
+  const uint32_t total_words = body_words + slots + mid_count;
+  const uint32_t total_bytes = total_words * 4;
   const uint32_t tc = Allocate(total_bytes);
   if (tc == 0) return nullptr;
 
@@ -490,53 +499,52 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
   if (slots >= 2) block.slot_b = tc + (body_words + 1) * 4;
   uint32_t next_mid_slot = tc + (body_words + slots) * 4;
 
-  // Install body words; the terminator (last word) is rewritten to point at
-  // the exit slots, and mid-chunk side-exit branches at their miss slots.
+  // Stage the block; the terminator (last word) is rewritten to point at the
+  // exit slots, and mid-chunk side-exit branches at their miss slots.
+  std::vector<uint32_t>& out = install_words_;
+  out.resize(total_words);
+  const auto stage = [&out, tc](uint32_t addr, uint32_t word) {
+    out[(addr - tc) / 4] = word;
+  };
   for (uint32_t i = 0; i < body_words; ++i) {
     uint32_t word = chunk.words[i];
     const uint32_t addr = tc + i * 4;
+    Instr in = install_decoded_[i];
     if (is_mid_branch(i)) {
       const uint32_t orig_pc = chunk.orig_addr + i * 4;
-      Instr in = isa::Decode(word);
       const uint32_t taken_orig = isa::BranchTarget(orig_pc, in.imm);
       const uint32_t slot = next_mid_slot;
       next_mid_slot += 4;
       in.imm = isa::OffsetFor(addr, slot);
-      machine_.WriteWord(addr, isa::Encode(in));
+      stage(addr, isa::Encode(in));
       const uint32_t stub = NewStub(StubInfo{true, taken_orig, addr,
                                              PatchKind::kBranch16, slot, block.id});
-      WriteStubWord(slot, stub);
+      stage(slot, isa::EncTcMiss(stub));
       block.own_stubs.emplace_back(stub, stubs_[stub].generation);
       block.mid_slots.emplace_back(slot, taken_orig);
       continue;
     }
     if (i == body_words - 1) {
       switch (chunk.exit) {
-        case ExitKind::kBranch: {
-          Instr in = isa::Decode(word);
+        case ExitKind::kBranch:
           in.imm = isa::OffsetFor(addr, block.slot_b);
           word = isa::Encode(in);
           break;
-        }
-        case ExitKind::kCall: {
-          Instr in = isa::Decode(word);
+        case ExitKind::kCall:
           SC_CHECK(in.op == Opcode::kJal);
           in.imm = isa::OffsetFor(addr, block.slot_b);
           word = isa::Encode(in);
           break;
-        }
-        case ExitKind::kComputed: {
-          Instr in = isa::Decode(word);
+        case ExitKind::kComputed:
           SC_CHECK(in.op == Opcode::kJalr);
           in.op = Opcode::kTcJalr;
           word = isa::Encode(in);
           break;
-        }
         default:
           break;  // kNone keeps the return/halt; kFallthrough has no terminator
       }
     }
-    machine_.WriteWord(addr, word);
+    stage(addr, word);
   }
 
   // Exit slot A: fallthrough / continuation / folded-jump target.
@@ -546,7 +554,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
                                 : chunk.fall_target;
     const uint32_t stub = NewStub(StubInfo{true, target, block.slot_a,
                                            PatchKind::kSlot, block.slot_a, block.id});
-    WriteStubWord(block.slot_a, stub);
+    stage(block.slot_a, isa::EncTcMiss(stub));
     block.own_stubs.emplace_back(stub, stubs_[stub].generation);
   }
   // Exit slot B: taken target / callee.
@@ -556,9 +564,10 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
                                                          : PatchKind::kBranch16;
     const uint32_t stub = NewStub(StubInfo{true, chunk.taken_target, term_addr,
                                            kind, block.slot_b, block.id});
-    WriteStubWord(block.slot_b, stub);
+    stage(block.slot_b, isa::EncTcMiss(stub));
     block.own_stubs.emplace_back(stub, stubs_[stub].generation);
   }
+  machine_.WriteBlock(tc, out.data(), total_bytes);
 
   const uint32_t tc_addr = block.tc_addr;
   const uint64_t id = block.id;
@@ -572,6 +581,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
 
 CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   const uint32_t orig_words = static_cast<uint32_t>(chunk.words.size());
+  DecodeChunk(chunk);
   // Pass 1: classify and size. Every JAL call site expands to 3 words
   // (lui ra / ori ra / j) plus one appended exit slot.
   std::vector<uint32_t> index_map(orig_words, 0);
@@ -580,7 +590,7 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   for (uint32_t i = 0; i < orig_words; ++i) {
     index_map[i] = tc_words;
     const uint32_t orig_pc = chunk.orig_addr + i * 4;
-    const Instr in = isa::Decode(chunk.words[i]);
+    const Instr& in = install_decoded_[i];
     switch (in.op) {
       case Opcode::kJal:
         tc_words += 3;
@@ -638,13 +648,17 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   // EvictBlock stays symmetric.
   stats_.extra_words_live += blk.slot_words;
 
-  // Pass 2: emit.
+  // Pass 2: emit into the staging buffer; one write installs it at the end.
+  std::vector<uint32_t>& out = install_words_;
+  out.resize(body_tc_words + call_sites);
+  const auto stage = [&out, tc](uint32_t addr, uint32_t word) {
+    out[(addr - tc) / 4] = word;
+  };
   uint32_t next_slot = tc + body_tc_words * 4;
   for (uint32_t i = 0; i < orig_words; ++i) {
     const uint32_t orig_pc = chunk.orig_addr + i * 4;
     const uint32_t tc_pc = tc + blk.index_map[i] * 4;
-    const uint32_t word = chunk.words[i];
-    const Instr in = isa::Decode(word);
+    const Instr& in = install_decoded_[i];
 
     if (isa::IsConditionalBranch(in.op) || in.op == Opcode::kJ) {
       // Internal control transfer (validated in pass 1): remap the offset
@@ -653,7 +667,7 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
       const uint32_t target_tc = tc + blk.index_map[(target_orig - chunk.orig_addr) / 4] * 4;
       Instr patched = in;
       patched.imm = isa::OffsetFor(tc_pc, target_tc);
-      machine_.WriteWord(tc_pc, isa::Encode(patched));
+      stage(tc_pc, isa::Encode(patched));
       continue;
     }
     if (in.op == Opcode::kJal) {
@@ -667,39 +681,41 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
         // registered (pass 2 needs ForwardCell to link cells to it), so
         // unwind the registration, the stubs and cell edges created so far.
         // EvictBlock does exactly that unwinding; it just is not an
-        // eviction, so take its statistics back.
+        // eviction, so take its statistics back. Nothing was written to
+        // the tcache yet.
         EvictBlock(blk.id);
         --stats_.evictions;
         stats_.eviction_timeline.RemoveLast(machine_.cycles());
         return nullptr;
       }
-      machine_.WriteWord(tc_pc, isa::EncI(Opcode::kLui, isa::kRa, 0,
-                                          static_cast<int32_t>(cell >> 16)));
-      machine_.WriteWord(tc_pc + 4, isa::EncI(Opcode::kOri, isa::kRa, isa::kRa,
-                                              static_cast<int32_t>(cell & 0xffff)));
+      stage(tc_pc, isa::EncI(Opcode::kLui, isa::kRa, 0,
+                             static_cast<int32_t>(cell >> 16)));
+      stage(tc_pc + 4, isa::EncI(Opcode::kOri, isa::kRa, isa::kRa,
+                                 static_cast<int32_t>(cell & 0xffff)));
       const uint32_t jump_addr = tc_pc + 8;
       const uint32_t slot = next_slot;
       next_slot += 4;
       if (callee_orig == chunk.orig_addr) {
         // Self-recursion: the callee is this very procedure — link directly.
-        machine_.WriteWord(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, tc)));
+        stage(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, tc)));
         blk.in_edges.push_back(InEdge{blk.id, jump_addr, PatchKind::kJump26,
                                       slot, callee_orig});
         blk.out_edges.emplace_back(blk.id, jump_addr);
         // The slot stays dead until the self-edge is unlinked (never — the
         // block dies with it), but keep the layout uniform.
-        machine_.WriteWord(slot, isa::EncNop());
+        stage(slot, isa::EncNop());
       } else {
         const uint32_t stub = NewStub(StubInfo{true, callee_orig, jump_addr,
                                                PatchKind::kJump26, slot, blk.id});
-        WriteStubWord(slot, stub);
-        machine_.WriteWord(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, slot)));
+        stage(slot, isa::EncTcMiss(stub));
+        stage(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, slot)));
         blk.own_stubs.emplace_back(stub, stubs_[stub].generation);
       }
       continue;
     }
-    machine_.WriteWord(tc_pc, word);
+    stage(tc_pc, chunk.words[i]);
   }
+  machine_.WriteBlock(tc, out.data(), total_bytes);
   // Each call site also adds two ra-setup words beyond the original code.
   return &blk;
 }

@@ -262,6 +262,9 @@ class CacheController : public vm::TrapHandler {
   // the translated address of orig_pc.
   Block* FindResident(uint32_t orig_pc, uint32_t* tc_addr = nullptr);
   Block* Translate(uint32_t orig_pc);
+  // Decodes every chunk word once into install_decoded_.
+  void DecodeChunk(const Chunk& chunk);
+  // Both installs stage the whole block and write it with one WriteBlock.
   Block* InstallSparc(const Chunk& chunk);
   Block* InstallArm(const Chunk& chunk);
   util::Result<Chunk> FetchChunk(uint32_t orig_pc);
@@ -394,6 +397,11 @@ class CacheController : public vm::TrapHandler {
   std::vector<StubInfo> stubs_;
   std::vector<uint32_t> free_stub_ids_;
   uint64_t stub_generation_ = 0;
+  // Install buffers, reused across misses: the chunk's words decoded once,
+  // and the block's words (body, exit and mid slots) staged so one
+  // Machine::WriteBlock installs them.
+  std::vector<isa::Instr> install_decoded_;
+  std::vector<uint32_t> install_words_;
   // orig -> cell addr; sized from the cell region (one word per cell).
   util::OpenTable<uint32_t, uint32_t> cell_for_orig_;
   // Staging buffer for prefetched chunks, keyed by orig_addr (ordered for

@@ -119,7 +119,7 @@ void Machine::InvalidateDecode(uint32_t addr, uint32_t len) {
   if (decode_cache_.empty()) return;
   const uint32_t first = addr >> 2;
   const uint32_t last = (addr + len - 1) >> 2;
-  const DecodeEntry reset{0, isa::Decode(0)};
+  const DecodeEntry reset{};  // {word 0, Decode(0)}, pinned by isa_test
   if (last - first + 1 >= kDecodeCacheEntries) {
     std::fill(decode_cache_.begin(), decode_cache_.end(), reset);
     return;

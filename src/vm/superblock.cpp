@@ -6,6 +6,7 @@
 // bit-identical behavior against the interpreter on every workload, random
 // programs, and self-modifying code.
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -41,6 +42,17 @@ Engine DefaultEngine() {
   return engine;
 }
 
+SuperblockCache::SuperblockCache(uint32_t mem_bytes)
+    : slab_(kSbMaxBlocks + 1), by_start_(mem_bytes / 4), cover_(mem_bytes / 4) {}
+
+void SuperblockCache::Kill(Superblock& sb, SbStats* stats) {
+  sb.valid = false;
+  by_start_[sb.start >> 2] = nullptr;
+  Cover(sb, -1);
+  --live_;
+  ++stats->invalidations;
+}
+
 bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
   if (live_ == 0) return false;
   const uint64_t end = static_cast<uint64_t>(addr) + len;
@@ -50,22 +62,23 @@ bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
     FlushMark(stats);
     return true;
   }
-  // A block overlaps [addr, end) iff its start lies in (addr - kSbMaxBytes,
-  // end) and start + span > addr; scan that bounded window of possible
-  // starts against the index.
+  // Coverage filter: a write kills something only if one of its words is
+  // covered by a live block. hi_ is word-aligned and bounds every live block.
+  const uint32_t first_word = addr >> 2;
+  const uint32_t end_word =
+      static_cast<uint32_t>((std::min<uint64_t>(end, hi_) + 3) >> 2);
+  uint32_t w = first_word;
+  while (w < end_word && cover_[w] == 0) ++w;
+  if (w == end_word) return false;
+  // A block overlaps [addr, end) iff its start word lies in the kSbMaxOps - 1
+  // words before addr's or in the write itself, and start + span > addr.
+  const uint32_t scan_from =
+      first_word > kSbMaxOps - 1 ? first_word - (kSbMaxOps - 1) : 0;
   bool any = false;
-  const uint32_t first =
-      addr > kSbMaxBytes - 4 ? (addr - (kSbMaxBytes - 4)) & ~3u : 0;
-  for (uint64_t a = first; a < end; a += 4) {
-    const uint32_t start = static_cast<uint32_t>(a);
-    Superblock** p = index_.Find(start);
-    if (p == nullptr) continue;
-    Superblock* sb = *p;
-    if (!sb->valid || sb->start + sb->span <= addr) continue;
-    sb->valid = false;
-    index_.Erase(start);
-    --live_;
-    ++stats->invalidations;
+  for (uint32_t s = scan_from; s < end_word; ++s) {
+    Superblock* sb = by_start_[s];
+    if (sb == nullptr || !sb->valid || sb->start + sb->span <= addr) continue;
+    Kill(*sb, stats);
     any = true;
   }
   if (any) OBS_INSTANT("vm", "sb.invalidate", "addr", addr);
@@ -73,13 +86,34 @@ bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
 }
 
 void SuperblockCache::FlushMark(SbStats* stats) {
-  for (Superblock& sb : pool_) sb.valid = false;
+  for (uint32_t i = 0; i < fill_; ++i) {
+    Superblock& sb = slab_[i];
+    if (!sb.valid) continue;
+    sb.valid = false;
+    Cover(sb, -1);
+  }
   live_ = 0;
   lo_ = UINT32_MAX;
   hi_ = 0;
   reclaim_pending_ = true;
   ++stats->flushes;
   OBS_INSTANT("vm", "sb.invalidate", "addr", 0);
+}
+
+void SuperblockCache::Reclaim() {
+  for (uint32_t i = 0; i < fill_; ++i) {
+    Superblock& sb = slab_[i];
+    if (by_start_[sb.start >> 2] == &sb) by_start_[sb.start >> 2] = nullptr;
+    if (sb.valid) {
+      sb.valid = false;
+      Cover(sb, -1);
+    }
+  }
+  fill_ = 0;
+  live_ = 0;
+  lo_ = UINT32_MAX;
+  hi_ = 0;
+  reclaim_pending_ = false;
 }
 
 uint64_t SbDigest(const Superblock& sb) {
@@ -110,14 +144,12 @@ uint64_t SbDigest(const Superblock& sb) {
 uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
                                        uint64_t* words_scanned) {
   uint32_t corrupt = 0;
-  for (Superblock& sb : pool_) {
+  for (uint32_t i = 0; i < fill_; ++i) {
+    Superblock& sb = slab_[i];
     if (!sb.valid) continue;
     if (words_scanned != nullptr) *words_scanned += sb.n_ops;
     if (sb.digest == SbDigest(sb)) continue;
-    sb.valid = false;
-    index_.Erase(sb.start);
-    --live_;
-    ++stats->invalidations;
+    Kill(sb, stats);
     ++corrupt;
   }
   if (corrupt > 0) OBS_INSTANT("vm", "sb.scrub_kill", "blocks", corrupt);
@@ -127,7 +159,8 @@ uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
 bool SuperblockCache::CorruptBit(util::Rng& rng) {
   if (live_ == 0) return false;
   uint64_t k = rng.Below(live_);
-  for (Superblock& sb : pool_) {
+  for (uint32_t i = 0; i < fill_; ++i) {
+    Superblock& sb = slab_[i];
     if (!sb.valid) continue;
     if (k > 0) {
       --k;
@@ -217,8 +250,8 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
                                          const void* const* handlers) {
   SuperblockCache& cache = *sb_cache_;
   if (cache.pool_size() >= kSbMaxBlocks) {
-    // Pool exhausted (churn backstop): mark everything dead; the dispatch
-    // loop reclaims storage at its next top-of-loop.
+    // Slab exhausted: mark everything dead; the dispatch loop reclaims the
+    // slab at its next top-of-loop.
     cache.FlushMark(&sb_stats_);
     sb_interrupt_ = true;
     SyncSuperblockBounds();
@@ -242,12 +275,15 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     uint32_t word = 0;
     std::memcpy(&word, mem_.data() + pc, 4);
     const Instr in = isa::Decode(word);
+    // Slab blocks are reused after Reclaim: every field is rewritten here
+    // (HALT, TCMISS and illegal ops charge no cost).
     SbOp& op = sb->ops[n++];
     op.pc = pc;
     op.rd = in.rd;
     op.rs1 = in.rs1;
     op.rs2 = in.rs2;
     op.imm = in.imm;
+    op.cost = 0;
     switch (in.op) {
       case Opcode::kAlu:
         // SbKind mirrors AluOp order (kSbAdd..kSbRemu).
@@ -592,7 +628,9 @@ inline bool DataAddrOk(uint32_t addr, uint32_t size, uint64_t mem_size) {
 
 RunResult Machine::RunThreaded(uint64_t max_instructions) {
   if (pending_stop_ != StopReason::kRunning) return MakeResult(pending_stop_);
-  if (sb_cache_ == nullptr) sb_cache_ = std::make_unique<SuperblockCache>();
+  if (sb_cache_ == nullptr) {
+    sb_cache_ = std::make_unique<SuperblockCache>(mem_size());
+  }
 
 #if SC_SB_COMPUTED_GOTO
   // Label-address table, indexed by SbKind (same order as the enum).
@@ -629,8 +667,8 @@ outer:
   // flushed); the locals are reacquired just before dispatch.
   sb_interrupt_ = false;
   if (sb_cache_->reclaim_pending()) {
-    // No block is executing here, so dead pool storage (which chains and the
-    // interrupted block may have pointed into) can finally be freed.
+    // No block is executing here, so dead slab blocks (which chains and the
+    // interrupted block may have pointed into) can finally be reused.
     chain_slot = nullptr;
     sb_cache_->Reclaim();
     SyncSuperblockBounds();

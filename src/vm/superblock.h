@@ -22,11 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "isa/isa.h"
-#include "util/open_table.h"
 #include "util/rng.h"
+#include "util/zero_pages.h"
 
 namespace sc::vm {
 
@@ -73,14 +73,19 @@ struct SbOp {
 };
 
 // Superblock length cap. Basic blocks in the bundled workloads average well
-// under this; the cap only bounds per-block storage and invalidation scans.
+// under this; the cap bounds per-block storage and the invalidation scan (a
+// write can only hit blocks starting in the kSbMaxOps words up to it).
 inline constexpr uint32_t kSbMaxOps = 32;
-inline constexpr uint32_t kSbMaxBytes = kSbMaxOps * 4;
-// Pool bound: translating past this many blocks (live + invalidated-but-not-
-// yet-reclaimed) flushes the whole cache. Far above any bundled workload's
-// working set; a backstop against pathological churn.
+// Slab bound: translating past this many blocks since the last flush (live
+// plus invalidated-but-not-yet-reclaimed) flushes the whole cache. It bounds
+// the slab's memory (about 3.3 MiB) and the cost of one flush, not the
+// working set: a tcache smaller than the hot set retranslates without end
+// and reaches it again and again (adpcm_enc with a 1 KB tcache: 94 capacity
+// flushes in 388k fills).
 inline constexpr uint32_t kSbMaxBlocks = 4096;
 
+// All-zero bytes are a value-initialized Superblock (pinned by a test): the
+// slab hands out fresh zero pages without constructing them.
 struct Superblock {
   uint32_t start = 0;   // first fetch address covered
   uint32_t span = 0;    // bytes of guest text covered (real ops only)
@@ -114,27 +119,47 @@ struct SbStats {
   uint64_t flushes = 0;        // whole-cache flushes (capacity, exec range)
 };
 
-// The translated-block store: a stable-address pool plus a start-pc index.
+// The translated-block store. Three arrays, each sized once on lazy zero
+// pages (util::ZeroPageAllocator), so a machine pays RSS only for the pages
+// its translated text touches:
+//   - slab_: kSbMaxBlocks + 1 blocks handed out by a fill cursor, so block
+//     addresses stay stable until Reclaim rewinds it (the +1 is the block
+//     translated right after a capacity flush, before its reclaim);
+//   - by_start_: one Superblock* per guest word, the block starting there
+//     (a direct-mapped start-pc index);
+//   - cover_: one byte per guest word, the number of live blocks covering
+//     it (at most kSbMaxOps). A write whose words all read zero kills
+//     nothing, so Invalidate returns after one load per word written.
 // Invalidation only *marks* blocks dead (chains and the currently executing
-// block may still hold pointers into the pool); reclamation is deferred to
+// block may still hold pointers into the slab); reclamation is deferred to
 // the dispatch loop's next top-of-loop, when no block is executing.
 class SuperblockCache {
  public:
-  SuperblockCache() : index_(1024) {}
+  // Covers guest addresses [0, mem_bytes).
+  explicit SuperblockCache(uint32_t mem_bytes);
 
+  // `pc` must be a word-aligned guest address.
   Superblock* Find(uint32_t pc) {
-    Superblock** p = index_.Find(pc);
-    return p != nullptr && (*p)->valid ? *p : nullptr;
+    Superblock* sb = by_start_[pc >> 2];
+    return sb != nullptr && sb->valid ? sb : nullptr;
   }
 
-  // Appends a fresh block to the pool (caller fills and then calls Publish).
+  // Takes the next slab block, header reset (caller fills its ops and then
+  // calls Publish). The caller flushes before the slab runs out: at most one
+  // block follows pool_size() reaching kSbMaxBlocks before Reclaim.
   Superblock* NewBlock() {
-    pool_.emplace_back();
-    return &pool_.back();
+    Superblock* sb = &slab_[fill_++];
+    sb->valid = false;
+    sb->taken = nullptr;
+    sb->fall = nullptr;
+    sb->digest = 0;
+    return sb;
   }
+  // Makes `sb` live. No live block may start at sb->start.
   void Publish(Superblock* sb) {
     sb->valid = true;
-    index_.Put(sb->start, sb);
+    by_start_[sb->start >> 2] = sb;
+    Cover(*sb, 1);
     ++live_;
     if (sb->start < lo_) lo_ = sb->start;
     if (sb->start + sb->span > hi_) hi_ = sb->start + sb->span;
@@ -156,31 +181,29 @@ class SuperblockCache {
   // the caller's other fault streams are never perturbed.
   bool CorruptBit(util::Rng& rng);
 
-  // Marks every block dead and schedules pool reclamation. Never frees
+  // Marks every block dead and schedules slab reclamation. Never frees
   // storage itself — see class comment.
   void FlushMark(SbStats* stats);
 
   bool reclaim_pending() const { return reclaim_pending_; }
-  void Reclaim() {
-    pool_.clear();
-    index_ = util::OpenTable<uint32_t, Superblock*>(1024);
-    live_ = 0;
-    lo_ = UINT32_MAX;
-    hi_ = 0;
-    reclaim_pending_ = false;
-  }
+  // Rewinds the slab. Also drops the block published after a capacity
+  // FlushMark, which is still live here.
+  void Reclaim();
 
-  size_t pool_size() const { return pool_.size(); }
+  size_t pool_size() const { return fill_; }
   size_t live_blocks() const { return live_; }
+  // Live blocks covering the word at `addr` (tests check the count drains).
+  uint32_t coverage(uint32_t addr) const { return cover_[addr >> 2]; }
 
-  // Visits every live superblock in pool (translation) order, exposing the
+  // Visits every live superblock in slab (translation) order, exposing the
   // chain graph: fn(block, taken successor, fall successor) with dead
   // successors passed as null (a chain slot is only followed while its
   // target's `valid` holds, so the view matches what dispatch would do).
-  // Inspector surface; the pool is stable while no guest runs.
+  // Inspector surface; the slab is stable while no guest runs.
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
-    for (const Superblock& sb : pool_) {
+    for (uint32_t i = 0; i < fill_; ++i) {
+      const Superblock& sb = slab_[i];
       if (!sb.valid) continue;
       const Superblock* taken =
           sb.taken != nullptr && sb.taken->valid ? sb.taken : nullptr;
@@ -194,8 +217,22 @@ class SuperblockCache {
   uint32_t hi() const { return live_ == 0 ? 0 : hi_; }
 
  private:
-  std::deque<Superblock> pool_;  // stable addresses; cleared only by Reclaim
-  util::OpenTable<uint32_t, Superblock*> index_;  // start pc -> block
+  // Adds `delta` (+1 or -1) to the coverage of every word `sb` spans.
+  void Cover(const Superblock& sb, int delta) {
+    uint8_t* c = &cover_[sb.start >> 2];
+    for (uint32_t i = 0; i < sb.span / 4; ++i) {
+      c[i] = static_cast<uint8_t>(c[i] + delta);
+    }
+  }
+  // Marks one live block dead (a kill, counted as an invalidation).
+  void Kill(Superblock& sb, SbStats* stats);
+
+  template <typename T>
+  using ZeroVec = std::vector<T, util::ZeroPageAllocator<T>>;
+  ZeroVec<Superblock> slab_;      // stable addresses; rewound only by Reclaim
+  ZeroVec<Superblock*> by_start_;  // word index -> block starting there
+  ZeroVec<uint8_t> cover_;         // word index -> live blocks covering it
+  uint32_t fill_ = 0;              // slab blocks handed out since Reclaim
   size_t live_ = 0;
   uint32_t lo_ = UINT32_MAX;  // min start over live blocks (never shrinks)
   uint32_t hi_ = 0;           // max start+span over live blocks

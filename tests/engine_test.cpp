@@ -6,6 +6,8 @@
 // This file is the permanent form of the engine's correctness proof.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,9 @@
 #include "sasm/assembler.h"
 #include "softcache/system.h"
 #include "tests/program_gen.h"
+#include "util/rng.h"
 #include "vm/machine.h"
+#include "vm/superblock.h"
 #include "workloads/workloads.h"
 
 namespace sc {
@@ -495,6 +499,243 @@ TEST(EngineSmc, SysReadIntoTextInvalidates) {
   EXPECT_EQ(interp.result.exit_code, 9);
   ExpectBitIdentical(interp, threaded, "sys_read patch");
 }
+
+// ---------------------------------------------------------------------------
+// The invalidation store against a brute-force reference
+// ---------------------------------------------------------------------------
+
+TEST(SuperblockStore, ZeroBytesAreAValueInitializedBlock) {
+  // The slab hands out fresh zero pages without constructing them.
+  const unsigned char zeros[sizeof(vm::Superblock)] = {};
+  vm::Superblock from_zeros;
+  std::memcpy(&from_zeros, zeros, sizeof zeros);
+  const vm::Superblock init{};
+  EXPECT_EQ(from_zeros.start, init.start);
+  EXPECT_EQ(from_zeros.span, init.span);
+  EXPECT_EQ(from_zeros.n_ops, init.n_ops);
+  EXPECT_EQ(from_zeros.valid, init.valid);
+  EXPECT_EQ(from_zeros.taken, init.taken);
+  EXPECT_EQ(from_zeros.fall, init.fall);
+  EXPECT_EQ(from_zeros.digest, init.digest);
+  for (uint32_t i = 0; i <= vm::kSbMaxOps; ++i) {
+    const vm::SbOp& a = from_zeros.ops[i];
+    const vm::SbOp& b = init.ops[i];
+    EXPECT_EQ(a.handler, b.handler);
+    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(a.imm, b.imm);
+    EXPECT_EQ(a.cost, b.cost);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.rd, b.rd);
+    EXPECT_EQ(a.rs1, b.rs1);
+    EXPECT_EQ(a.rs2, b.rs2);
+  }
+}
+
+// The kill rules of SuperblockCache, by brute force: a write kills every
+// live block it overlaps, except that a write spanning [lo, hi) of the
+// blocks published since the last flush flushes everything instead.
+class RefStore {
+ public:
+  struct Block {
+    vm::Superblock* sb;
+    uint32_t start;
+    uint32_t span;
+    bool live;
+  };
+
+  void Publish(vm::Superblock* sb) {
+    blocks_.push_back(Block{sb, sb->start, sb->span, true});
+    ++live_;
+    lo_ = std::min(lo_, sb->start);
+    hi_ = std::max(hi_, sb->start + sb->span);
+  }
+  bool Invalidate(uint32_t addr, uint32_t len) {
+    if (live_ == 0) return false;
+    const uint64_t end = static_cast<uint64_t>(addr) + len;
+    if (addr >= hi_ || end <= lo_) return false;
+    if (addr <= lo_ && end >= hi_) {
+      FlushMark();
+      return true;
+    }
+    bool any = false;
+    for (Block& b : blocks_) {
+      if (b.live && b.start < end && b.start + b.span > addr) {
+        Kill(b);
+        any = true;
+      }
+    }
+    return any;
+  }
+  uint32_t Scrub(uint64_t* words) {
+    uint32_t killed = 0;
+    for (Block& b : blocks_) {
+      if (!b.live) continue;
+      *words += b.sb->n_ops;
+      if (b.sb->digest == vm::SbDigest(*b.sb)) continue;
+      Kill(b);
+      ++killed;
+    }
+    return killed;
+  }
+  void FlushMark() {
+    for (Block& b : blocks_) b.live = false;
+    live_ = 0;
+    lo_ = UINT32_MAX;
+    hi_ = 0;
+    ++stats_.flushes;
+  }
+  void Reclaim() {
+    blocks_.clear();
+    live_ = 0;
+    lo_ = UINT32_MAX;
+    hi_ = 0;
+  }
+  // Live blocks covering each word of [0, words).
+  std::vector<uint32_t> Coverage(uint32_t words) const {
+    std::vector<uint32_t> cover(words, 0);
+    for (const Block& b : blocks_) {
+      if (!b.live) continue;
+      for (uint32_t w = b.start / 4; w < (b.start + b.span) / 4; ++w) {
+        ++cover[w];
+      }
+    }
+    return cover;
+  }
+
+  const std::vector<Block>& blocks() const { return blocks_; }
+  size_t live() const { return live_; }
+  uint32_t lo() const { return live_ == 0 ? UINT32_MAX : lo_; }
+  uint32_t hi() const { return live_ == 0 ? 0 : hi_; }
+  const vm::SbStats& stats() const { return stats_; }
+
+ private:
+  void Kill(Block& b) {
+    b.live = false;
+    --live_;
+    ++stats_.invalidations;
+  }
+
+  std::vector<Block> blocks_;  // every block since the last Reclaim
+  size_t live_ = 0;
+  uint32_t lo_ = UINT32_MAX;
+  uint32_t hi_ = 0;
+  vm::SbStats stats_;
+};
+
+class SuperblockStoreProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
+  // A dense 1 KiB text region inside 64 KiB of guest memory: blocks of 1 to
+  // kSbMaxOps words overlap heavily, so writes of every size kill several.
+  constexpr uint32_t kMem = 64 * 1024;
+  constexpr uint32_t kWords = kMem / 4;
+  constexpr uint32_t kBase = 0x2000;
+  constexpr uint32_t kText = 1024;
+  util::Rng rng(static_cast<uint64_t>(GetParam()));
+  vm::SuperblockCache cache(kMem);
+  vm::SbStats stats;
+  RefStore ref;
+
+  const auto publish = [&] {
+    const uint32_t start =
+        kBase + 4 * static_cast<uint32_t>(rng.Below(kText / 4));
+    const bool taken = std::any_of(
+        ref.blocks().begin(), ref.blocks().end(),
+        [start](const RefStore::Block& b) { return b.live && b.start == start; });
+    ASSERT_EQ(cache.Find(start) != nullptr, taken) << "start " << start;
+    if (taken) return;  // one live block per start
+    vm::Superblock* sb = cache.NewBlock();
+    sb->start = start;
+    sb->n_ops = 1 + static_cast<uint32_t>(rng.Below(vm::kSbMaxOps));
+    sb->span = sb->n_ops * 4;
+    for (uint32_t i = 0; i < sb->n_ops; ++i) {
+      sb->ops[i] = vm::SbOp{};
+      sb->ops[i].pc = start + i * 4;
+      sb->ops[i].imm = static_cast<int32_t>(rng.Next32());
+    }
+    sb->digest = vm::SbDigest(*sb);
+    cache.Publish(sb);
+    ref.Publish(sb);
+  };
+  const auto write = [&](uint32_t addr, uint32_t len) {
+    const bool killed = cache.Invalidate(addr, len, &stats);
+    ASSERT_EQ(killed, ref.Invalidate(addr, len))
+        << "write [" << addr << ", +" << len << ")";
+  };
+  const auto small_write = [&] {
+    static constexpr uint32_t kLens[] = {1, 2, 4, 4, 4, 8, 64, 300};
+    const uint32_t len = kLens[rng.Below(std::size(kLens))];
+    const uint32_t addr =
+        kBase - 256 + static_cast<uint32_t>(rng.Below(kText + 512));
+    write(len >= 4 ? addr & ~3u : addr & ~(len - 1), len);
+  };
+  const auto check = [&](bool coverage) {
+    ASSERT_EQ(cache.live_blocks(), ref.live());
+    ASSERT_EQ(cache.pool_size(), ref.blocks().size());
+    ASSERT_EQ(cache.lo(), ref.lo());
+    ASSERT_EQ(cache.hi(), ref.hi());
+    ASSERT_EQ(stats.invalidations, ref.stats().invalidations);
+    ASSERT_EQ(stats.flushes, ref.stats().flushes);
+    for (const RefStore::Block& b : ref.blocks()) {
+      ASSERT_EQ(b.sb->valid, b.live) << "block at " << b.start;
+      if (b.live) {
+        ASSERT_EQ(cache.Find(b.start), b.sb);
+      }
+    }
+    if (!coverage && ref.live() != 0) return;
+    const std::vector<uint32_t> want = ref.Coverage(kWords);
+    for (uint32_t w = 0; w < kWords; ++w) {
+      ASSERT_EQ(cache.coverage(w * 4), want[w]) << "word at " << w * 4;
+    }
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    if (cache.reclaim_pending()) {
+      // What the dispatch loop may do between a flush and its next
+      // top-of-loop: publish the block translated after a capacity flush,
+      // and run it (a store into text).
+      if (rng.Chance(1, 2)) publish();
+      if (rng.Chance(1, 3)) small_write();
+      cache.Reclaim();
+      ref.Reclaim();
+    } else if (cache.pool_size() >= 1000) {
+      cache.FlushMark(&stats);  // the capacity flush, at a smaller cap
+      ref.FlushMark();
+    } else {
+      const uint64_t r = rng.Below(100);
+      if (r < 45) {
+        publish();
+      } else if (r < 90) {
+        small_write();
+      } else if (r < 94) {
+        for (uint64_t n = rng.Below(3); n > 0; --n) cache.CorruptBit(rng);
+        uint64_t words = 0;
+        uint64_t ref_words = 0;
+        ASSERT_EQ(cache.ScrubCorrupt(&stats, &words), ref.Scrub(&ref_words));
+        ASSERT_EQ(words, ref_words);
+      } else if (r < 97) {
+        cache.FlushMark(&stats);
+        ref.FlushMark();
+      } else {
+        write(kBase - 4 * static_cast<uint32_t>(rng.Below(4)),
+              kText + 4 * static_cast<uint32_t>(rng.Below(64)));
+      }
+    }
+    if (HasFatalFailure()) return;
+    check(step % 64 == 0);
+    if (HasFatalFailure()) return;
+  }
+  // Drain: flush and reclaim leave every count at zero.
+  cache.FlushMark(&stats);
+  ref.FlushMark();
+  cache.Reclaim();
+  ref.Reclaim();
+  check(true);
+  EXPECT_EQ(cache.pool_size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockStoreProperty,
+                         ::testing::Range(1, 5));
 
 }  // namespace
 }  // namespace sc
