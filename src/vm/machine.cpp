@@ -34,6 +34,12 @@ void Machine::SetExecRange(uint32_t lo, uint32_t hi) {
 }
 
 void Machine::set_cost_model(const CostModel& cost) {
+  // SbOp::cyc_before sums up to kSbMaxOps + 1 costs in 32 bits.
+  constexpr uint32_t kMaxCost = UINT32_MAX / (kSbMaxOps + 1);
+  for (const uint32_t c : {cost.alu, cost.mul, cost.div, cost.load, cost.store,
+                           cost.branch, cost.jump, cost.syscall}) {
+    SC_CHECK_LE(c, kMaxCost) << "instruction cost too large for a superblock";
+  }
   FlushSuperblocks();
   cost_ = cost;
 }

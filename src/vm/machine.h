@@ -222,7 +222,9 @@ class Machine {
   // superblock cache (block formation bakes the range check in).
   void SetExecRange(uint32_t lo, uint32_t hi);
 
-  // Hook registration (non-owning; caller keeps the object alive).
+  // Hook registration (non-owning; caller keeps the object alive). While a
+  // fetch observer is attached, the threaded engine hands the run to the
+  // interpreter.
   void set_fetch_observer(FetchObserver* obs) { fetch_observer_ = obs; }
   void set_trap_handler(TrapHandler* handler) { trap_handler_ = handler; }
   // Data accesses with vaddr in [lo, hi) go through `hook`.
@@ -244,7 +246,8 @@ class Machine {
 
   const CostModel& cost_model() const { return cost_; }
   // Superblocks bake per-op cycle costs in at translation time, so changing
-  // the model flushes them.
+  // the model flushes them. A block's cycle prefix is 32 bits, so every cost
+  // must be at most UINT32_MAX / (kSbMaxOps + 1); larger ones abort.
   void set_cost_model(const CostModel& cost);
 
   // Raises an architectural fault from inside a hook (e.g. the ARM-style
@@ -309,7 +312,10 @@ class Machine {
   static constexpr uint32_t kDecodeCacheMask = kDecodeCacheEntries - 1;
   void InvalidateDecode(uint32_t addr, uint32_t len);
 
-  std::array<uint32_t, isa::kNumRegs> regs_{};
+  // regs_[kSinkReg] is not architectural: superblock translation points an
+  // rd of 0 there, so threaded handlers store without testing rd.
+  static constexpr uint8_t kSinkReg = isa::kNumRegs;
+  std::array<uint32_t, isa::kNumRegs + 1> regs_{};
   uint32_t pc_ = 0;
   // Lazy zero pages: a client pays RSS only for the guest pages it touches.
   std::vector<uint8_t, util::ZeroPageAllocator<uint8_t>> mem_;

@@ -131,7 +131,7 @@ uint64_t SbDigest(const Superblock& sb) {
   mix(sb.n_ops);
   for (uint32_t i = 0; i < sb.n_ops; ++i) {
     const SbOp& op = sb.ops[i];
-    mix(op.pc);
+    mix(op.cyc_before);
     mix(static_cast<uint32_t>(op.imm));
     mix(op.cost);
     mix((static_cast<uint64_t>(op.kind) << 24) |
@@ -154,6 +154,20 @@ uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
   }
   if (corrupt > 0) OBS_INSTANT("vm", "sb.scrub_kill", "blocks", corrupt);
   return corrupt;
+}
+
+Superblock* SuperblockCache::BudgetTail(const Superblock& sb, uint32_t k,
+                                        const void* stop_handler) {
+  tail_.start = sb.start;
+  tail_.span = 4 * k;
+  tail_.n_ops = k + 1;
+  std::copy_n(sb.ops, k, tail_.ops);
+  SbOp& stop = tail_.ops[k];
+  stop = SbOp{};
+  stop.handler = stop_handler;
+  stop.cyc_before = sb.ops[k].cyc_before;
+  stop.kind = kSbStop;
+  return &tail_;
 }
 
 bool SuperblockCache::CorruptBit(util::Rng& rng) {
@@ -260,6 +274,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
   sb->start = start;
   uint32_t pc = start;
   uint32_t n = 0;
+  uint32_t prefix = 0;  // cycles charged by the ops formed so far
   bool terminated = false;
   while (n < kSbMaxOps) {
     // The caller validated `start`; later pcs re-run the interpreter's fetch
@@ -278,7 +293,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     // Slab blocks are reused after Reclaim: every field is rewritten here
     // (HALT, TCMISS and illegal ops charge no cost).
     SbOp& op = sb->ops[n++];
-    op.pc = pc;
+    op.cyc_before = prefix;
     op.rd = in.rd;
     op.rs1 = in.rs1;
     op.rs2 = in.rs2;
@@ -293,6 +308,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
                      in.funct == AluOp::kRem || in.funct == AluOp::kRemu)
                       ? cost_.div
                       : cost_.alu;
+        if (op.rd == 0) op.rd = kSinkReg;
         break;
       case Opcode::kAddi:
       case Opcode::kAndi:
@@ -308,6 +324,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
         op.kind = static_cast<uint8_t>(
             kSbAddi + (static_cast<int>(in.op) - static_cast<int>(Opcode::kAddi)));
         op.cost = cost_.alu;
+        if (op.rd == 0) op.rd = kSinkReg;
         break;
       case Opcode::kLw:
       case Opcode::kLh:
@@ -317,6 +334,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
         op.kind = static_cast<uint8_t>(
             kSbLw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kLw)));
         op.cost = cost_.load;
+        if (op.rd == 0) op.rd = kSinkReg;
         break;
       case Opcode::kSw:
       case Opcode::kSh:
@@ -349,6 +367,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
       case Opcode::kJalr:
         op.kind = kSbJalr;
         op.cost = cost_.jump;
+        if (op.rd == 0) op.rd = kSinkReg;
         break;
       case Opcode::kSys:
         op.kind = kSbSys;
@@ -371,16 +390,16 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
         break;
     }
     op.handler = handlers != nullptr ? handlers[op.kind] : nullptr;
+    prefix += op.cost;
+    pc += 4;
     if (IsTerminator(in.op)) {
       terminated = true;
-      pc += 4;
       break;
     }
-    pc += 4;
     // Degradation-ladder cut: a poisoned op ends its block immediately, so
     // blocks over poisoned words carry exactly one real instruction and the
     // threaded engine dispatches them one at a time.
-    if (!poison_.empty() && InPoison(op.pc)) break;
+    if (!poison_.empty() && InPoison(pc - 4)) break;
   }
   sb->span = terminated ? pc - start : (n * 4);
   if (!terminated) {
@@ -389,7 +408,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     // dispatch loop faults on with the interpreter's exact message).
     SbOp& op = sb->ops[n++];
     op = SbOp{};
-    op.pc = pc;
+    op.cyc_before = prefix;
     op.kind = kSbFallthrough;
     op.handler = handlers != nullptr ? handlers[kSbFallthrough] : nullptr;
   }
@@ -405,21 +424,27 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
 
 // --- The threaded inner loop ---
 //
-// Per-op bookkeeping mirrors the interpreter's exact ordering: budget check,
-// FetchObserver, instret, then the semantic action with the cycle charge at
-// the interpreter's position (e.g. before DoSyscall, after a load completes,
-// never for a faulting divide). Everything else the interpreter does per
-// instruction — fetch-address validation, the memory fetch, the decode-cache
-// probe, the opcode switch, next-pc arithmetic — is gone: it happened once,
-// at translation time.
+// A handler does only its semantic work. Everything the interpreter does per
+// instruction besides that — fetch-address validation, the memory fetch, the
+// decode-cache probe, the opcode switch, next-pc arithmetic — happened once,
+// at translation time, and the bookkeeping is paid once per block:
 //
-// The retired-instruction and cycle counters live in locals (`ret`, `cyc`)
-// inside the dispatch region so straight-line ALU runs touch no Machine
-// members at all; SB_FLUSH publishes them before anything that can observe
-// the members (fault construction, syscalls, trap handlers, the data hook,
-// observers, OBS events whose tracer clock reads cycles_) and SB_RELOAD
-// reacquires them after call-outs that may Charge(). pc_ is only written
-// where someone can read it: fault paths, call-outs, and block exits.
+//   - Counters. The locals `ret` and `cyc` hold instret_ and cycles_ as they
+//     were at the running block's entry. Op `ord` (op - sb->ops) sits at pc
+//     sb->start + 4 * ord, and the interpreter's counters there are
+//     ret + ord + 1 and cyc + op->cyc_before, plus op->cost once the op has
+//     charged. SB_SYNC publishes them before anything that can observe the
+//     members (fault construction, syscalls, trap handlers, the data hook,
+//     OBS events whose tracer clock reads cycles_); after the data hook,
+//     which may Charge(), `cyc` is rebased on cycles_. A terminator retires
+//     the whole block (SB_RETIRE). pc_ is only written where someone can
+//     read it: fault paths, call-outs, and block exits.
+//   - Budget. Entering a block, from the dispatch loop or from a chain,
+//     checks that its instructions fit in what is left of the budget; a
+//     block that does not runs as its budget tail (BudgetTail), which stops
+//     at the interpreter's exact instruction.
+//   - Fetch observer. An observed run goes to the interpreter, the
+//     reference, at the dispatch loop's top; the handlers never test for it.
 
 #if SC_SB_COMPUTED_GOTO
 #define SB_CASE(k) h_##k
@@ -439,87 +464,88 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
 #define SB_DISPATCH() goto dispatch
 #endif
 
+// The pc of the current op (cold paths; terminators use start + span).
+#define SB_OP_PC() (sb->start + 4 * static_cast<uint32_t>(op - sb->ops))
+
+// Publishes the counters at the current op: retired, and charged `charged`
+// of its own cost (0 or op->cost).
+#define SB_SYNC(charged)                                      \
+  do {                                                        \
+    instret_ = ret + static_cast<uint64_t>(op - sb->ops) + 1; \
+    cycles_ = cyc + op->cyc_before + (charged);               \
+  } while (0)
+
+// Retires the whole block at its terminator (or kSbStop).
+#define SB_RETIRE()                   \
+  do {                                \
+    ret += sb->span / 4;              \
+    cyc += op->cyc_before + op->cost; \
+  } while (0)
+
 #define SB_FLUSH() \
   do {             \
     instret_ = ret; \
     cycles_ = cyc;  \
   } while (0)
 
-#define SB_RELOAD() \
-  do {              \
-    ret = instret_; \
-    cyc = cycles_;  \
-  } while (0)
-
-#define SB_PRE()                                  \
-  do {                                            \
-    if (remaining == 0) {                         \
-      pc_ = op->pc;                               \
-      SB_FLUSH();                                 \
-      return MakeResult(StopReason::kInstrLimit); \
-    }                                             \
-    --remaining;                                  \
-    if (observer != nullptr) {                    \
-      pc_ = op->pc;                               \
-      SB_FLUSH();                                 \
-      observer->OnFetch(op->pc);                  \
-      SB_RELOAD();                                \
-      observer = fetch_observer_;                 \
-    }                                             \
-    ++ret;                                        \
+// Leaves a retired block along chain slot `slot`: straight into the
+// successor's body when it is live and fits the budget, otherwise through
+// the dispatch loop at `next_pc`, which fills the slot.
+#define SB_CHAIN(slot, next_pc)                               \
+  do {                                                        \
+    Superblock* nxt = sb->slot;                               \
+    if (nxt != nullptr && nxt->valid) {                       \
+      sb = nxt;                                               \
+      if (budget_end - ret < sb->span / 4) goto budget_tail;  \
+      op = sb->ops;                                           \
+      SB_DISPATCH();                                          \
+    }                                                         \
+    pc_ = (next_pc);                                          \
+    chain_slot = &sb->slot;                                   \
+    SB_FLUSH();                                               \
+    goto outer;                                               \
   } while (0)
 
 // Binary ALU op: `a` and `b` are the operand registers.
 #define SB_ALU(kind, expr)             \
   SB_CASE(kind) : {                    \
-    SB_PRE();                          \
     const uint32_t a = regs_[op->rs1]; \
     const uint32_t b = regs_[op->rs2]; \
-    set_reg(op->rd, (expr));           \
-    cyc += op->cost;                   \
+    regs_[op->rd] = (expr);            \
     SB_NEXT();                         \
   }
 
 // Immediate ALU op: `a` is rs1, `imm` the decoded immediate.
 #define SB_ALUI(kind, expr)            \
   SB_CASE(kind) : {                    \
-    SB_PRE();                          \
     const uint32_t a = regs_[op->rs1]; \
     const int32_t imm = op->imm;       \
-    set_reg(op->rd, (expr));           \
-    cyc += op->cost;                   \
+    regs_[op->rd] = (expr);            \
     SB_NEXT();                         \
   }
 
-// Conditional branch terminator with block chaining on both edges. pc_ is
-// only materialized on the unchained (dispatch-loop) path.
-#define SB_BRANCH(kind, cond)                 \
-  SB_CASE(kind) : {                           \
-    SB_PRE();                                 \
-    const uint32_t a = regs_[op->rs1];        \
-    const uint32_t b = regs_[op->rs2];        \
-    cyc += op->cost;                          \
-    if (cond) {                               \
-      Superblock* nxt = sb->taken;            \
-      if (nxt != nullptr && nxt->valid) {     \
-        sb = nxt;                             \
-        op = sb->ops;                         \
-        SB_DISPATCH();                        \
-      }                                       \
-      pc_ = static_cast<uint32_t>(op->imm);   \
-      chain_slot = &sb->taken;                \
-    } else {                                  \
-      Superblock* nxt = sb->fall;             \
-      if (nxt != nullptr && nxt->valid) {     \
-        sb = nxt;                             \
-        op = sb->ops;                         \
-        SB_DISPATCH();                        \
-      }                                       \
-      pc_ = op->pc + 4;                       \
-      chain_slot = &sb->fall;                 \
-    }                                         \
-    SB_FLUSH();                               \
-    goto outer;                               \
+// Conditional branch terminator with block chaining on both edges.
+#define SB_BRANCH(kind, cond)                                  \
+  SB_CASE(kind) : {                                            \
+    const uint32_t a = regs_[op->rs1];                         \
+    const uint32_t b = regs_[op->rs2];                         \
+    SB_RETIRE();                                               \
+    if (cond) SB_CHAIN(taken, static_cast<uint32_t>(op->imm)); \
+    SB_CHAIN(fall, sb->start + sb->span);                      \
+  }
+
+// A division: faults (uncharged) on a zero divisor.
+#define SB_DIVIDE(kind, expr)               \
+  SB_CASE(kind) : {                         \
+    const uint32_t a = regs_[op->rs1];      \
+    const uint32_t b = regs_[op->rs2];      \
+    if (b == 0) {                           \
+      pc_ = SB_OP_PC();                     \
+      SB_SYNC(0);                           \
+      return FaultHere("division by zero"); \
+    }                                       \
+    regs_[op->rd] = (expr);                 \
+    SB_NEXT();                              \
   }
 
 // A load. The fast path (no data hook over the address) validates with an
@@ -529,34 +555,31 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
 // schedules read the cycle counter).
 #define SB_LOAD(kind, nbytes, read_stmt)                                 \
   SB_CASE(kind) : {                                                      \
-    SB_PRE();                                                            \
     const uint32_t vaddr = regs_[op->rs1] + static_cast<uint32_t>(op->imm); \
     if (data_hook_ == nullptr || vaddr < data_hook_lo_ ||                \
         vaddr >= data_hook_hi_) {                                        \
       if (!DataAddrOk(vaddr, nbytes, mem_.size())) {                     \
-        pc_ = op->pc;                                                    \
-        SB_FLUSH();                                                      \
+        pc_ = SB_OP_PC();                                                \
+        SB_SYNC(0);                                                      \
         CheckDataAddr(vaddr, nbytes);                                    \
         return MakeResult(pending_stop_);                                \
       }                                                                  \
       const uint32_t paddr = vaddr;                                      \
       read_stmt;                                                         \
-      cyc += op->cost;                                                   \
       SB_NEXT();                                                         \
     }                                                                    \
-    pc_ = op->pc;                                                        \
-    SB_FLUSH();                                                          \
+    pc_ = SB_OP_PC();                                                    \
+    SB_SYNC(0);                                                          \
     if (!CheckDataAddr(vaddr, nbytes)) return MakeResult(pending_stop_); \
     const uint32_t paddr = TranslateData(vaddr, nbytes, false);          \
     if (pending_stop_ != StopReason::kRunning) {                         \
       return MakeResult(pending_stop_);                                  \
     }                                                                    \
-    SB_RELOAD();                                                         \
+    cyc = cycles_ - op->cyc_before;                                      \
     read_stmt;                                                           \
-    cyc += op->cost;                                                     \
     if (sb_interrupt_) {                                                 \
-      pc_ = op->pc + 4;                                                  \
-      SB_FLUSH();                                                        \
+      pc_ = SB_OP_PC() + 4;                                              \
+      SB_SYNC(op->cost);                                                 \
       goto outer;                                                        \
     }                                                                    \
     SB_NEXT();                                                           \
@@ -568,47 +591,44 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
 // might be stale.
 #define SB_STORE(kind, nbytes, write_stmt)                               \
   SB_CASE(kind) : {                                                      \
-    SB_PRE();                                                            \
     const uint32_t vaddr = regs_[op->rs1] + static_cast<uint32_t>(op->imm); \
     if (data_hook_ == nullptr || vaddr < data_hook_lo_ ||                \
         vaddr >= data_hook_hi_) {                                        \
       if (!DataAddrOk(vaddr, nbytes, mem_.size())) {                     \
-        pc_ = op->pc;                                                    \
-        SB_FLUSH();                                                      \
+        pc_ = SB_OP_PC();                                                \
+        SB_SYNC(0);                                                      \
         CheckDataAddr(vaddr, nbytes);                                    \
         return MakeResult(pending_stop_);                                \
       }                                                                  \
       const uint32_t paddr = vaddr;                                      \
       write_stmt;                                                        \
-      cyc += op->cost;                                                   \
       if (paddr < sb_hi_ && paddr + nbytes > sb_lo_) {                   \
-        pc_ = op->pc;                                                    \
-        SB_FLUSH();                                                      \
+        pc_ = SB_OP_PC();                                                \
+        SB_SYNC(op->cost);                                               \
         SuperblockStoreSlow(paddr, nbytes);                              \
         if (sb_interrupt_) {                                             \
-          pc_ = op->pc + 4;                                              \
+          pc_ = SB_OP_PC() + 4;                                          \
           goto outer;                                                    \
         }                                                                \
       }                                                                  \
       SB_NEXT();                                                         \
     }                                                                    \
-    pc_ = op->pc;                                                        \
-    SB_FLUSH();                                                          \
+    pc_ = SB_OP_PC();                                                    \
+    SB_SYNC(0);                                                          \
     if (!CheckDataAddr(vaddr, nbytes)) return MakeResult(pending_stop_); \
     const uint32_t paddr = TranslateData(vaddr, nbytes, true);           \
     if (pending_stop_ != StopReason::kRunning) {                         \
       return MakeResult(pending_stop_);                                  \
     }                                                                    \
-    SB_RELOAD();                                                         \
+    cyc = cycles_ - op->cyc_before;                                      \
     write_stmt;                                                          \
-    cyc += op->cost;                                                     \
     if (paddr < sb_hi_ && paddr + nbytes > sb_lo_) {                     \
-      SB_FLUSH();                                                        \
+      SB_SYNC(op->cost);                                                 \
       SuperblockStoreSlow(paddr, nbytes);                                \
     }                                                                    \
     if (sb_interrupt_) {                                                 \
-      pc_ = op->pc + 4;                                                  \
-      SB_FLUSH();                                                        \
+      pc_ = SB_OP_PC() + 4;                                              \
+      SB_SYNC(op->cost);                                                 \
       goto outer;                                                        \
     }                                                                    \
     SB_NEXT();                                                           \
@@ -644,18 +664,22 @@ RunResult Machine::RunThreaded(uint64_t max_instructions) {
       &&h_kSbSw,   &&h_kSbSh,   &&h_kSbSb,    &&h_kSbBeq,    &&h_kSbBne,
       &&h_kSbBlt,  &&h_kSbBge,  &&h_kSbBltu,  &&h_kSbBgeu,   &&h_kSbJ,
       &&h_kSbJal,  &&h_kSbJalr, &&h_kSbSys,   &&h_kSbHalt,   &&h_kSbTcMiss,
-      &&h_kSbTcJalr, &&h_kSbIllegal, &&h_kSbFallthrough,
+      &&h_kSbTcJalr, &&h_kSbIllegal, &&h_kSbFallthrough, &&h_kSbStop,
   };
-  static_assert(kSbKindCount == 48, "handler table must match SbKind");
+  static_assert(kSbKindCount == 49, "handler table must match SbKind");
   const void* const* handlers = handler_table;
+  const void* const stop_handler = &&h_kSbStop;
 #else
   const void* const* handlers = nullptr;
+  const void* const stop_handler = nullptr;
 #endif
 
-  uint64_t remaining = max_instructions;
+  // The instret_ value at which the budget runs out (saturating).
+  const uint64_t budget_end = max_instructions > UINT64_MAX - instret_
+                                  ? UINT64_MAX
+                                  : instret_ + max_instructions;
   uint64_t ret = instret_;
   uint64_t cyc = cycles_;
-  FetchObserver* observer = fetch_observer_;
   Superblock* sb = nullptr;
   const SbOp* op = nullptr;
   // The chain slot of the block we just left, filled once its successor is
@@ -664,7 +688,7 @@ RunResult Machine::RunThreaded(uint64_t max_instructions) {
 
 outer:
   // Invariant here: instret_/cycles_ members are current (every goto outer
-  // flushed); the locals are reacquired just before dispatch.
+  // published them); the locals are reacquired just before dispatch.
   sb_interrupt_ = false;
   if (sb_cache_->reclaim_pending()) {
     // No block is executing here, so dead slab blocks (which chains and the
@@ -673,7 +697,13 @@ outer:
     sb_cache_->Reclaim();
     SyncSuperblockBounds();
   }
-  if (remaining == 0) return MakeResult(StopReason::kInstrLimit);
+  if (fetch_observer_ != nullptr) {
+    // The interpreter runs observed code. Its guest stores do not kill
+    // superblocks, so drop them (as set_engine does).
+    FlushSuperblocks();
+    return RunInterp(budget_end - instret_);
+  }
+  if (instret_ == budget_end) return MakeResult(StopReason::kInstrLimit);
   if (pc_ % 4 != 0 || static_cast<uint64_t>(pc_) + 4 > mem_.size() ||
       pc_ < image::kNullGuardEnd) {
     return FaultHere("bad fetch address");
@@ -695,10 +725,26 @@ outer:
     OBS_INSTANT("vm", "sb.chain", "pc", pc_);
     chain_slot = nullptr;
   }
-  observer = fetch_observer_;
-  SB_RELOAD();
+  ret = instret_;
+  cyc = cycles_;
+  if (budget_end - ret < sb->span / 4) goto budget_tail;
   op = sb->ops;
   SB_DISPATCH();
+
+budget_tail:
+  // The budget ends inside `sb`, after k of its instructions (none of them
+  // its terminator): run a copy of those k ops that ends in kSbStop.
+  {
+    const uint32_t k = static_cast<uint32_t>(budget_end - ret);
+    if (k == 0) {
+      pc_ = sb->start;
+      SB_FLUSH();
+      return MakeResult(StopReason::kInstrLimit);
+    }
+    sb = sb_cache_->BudgetTail(*sb, k, stop_handler);
+    op = sb->ops;
+    SB_DISPATCH();
+  }
 
 #if !SC_SB_COMPUTED_GOTO
 dispatch:
@@ -719,67 +765,17 @@ dispatch:
     SB_ALU(kSbSltu, a < b ? 1u : 0u)
     SB_ALU(kSbMul, a * b)
 
-    SB_CASE(kSbDiv) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      const int32_t sa = static_cast<int32_t>(a);
-      const int32_t sd = static_cast<int32_t>(b);
-      // INT_MIN / -1 overflows; define it as wrapping (result INT_MIN).
-      set_reg(op->rd, (sa == INT32_MIN && sd == -1)
+    // INT_MIN / -1 overflows; define it as wrapping (result INT_MIN).
+    SB_DIVIDE(kSbDiv, (a == 0x80000000u && b == UINT32_MAX)
                           ? a
-                          : static_cast<uint32_t>(sa / sd));
-      cyc += op->cost;
-      SB_NEXT();
-    }
-    SB_CASE(kSbDivu) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      set_reg(op->rd, a / b);
-      cyc += op->cost;
-      SB_NEXT();
-    }
-    SB_CASE(kSbRem) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      const int32_t sa = static_cast<int32_t>(a);
-      const int32_t sd = static_cast<int32_t>(b);
-      set_reg(op->rd, (sa == INT32_MIN && sd == -1)
+                          : static_cast<uint32_t>(static_cast<int32_t>(a) /
+                                                  static_cast<int32_t>(b)))
+    SB_DIVIDE(kSbDivu, a / b)
+    SB_DIVIDE(kSbRem, (a == 0x80000000u && b == UINT32_MAX)
                           ? 0u
-                          : static_cast<uint32_t>(sa % sd));
-      cyc += op->cost;
-      SB_NEXT();
-    }
-    SB_CASE(kSbRemu) : {
-      SB_PRE();
-      const uint32_t a = regs_[op->rs1];
-      const uint32_t b = regs_[op->rs2];
-      if (b == 0) {
-        pc_ = op->pc;
-        SB_FLUSH();
-        return FaultHere("division by zero");
-      }
-      set_reg(op->rd, a % b);
-      cyc += op->cost;
-      SB_NEXT();
-    }
+                          : static_cast<uint32_t>(static_cast<int32_t>(a) %
+                                                  static_cast<int32_t>(b)))
+    SB_DIVIDE(kSbRemu, a % b)
 
     SB_ALUI(kSbAddi, a + static_cast<uint32_t>(imm))
     SB_ALUI(kSbAndi, a & static_cast<uint32_t>(imm))
@@ -793,32 +789,30 @@ dispatch:
             static_cast<uint32_t>(static_cast<int32_t>(a) >> (imm & 31)))
 
     SB_CASE(kSbLui) : {
-      SB_PRE();
-      set_reg(op->rd, static_cast<uint32_t>(op->imm) << 16);
-      cyc += op->cost;
+      regs_[op->rd] = static_cast<uint32_t>(op->imm) << 16;
       SB_NEXT();
     }
 
     SB_LOAD(kSbLw, 4, {
       uint32_t value = 0;
       std::memcpy(&value, mem_.data() + paddr, 4);
-      set_reg(op->rd, value);
+      regs_[op->rd] = value;
     })
     SB_LOAD(kSbLh, 2, {
       int16_t v16 = 0;
       std::memcpy(&v16, mem_.data() + paddr, 2);
-      set_reg(op->rd, static_cast<uint32_t>(static_cast<int32_t>(v16)));
+      regs_[op->rd] = static_cast<uint32_t>(static_cast<int32_t>(v16));
     })
     SB_LOAD(kSbLhu, 2, {
       uint16_t v16 = 0;
       std::memcpy(&v16, mem_.data() + paddr, 2);
-      set_reg(op->rd, v16);
+      regs_[op->rd] = v16;
     })
     SB_LOAD(kSbLb, 1, {
-      set_reg(op->rd, static_cast<uint32_t>(static_cast<int32_t>(
-                          static_cast<int8_t>(mem_[paddr]))));
+      regs_[op->rd] = static_cast<uint32_t>(
+          static_cast<int32_t>(static_cast<int8_t>(mem_[paddr])));
     })
-    SB_LOAD(kSbLbu, 1, { set_reg(op->rd, mem_[paddr]); })
+    SB_LOAD(kSbLbu, 1, { regs_[op->rd] = mem_[paddr]; })
 
     SB_STORE(kSbSw, 4, {
       const uint32_t value = regs_[op->rd];
@@ -838,51 +832,29 @@ dispatch:
     SB_BRANCH(kSbBgeu, a >= b)
 
     SB_CASE(kSbJ) : {
-      SB_PRE();
-      cyc += op->cost;
-      Superblock* nxt = sb->taken;
-      if (nxt != nullptr && nxt->valid) {
-        sb = nxt;
-        op = sb->ops;
-        SB_DISPATCH();
-      }
-      pc_ = static_cast<uint32_t>(op->imm);
-      chain_slot = &sb->taken;
-      SB_FLUSH();
-      goto outer;
+      SB_RETIRE();
+      SB_CHAIN(taken, static_cast<uint32_t>(op->imm));
     }
     SB_CASE(kSbJal) : {
-      SB_PRE();
-      set_reg(isa::kRa, op->pc + 4);
-      cyc += op->cost;
-      Superblock* nxt = sb->taken;
-      if (nxt != nullptr && nxt->valid) {
-        sb = nxt;
-        op = sb->ops;
-        SB_DISPATCH();
-      }
-      pc_ = static_cast<uint32_t>(op->imm);
-      chain_slot = &sb->taken;
-      SB_FLUSH();
-      goto outer;
+      regs_[isa::kRa] = sb->start + sb->span;
+      SB_RETIRE();
+      SB_CHAIN(taken, static_cast<uint32_t>(op->imm));
     }
     SB_CASE(kSbJalr) : {
-      SB_PRE();
       const uint32_t target =
           (regs_[op->rs1] + static_cast<uint32_t>(op->imm)) & ~3u;
-      set_reg(op->rd, op->pc + 4);
-      cyc += op->cost;
+      regs_[op->rd] = sb->start + sb->span;
+      SB_RETIRE();
       pc_ = target;  // dynamic target: resolve through the dispatch loop
       SB_FLUSH();
       goto outer;
     }
 
     SB_CASE(kSbSys) : {
-      SB_PRE();
-      cyc += op->cost;
-      pc_ = op->pc;  // OnIcacheInvalidate receives the trapping pc
+      SB_RETIRE();
+      pc_ = sb->start + sb->span - 4;  // OnIcacheInvalidate gets the pc
       SB_FLUSH();
-      uint32_t next_pc = op->pc + 4;
+      uint32_t next_pc = pc_ + 4;
       DoSyscall(op->imm, &next_pc);
       if (pending_stop_ != StopReason::kRunning) {
         return MakeResult(pending_stop_);
@@ -893,17 +865,15 @@ dispatch:
       goto outer;
     }
     SB_CASE(kSbHalt) : {
-      SB_PRE();
-      pc_ = op->pc;
-      SB_FLUSH();
+      pc_ = sb->start + sb->span - 4;
+      SB_SYNC(0);
       pending_stop_ = StopReason::kHalted;
       exit_code_ = static_cast<int32_t>(regs_[isa::kA0]);
       return MakeResult(pending_stop_);
     }
     SB_CASE(kSbTcMiss) : {
-      SB_PRE();
-      pc_ = op->pc;
-      SB_FLUSH();
+      pc_ = sb->start + sb->span - 4;
+      SB_SYNC(0);
       if (trap_handler_ == nullptr) {
         return FaultHere("TCMISS with no trap handler");
       }
@@ -916,43 +886,39 @@ dispatch:
       goto outer;
     }
     SB_CASE(kSbTcJalr) : {
-      SB_PRE();
-      pc_ = op->pc;
+      pc_ = sb->start + sb->span - 4;
       if (trap_handler_ == nullptr) {
-        SB_FLUSH();
+        SB_SYNC(0);
         return FaultHere("TCJALR with no trap handler");
       }
-      cyc += op->cost;
-      SB_FLUSH();
+      SB_SYNC(op->cost);
       Instr in;
       in.op = Opcode::kTcJalr;
       in.rd = op->rd;
       in.rs1 = op->rs1;
       in.imm = op->imm;
-      pc_ = trap_handler_->OnTcJalr(*this, in, op->pc);
+      pc_ = trap_handler_->OnTcJalr(*this, in, pc_);
       if (pending_stop_ != StopReason::kRunning) {
         return MakeResult(pending_stop_);
       }
       goto outer;
     }
     SB_CASE(kSbIllegal) : {
-      SB_PRE();
-      pc_ = op->pc;
-      SB_FLUSH();
+      pc_ = sb->start + sb->span - 4;
+      SB_SYNC(0);
       return FaultIllegal(static_cast<uint32_t>(op->imm));
     }
     SB_CASE(kSbFallthrough) : {
       // Synthetic terminator: zero instructions, just a continuation.
-      Superblock* nxt = sb->fall;
-      if (nxt != nullptr && nxt->valid) {
-        sb = nxt;
-        op = sb->ops;
-        SB_DISPATCH();
-      }
-      pc_ = op->pc;
-      chain_slot = &sb->fall;
+      SB_RETIRE();
+      SB_CHAIN(fall, sb->start + sb->span);
+    }
+    SB_CASE(kSbStop) : {
+      // End of a budget tail: its ops retired, the budget is spent.
+      SB_RETIRE();
+      pc_ = sb->start + sb->span;
       SB_FLUSH();
-      goto outer;
+      return MakeResult(StopReason::kInstrLimit);
     }
 #if !SC_SB_COMPUTED_GOTO
     case kSbKindCount:
@@ -967,12 +933,15 @@ dispatch:
 #undef SB_CASE
 #undef SB_NEXT
 #undef SB_DISPATCH
+#undef SB_OP_PC
+#undef SB_SYNC
+#undef SB_RETIRE
 #undef SB_FLUSH
-#undef SB_RELOAD
-#undef SB_PRE
+#undef SB_CHAIN
 #undef SB_ALU
 #undef SB_ALUI
 #undef SB_BRANCH
+#undef SB_DIVIDE
 #undef SB_LOAD
 #undef SB_STORE
 

@@ -51,8 +51,11 @@ enum SbKind : uint8_t {
   kSbBeq, kSbBne, kSbBlt, kSbBge, kSbBltu, kSbBgeu,
   kSbJ, kSbJal, kSbJalr, kSbSys, kSbHalt, kSbTcMiss, kSbTcJalr, kSbIllegal,
   // Synthetic terminator for blocks cut at kSbMaxOps or at the edge of the
-  // fetchable range: continues at `pc` through the dispatch loop.
+  // fetchable range: continues at start + span through the dispatch loop.
   kSbFallthrough,
+  // Synthetic terminator of a budget tail (SuperblockCache::BudgetTail):
+  // publishes the counters and stops on the instruction budget.
+  kSbStop,
   kSbKindCount,
 };
 
@@ -60,17 +63,19 @@ enum SbKind : uint8_t {
 // label for `kind` (null in the portable switch fallback). `imm` holds the
 // sign-extended immediate, except for direct branches/jumps where it is the
 // precomputed *absolute* target address and for kSbIllegal where it is the
-// raw undecodable word (for the fault message).
+// raw undecodable word (for the fault message). An op's pc is not stored: op
+// i of a block sits at start + 4 * i (the synthetic terminators included).
 struct SbOp {
   const void* handler = nullptr;
-  uint32_t pc = 0;
+  uint32_t cyc_before = 0;  // cycles charged by the block's earlier ops
   int32_t imm = 0;
   uint32_t cost = 0;  // cycle charge, from the CostModel at translation time
   uint8_t kind = 0;
-  uint8_t rd = 0;
+  uint8_t rd = 0;   // ALU/immediate/load/JALR writes to x0 go to a sink slot
   uint8_t rs1 = 0;
   uint8_t rs2 = 0;
 };
+static_assert(sizeof(SbOp) == 24, "SbOp is the threaded loop's stride");
 
 // Superblock length cap. Basic blocks in the bundled workloads average well
 // under this; the cap bounds per-block storage and the invalidation scan (a
@@ -106,8 +111,9 @@ struct Superblock {
 };
 
 // FNV-1a over the block's semantic content: start/span/n_ops plus every
-// op's pc, imm, cost, kind and register fields. Handler pointers and chain
-// slots are deliberately excluded (host addresses; chains mutate benignly).
+// op's cyc_before, imm, cost, kind and register fields. Handler pointers and
+// chain slots are deliberately excluded (host addresses; chains mutate
+// benignly).
 uint64_t SbDigest(const Superblock& sb);
 
 // Counters surfaced as vm.sb.* metrics and asserted by bench_superblock.
@@ -216,6 +222,13 @@ class SuperblockCache {
   uint32_t lo() const { return live_ == 0 ? UINT32_MAX : lo_; }
   uint32_t hi() const { return live_ == 0 ? 0 : hi_; }
 
+  // The budget tail of `sb`: a copy of its first k real ops (0 < k < span / 4,
+  // so no terminator) followed by a kSbStop op carrying the cycle prefix. One
+  // scratch block, rewritten by every call and never published or chained;
+  // the dispatch loop runs it when the instruction budget ends inside `sb`.
+  Superblock* BudgetTail(const Superblock& sb, uint32_t k,
+                         const void* stop_handler);
+
  private:
   // Adds `delta` (+1 or -1) to the coverage of every word `sb` spans.
   void Cover(const Superblock& sb, int delta) {
@@ -237,6 +250,7 @@ class SuperblockCache {
   uint32_t lo_ = UINT32_MAX;  // min start over live blocks (never shrinks)
   uint32_t hi_ = 0;           // max start+span over live blocks
   bool reclaim_pending_ = false;
+  Superblock tail_;  // BudgetTail's scratch block
 };
 
 }  // namespace sc::vm

@@ -83,7 +83,8 @@ def main():
     if jumps < MIN_JUMPS:
         print("FAIL: the per-handler dispatch jumps were merged; check that "
               "superblock.cpp still builds with -fno-tree-slp-vectorize and "
-              "what changed around RunThreaded's outer: label")
+              "-fno-crossjumping, and what changed around RunThreaded's "
+              "outer: label")
         return 1
     return 0
 

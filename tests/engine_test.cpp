@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <cstring>
@@ -316,23 +318,351 @@ TEST(EngineMechanics, SwitchingEnginesMidRunIsSeamless) {
 }
 
 TEST(EngineMechanics, FaultMessagesIdentical) {
-  // A program that runs off the end of its text into unmapped space, and one
-  // that divides by zero: the threaded engine must produce the interpreter's
-  // exact fault strings (pc included).
-  const char* kFaults[] = {
-      "_start:\n  li t0, 1\n  li t1, 0\n  div t2, t0, t1\n  sys 0\n",
-      "_start:\n  li t0, 0x7f000000\n  jalr zero, t0, 0\n",
-      "_start:\n  li t0, 6\n  jalr zero, t0, 2\n",
+  // Programs that divide by zero, jump into unmapped or misaligned space, and
+  // fault on a data access mid-block after a MUL and a DIV: the threaded
+  // engine must produce the interpreter's exact fault strings (pc included)
+  // and counters. The mid-block faults publish the earlier ops' non-unit
+  // costs (li 1 + li 1 + mul 3 + div 12 = 17 cycles), not the faulting op's.
+  struct Fault {
+    const char* src;
+    uint64_t cycles;  // 0: not pinned
   };
-  for (const char* src : kFaults) {
-    auto img = sasm::Assemble(src);
+  const Fault kFaults[] = {
+      {"_start:\n  li t0, 1\n  li t1, 0\n  div t2, t0, t1\n  sys 0\n", 0},
+      {"_start:\n  li t0, 0x7f000000\n  jalr zero, t0, 0\n", 0},
+      {"_start:\n  li t0, 6\n  jalr zero, t0, 2\n", 0},
+      {"_start:\n  li t0, 7\n  li t1, 3\n  mul t2, t0, t1\n"
+       "  div t3, t0, t1\n  lw t4, 2(sp)\n  sys 0\n",
+       17},
+      {"_start:\n  li t0, 7\n  li t1, 3\n  mul t2, t0, t1\n"
+       "  div t3, t0, t1\n  sw t2, 16(zero)\n  sys 0\n",
+       17},
+  };
+  for (const Fault& fault : kFaults) {
+    auto img = sasm::Assemble(fault.src);
     ASSERT_TRUE(img.ok()) << img.error().ToString();
     const EngineRun interp = RunNative(*img, {}, Engine::kInterp, 1'000'000);
     const EngineRun threaded =
         RunNative(*img, {}, Engine::kThreaded, 1'000'000);
     EXPECT_EQ(interp.result.reason, vm::StopReason::kFault);
-    ExpectBitIdentical(interp, threaded, src);
+    ExpectBitIdentical(interp, threaded, fault.src);
+    if (fault.cycles != 0) {
+      EXPECT_EQ(threaded.result.cycles, fault.cycles) << fault.src;
+      EXPECT_EQ(threaded.result.instructions, 5u) << fault.src;
+    }
   }
+}
+
+// A block's cycle prefix (SbOp::cyc_before) is 32 bits: the largest cost
+// set_cost_model accepts still counts exactly over a full 32-op block, and
+// one more aborts.
+TEST(EngineMechanics, LargestCostModelCountsExactly) {
+  constexpr uint32_t kMax = UINT32_MAX / (vm::kSbMaxOps + 1);
+  const vm::CostModel cost{kMax, kMax, kMax, kMax, kMax, kMax, kMax, kMax};
+  std::string src = "_start:\n";
+  for (int i = 0; i < 40; ++i) src += "  addi t0, t0, 1\n";
+  src += "  sys 0\n";
+  auto img = sasm::Assemble(src);
+  ASSERT_TRUE(img.ok()) << img.error().ToString();
+  vm::RunResult results[2];
+  for (const Engine engine : {Engine::kInterp, Engine::kThreaded}) {
+    vm::Machine machine;
+    machine.set_engine(engine);
+    machine.set_cost_model(cost);
+    machine.LoadImage(*img);
+    results[static_cast<int>(engine)] = machine.Run();
+  }
+  EXPECT_EQ(results[0].reason, vm::StopReason::kHalted);
+  EXPECT_EQ(results[1].reason, vm::StopReason::kHalted);
+  EXPECT_EQ(results[0].cycles, 41ull * kMax);
+  EXPECT_EQ(results[1].cycles, results[0].cycles);
+  EXPECT_EQ(results[1].instructions, results[0].instructions);
+}
+
+TEST(EngineMechanicsDeathTest, OversizedCostAborts) {
+  vm::CostModel cost;
+  cost.div = UINT32_MAX / (vm::kSbMaxOps + 1) + 1;
+  EXPECT_DEATH(
+      {
+        vm::Machine machine;
+        machine.set_cost_model(cost);
+      },
+      "cost too large");
+}
+
+// ---------------------------------------------------------------------------
+// Lockstep: budget slices and fetch observers
+// ---------------------------------------------------------------------------
+
+// Patches the first instruction of `body` between two passes over it; exits
+// with 1 + 2 = 3 only if the second pass runs the patched word.
+constexpr const char* kPatchBetweenPasses = R"(
+    _start:
+      li s0, 0          # pass counter
+      li s1, 0          # accumulator
+    loop:
+      j body
+    body:
+      addi t3, zero, 1  # patched to 2 between passes
+      add s1, s1, t3
+      addi s0, s0, 1
+      li t4, 2
+      blt s0, t4, patch_it
+      mv a0, s1         # pass1: 1, pass2: 2 -> 3
+      sys 0
+    patch_it:
+      la t0, body
+      la t1, patch
+      lw t2, 0(t1)
+      sw t2, 0(t0)
+      j loop
+    patch:
+      addi t3, zero, 2
+  )";
+
+// Slice sizes around the superblock length cap (kSbMaxOps = 32).
+constexpr uint64_t kSlices[] = {1, 2, 3, 7, 31, 32, 33, 777};
+
+// One engine's side of a lockstep run: its machine and how to run it for a
+// budget (Machine::Run, or SoftCacheSystem::Run around it).
+struct Side {
+  vm::Machine* machine;
+  std::function<vm::RunResult(uint64_t)> run;
+};
+
+// Runs both sides in slices of `slice` instructions (0: rotate through
+// kSlices) and compares the stop reason, pc and counters after every slice,
+// until the interpreter stops for another reason or `max_instructions`
+// retire. Returns the interpreter's last stop reason.
+vm::StopReason RunLockstep(const Side& interp, const Side& threaded,
+                           uint64_t slice, uint64_t max_instructions,
+                           const std::string& what) {
+  for (uint64_t i = 0;; ++i) {
+    const uint64_t n = slice != 0 ? slice : kSlices[i % std::size(kSlices)];
+    const vm::RunResult a = interp.run(n);
+    const vm::RunResult b = threaded.run(n);
+    const std::string at =
+        what + " slice " + std::to_string(i) + " of " + std::to_string(n);
+    EXPECT_EQ(static_cast<int>(a.reason), static_cast<int>(b.reason)) << at;
+    EXPECT_EQ(interp.machine->pc(), threaded.machine->pc()) << at;
+    EXPECT_EQ(a.instructions, b.instructions) << at;
+    EXPECT_EQ(a.cycles, b.cycles) << at;
+    EXPECT_EQ(interp.machine->instructions(), threaded.machine->instructions())
+        << at;
+    EXPECT_EQ(interp.machine->cycles(), threaded.machine->cycles()) << at;
+    EXPECT_EQ(a.exit_code, b.exit_code) << at;
+    EXPECT_EQ(a.fault_message, b.fault_message) << at;
+    if (::testing::Test::HasFailure() ||
+        a.reason != vm::StopReason::kInstrLimit ||
+        a.instructions >= max_instructions) {
+      return a.reason;
+    }
+  }
+}
+
+// Fresh native machines for `img` on both engines.
+struct NativePair {
+  NativePair(const image::Image& img, const std::vector<uint8_t>& input) {
+    interp.set_engine(Engine::kInterp);
+    threaded.set_engine(Engine::kThreaded);
+    for (vm::Machine* m : {&interp, &threaded}) {
+      m->LoadImage(img);
+      m->SetInput(input);
+    }
+  }
+  vm::StopReason Lockstep(uint64_t slice, uint64_t max_instructions,
+                          const std::string& what) {
+    return RunLockstep({&interp, [this](uint64_t n) { return interp.Run(n); }},
+                       {&threaded,
+                        [this](uint64_t n) { return threaded.Run(n); }},
+                       slice, max_instructions, what);
+  }
+  vm::Machine interp;
+  vm::Machine threaded;
+};
+
+TEST(EngineLockstep, NativeSha256EverySlice) {
+  const auto* spec = workloads::FindWorkload("sha256");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  const auto input = workloads::MakeInput("sha256", 1);
+  for (const uint64_t slice : kSlices) {
+    NativePair pair(img, input);
+    pair.Lockstep(slice, 100'000, "slice=" + std::to_string(slice));
+    ASSERT_FALSE(HasFailure());
+  }
+  NativePair pair(img, input);
+  pair.Lockstep(0, UINT64_MAX, "rotating");
+  EXPECT_EQ(pair.threaded.OutputString(), pair.interp.OutputString());
+  EXPECT_GT(pair.threaded.sb_stats().chains, 0u);
+}
+
+TEST(EngineLockstep, SoftcacheTinyTcacheEverySlice) {
+  // adpcm_enc with a 1 KB tcache: TCMISS traps, evictions and the stores
+  // that kill live superblocks land at every budget position.
+  const auto* spec = workloads::FindWorkload("adpcm_enc");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  const auto input = workloads::MakeInput("adpcm_enc", 1);
+  softcache::SoftCacheConfig config;
+  config.tcache_bytes = 1024;
+  for (const uint64_t slice : {0ull, 1ull, 7ull, 33ull, 777ull}) {
+    softcache::SoftCacheSystem interp(img, config);
+    softcache::SoftCacheSystem threaded(img, config);
+    interp.machine().set_engine(Engine::kInterp);
+    threaded.machine().set_engine(Engine::kThreaded);
+    interp.SetInput(input);
+    threaded.SetInput(input);
+    RunLockstep({&interp.machine(), [&](uint64_t n) { return interp.Run(n); }},
+                {&threaded.machine(),
+                 [&](uint64_t n) { return threaded.Run(n); }},
+                slice, slice == 0 ? 1'000'000 : 150'000,
+                "slice=" + std::to_string(slice));
+    ASSERT_FALSE(HasFailure());
+    EXPECT_GT(threaded.stats().evictions, 0u);
+    EXPECT_GT(threaded.machine().sb_stats().invalidations, 0u);
+  }
+}
+
+// A data hook over all of memory that charges a few address-dependent
+// cycles per access, so Charge() lands between the ops of a block.
+class ChargingHook : public vm::DataHook {
+ public:
+  uint32_t Translate(vm::Machine& m, uint32_t vaddr, uint32_t,
+                     bool is_store) override {
+    m.Charge(1 + ((vaddr >> 2) & 3) + (is_store ? 2 : 0));
+    return vaddr;
+  }
+};
+
+TEST(EngineLockstep, DataHookChargesMidBlock) {
+  const auto* spec = workloads::FindWorkload("sha256");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  NativePair pair(img, workloads::MakeInput("sha256", 1));
+  ChargingHook hooks[2];
+  pair.interp.SetDataHook(&hooks[0], image::kNullGuardEnd,
+                          pair.interp.mem_size());
+  pair.threaded.SetDataHook(&hooks[1], image::kNullGuardEnd,
+                            pair.threaded.mem_size());
+  pair.Lockstep(0, UINT64_MAX, "hooked");
+  EXPECT_EQ(pair.threaded.OutputString(), pair.interp.OutputString());
+}
+
+// A budget that ends exactly at a block reached through a chain (a budget
+// tail of zero ops), in a loop whose body is one 3-instruction block.
+TEST(EngineLockstep, BudgetEndsAtChainedBlockBoundary) {
+  auto img = sasm::Assemble(
+      "_start:\n  li t0, 0\n  li t1, 50\nloop:\n  addi t0, t0, 1\n"
+      "  mul t2, t0, t0\n  bne t0, t1, loop\n  sys 0\n");
+  ASSERT_TRUE(img.ok()) << img.error().ToString();
+  NativePair pair(*img, {});
+  const uint32_t loop = img->entry + 8;
+  // 8 = 5 + 3 leaves through the dispatch loop before the loop block's
+  // self-chain is filled. 6 = two trips, the second entered through the
+  // chain; each 3 = one trip. Every slice but the first stops on a chained
+  // entry into the loop block, a budget tail of zero ops.
+  for (const uint64_t slice : {8ull, 6ull, 3ull, 3ull}) {
+    pair.Lockstep(slice, 0, "slice=" + std::to_string(slice));
+    ASSERT_FALSE(HasFailure());
+    EXPECT_EQ(pair.threaded.pc(), loop);
+  }
+  EXPECT_EQ(pair.threaded.instructions(), 20u);
+  EXPECT_GT(pair.threaded.sb_stats().chains, 0u);
+  pair.Lockstep(0, UINT64_MAX, "to the end");
+}
+
+// Records (pc, instructions(), cycles()) at every fetch; detaches itself
+// after `detach_after` fetches.
+class FetchRecorder : public vm::FetchObserver {
+ public:
+  FetchRecorder(vm::Machine& m, size_t detach_after = SIZE_MAX)
+      : m_(m), detach_after_(detach_after) {}
+  void OnFetch(uint32_t pc) override {
+    log.push_back({pc, m_.instructions(), m_.cycles()});
+    if (log.size() == detach_after_) m_.set_fetch_observer(nullptr);
+  }
+  std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> log;
+
+ private:
+  vm::Machine& m_;
+  size_t detach_after_;
+};
+
+TEST(EngineObserver, AttachedFromTheStart) {
+  const auto* spec = workloads::FindWorkload("sha256");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  NativePair pair(img, workloads::MakeInput("sha256", 1));
+  FetchRecorder interp(pair.interp);
+  FetchRecorder threaded(pair.threaded);
+  pair.interp.set_fetch_observer(&interp);
+  pair.threaded.set_fetch_observer(&threaded);
+  pair.Lockstep(0, 100'000, "observed");
+  EXPECT_GE(interp.log.size(), 100'000u);
+  EXPECT_EQ(interp.log, threaded.log);
+}
+
+TEST(EngineObserver, AttachedWhileSuperblocksAreLive) {
+  const auto* spec = workloads::FindWorkload("sha256");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  NativePair pair(img, workloads::MakeInput("sha256", 1));
+  pair.Lockstep(777, 200'000, "unobserved");
+  ASSERT_GT(pair.threaded.sb_cache()->live_blocks(), 0u);
+  FetchRecorder interp(pair.interp);
+  FetchRecorder threaded(pair.threaded);
+  pair.interp.set_fetch_observer(&interp);
+  pair.threaded.set_fetch_observer(&threaded);
+  pair.Lockstep(0, 300'000, "observed");
+  EXPECT_GE(interp.log.size(), 100'000u);
+  EXPECT_EQ(interp.log, threaded.log);
+}
+
+// Observed slices run on the interpreter, whose stores do not kill
+// superblocks. Alternating observed and unobserved slices of every size up
+// to 8, in both phases, puts the patch store in an observed slice between
+// threaded runs of the patched block.
+TEST(EngineObserver, InterpretedStoresDropSuperblocks) {
+  auto img = sasm::Assemble(kPatchBetweenPasses);
+  ASSERT_TRUE(img.ok()) << img.error().ToString();
+  for (uint64_t slice = 1; slice <= 8; ++slice) {
+    for (const uint64_t phase : {0u, 1u}) {
+      const std::string what =
+          "slice " + std::to_string(slice) + " phase " + std::to_string(phase);
+      NativePair pair(*img, {});
+      FetchRecorder interp(pair.interp);
+      FetchRecorder threaded(pair.threaded);
+      vm::StopReason reason = vm::StopReason::kInstrLimit;
+      for (uint64_t i = 0; reason == vm::StopReason::kInstrLimit; ++i) {
+        ASSERT_LT(i, 10'000u) << what;
+        const bool observed = i % 2 == phase;
+        pair.interp.set_fetch_observer(observed ? &interp : nullptr);
+        pair.threaded.set_fetch_observer(observed ? &threaded : nullptr);
+        reason = pair.Lockstep(slice, 0, what);
+        ASSERT_FALSE(HasFailure());
+      }
+      EXPECT_EQ(reason, vm::StopReason::kHalted) << what;
+      EXPECT_EQ(pair.threaded.Run().exit_code, 3) << what;
+      EXPECT_EQ(interp.log, threaded.log) << what;
+    }
+  }
+}
+
+TEST(EngineObserver, DetachedMidRun) {
+  const auto* spec = workloads::FindWorkload("sha256");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  NativePair pair(img, workloads::MakeInput("sha256", 1));
+  // Detaches inside a 777-instruction slice; later slices run threaded.
+  FetchRecorder interp(pair.interp, 20'000);
+  FetchRecorder threaded(pair.threaded, 20'000);
+  pair.interp.set_fetch_observer(&interp);
+  pair.threaded.set_fetch_observer(&threaded);
+  pair.Lockstep(777, 300'000, "detaching");
+  EXPECT_EQ(interp.log.size(), 20'000u);
+  EXPECT_EQ(interp.log, threaded.log);
+  EXPECT_GT(pair.threaded.sb_cache()->live_blocks(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,30 +702,7 @@ TEST(EngineSmc, StorePatchesUpcomingInstructionInSameBlock) {
 // current block. The loop executes the target block once (translating and
 // chaining it), patches it, and runs it again.
 TEST(EngineSmc, StorePatchesPreviouslyExecutedBlock) {
-  const char* kSource = R"(
-    _start:
-      li s0, 0          # pass counter
-      li s1, 0          # accumulator
-    loop:
-      j body
-    body:
-      addi t3, zero, 1  # patched to 2 between passes
-      add s1, s1, t3
-      addi s0, s0, 1
-      li t4, 2
-      blt s0, t4, patch_it
-      mv a0, s1         # pass1: 1, pass2: 2 -> 3
-      sys 0
-    patch_it:
-      la t0, body
-      la t1, patch
-      lw t2, 0(t1)
-      sw t2, 0(t0)
-      j loop
-    patch:
-      addi t3, zero, 2
-  )";
-  auto img = sasm::Assemble(kSource);
+  auto img = sasm::Assemble(kPatchBetweenPasses);
   ASSERT_TRUE(img.ok()) << img.error().ToString();
   const EngineRun interp = RunNative(*img, {}, Engine::kInterp, 10'000);
   const EngineRun threaded = RunNative(*img, {}, Engine::kThreaded, 10'000);
@@ -521,7 +828,7 @@ TEST(SuperblockStore, ZeroBytesAreAValueInitializedBlock) {
     const vm::SbOp& a = from_zeros.ops[i];
     const vm::SbOp& b = init.ops[i];
     EXPECT_EQ(a.handler, b.handler);
-    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(a.cyc_before, b.cyc_before);
     EXPECT_EQ(a.imm, b.imm);
     EXPECT_EQ(a.cost, b.cost);
     EXPECT_EQ(a.kind, b.kind);
@@ -650,7 +957,7 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
     sb->span = sb->n_ops * 4;
     for (uint32_t i = 0; i < sb->n_ops; ++i) {
       sb->ops[i] = vm::SbOp{};
-      sb->ops[i].pc = start + i * 4;
+      sb->ops[i].cyc_before = i;
       sb->ops[i].imm = static_cast<int32_t>(rng.Next32());
     }
     sb->digest = vm::SbDigest(*sb);
