@@ -394,7 +394,7 @@ void WriteScaleJson(const std::string& path, const std::string& workload,
 }
 
 // Real-VM cross-check riding the sweep: a 4-client fleet run end-to-end on
-// the round-robin scheduler and on 4 host threads (whose clients pump their
+// one host thread and on 4 host threads (whose clients pump their
 // shard lanes concurrently) must produce byte-identical guest output and
 // identical instruction and translation counts — concurrent pumping may
 // only change which thread runs a frame, never what the frame returns.
@@ -433,7 +433,7 @@ void CheckRealFleetSchedulerIdentity(const workloads::WorkloadSpec& spec,
   }
   SC_CHECK(outcomes[1] == outcomes[0])
       << spec.name << ": guest output, instruction or translation counts "
-      << "diverged between the round-robin and host-thread schedulers";
+      << "diverged between one and 4 host threads";
   std::printf("real 4-client fleet: round-robin and 4 host threads "
               "byte-identical (%llu instrs, %llu cuts)\n",
               static_cast<unsigned long long>(outcomes[0].instructions),

@@ -221,7 +221,7 @@ Tracer* tracer();
 void EnsureEchoTracerForLogging();
 
 // RAII tracer swap: installs `lane` in this thread's slot for the scope.
-// The server loop and the fleet schedulers use this to route each section
+// The server loop and the fleet scheduler use this to route each section
 // of work into its lane.
 class TracerScope {
  public:

@@ -14,14 +14,23 @@ namespace sc::softcache {
 using isa::Instr;
 using isa::Opcode;
 
+namespace {
+
+std::unique_ptr<net::Transport> SessionTransport(const SoftCacheConfig& config,
+                                                 MemoryController& mc,
+                                                 net::Channel& channel) {
+  SC_CHECK(config.transport_factory) << "MultiClientSystem wires every CC";
+  return config.transport_factory(mc, channel);
+}
+
+}  // namespace
+
 CacheController::CacheController(vm::Machine& machine, MemoryController& mc,
                                  net::Channel& channel, const SoftCacheConfig& config)
     : machine_(machine),
       mc_(mc),
       config_(config),
-      session_(config.transport_factory
-                   ? config.transport_factory(mc, channel)
-                   : MakeMcTransport(mc, channel, config.fault),
+      session_(SessionTransport(config, mc, channel),
                config.retry, &stats_.net, &stats_.session, MsgType::kTextWrite,
                // Starts at 1: the MC answers unparseable requests with seq 0,
                // which must never match.

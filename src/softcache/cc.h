@@ -99,12 +99,13 @@ class CacheController : public vm::TrapHandler {
   // One integrity tick: evaluates the per-domain fault injectors and, every
   // scrub_every-th tick, runs the background scrub over every client-side
   // cached artifact (tcache blocks, staged chunks, content-store bodies,
-  // decoded superblocks). The schedulers call this once per integrity
-  // quantum (integrity.quantum_instructions retired), so the tick stream is
-  // a pure function of this client's instruction count — identical across
-  // engines and schedulers. Returns true when this tick ran a scrub pass
-  // (the system layer scrubs the server memo on the same cadence where
-  // safe). No-op returning false when integrity is off.
+  // decoded superblocks). The fleet scheduler calls this once per integrity
+  // quantum (integrity.quantum_instructions retired), inside the client's
+  // trace lane, so the tick stream is a pure function of this client's
+  // instruction count — identical across engines and thread counts.
+  // Returns true when this tick ran a scrub pass (the system layer then
+  // scrubs the server memo too). No-op returning false when integrity is
+  // off.
   bool IntegrityTick();
   bool integrity_enabled() const { return config_.integrity.enabled; }
   // Fires after a corrupted tcache block is quarantined (evicted), with the

@@ -116,7 +116,7 @@ struct SoftCacheConfig {
   // Integrity fault domain: digest stamping + verify-on-use + periodic
   // scrub over every client-side cached artifact, plus an optional seeded
   // bit-flip storm. Off by default: the hot paths skip all digest work and
-  // the schedulers never slice for integrity ticks.
+  // the scheduler never slices for integrity ticks.
   IntegrityConfig integrity;
 
   CostModel cost;
@@ -126,9 +126,10 @@ struct SoftCacheConfig {
   net::FaultConfig fault;
   RetryConfig retry;
 
-  // Test seam: when set, the CC builds its MC transport through this factory
-  // instead of MakeMcTransport — lets tests interpose hostile or scripted
-  // transports on the CC install path (e.g. malformed batch replies).
+  // How the CC reaches the MC; the CC requires it. MultiClientSystem, which
+  // owns every CC, leaves a caller-supplied factory in place (a test seam:
+  // hostile or scripted transports on the CC install path, timing probes)
+  // and otherwise supplies a transport over the client's switch port.
   std::function<std::unique_ptr<net::Transport>(MemoryController&,
                                                 net::Channel&)>
       transport_factory;

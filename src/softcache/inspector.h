@@ -12,8 +12,8 @@
 // Three trigger modes, all wired by tools/srun.cpp:
 //   * on demand        srun --inspect=PATH          (final state, scope full)
 //   * periodically     srun --inspect-every=N       (every N guest cycles at
-//                      a fleet-quiescent point — the round-robin scheduler's
-//                      inter-step gap, or the threaded scheduler's safepoint)
+//                      the scheduler's fleet-wide safepoint, with no client
+//                      running, at any thread count)
 //   * on fault/recovery  a "fault" snapshot after a faulted run, and a
 //                      server-only "recovery" snapshot from the crash-restart
 //                      exclusive section (other clients keep running, so

@@ -106,10 +106,10 @@ struct IntegrityConfig {
   MemFaultConfig memfault;
 
   // Integrity ticks fire every this many guest instructions (0 = 1024).
-  // With integrity on, every scheduler steps a client by this quantum
+  // With integrity on, the fleet scheduler steps a client by this quantum
   // rather than MultiClientConfig::quantum_instructions, so the tick
-  // sequence is identical whether the client runs solo, round-robin
-  // scheduled, or on a host-thread pool.
+  // sequence is identical whether the client runs solo or in a fleet on
+  // any number of host threads.
   uint64_t quantum_instructions = 1024;
 
   // Background scrub cadence, in integrity ticks (0 = verify-on-use only).

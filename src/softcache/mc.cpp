@@ -92,7 +92,7 @@ util::Result<Chunk> McServer::CutShared(uint32_t addr) {
   // Per-shard memo fault stream: one injection opportunity per translate
   // arrival in this slice (the memo has no scheduler quanta to tick on).
   // Healing is guest-invisible, so arrival-order differences across
-  // schedulers only move server-side counters, never client output.
+  // thread counts only move server-side counters, never client output.
   if (shard.inj != nullptr && shard.inj->Due(nullptr)) {
     if (CorruptMemoBit(&shard)) {
       BumpStats([](McServerStats& s) { ++s.memo_flips_injected; });

@@ -220,9 +220,9 @@ class McServer {
   // Background memo scrub: verifies every memoized entry against its
   // install-time digest, healing mismatches by re-cutting from the pristine
   // image (the server's stable store — corruption can never propagate past
-  // it). Guest-invisible; counters only. Called from single-threaded
-  // schedulers at client scrub boundaries; host-thread-parallel runs rely
-  // on the verify-on-hit path alone.
+  // it). Guest-invisible; counters only. The fleet scheduler calls it at
+  // every client scrub pass, at any thread count: each shard is scrubbed
+  // under its own lock, so it may race frame service on other shards.
   void ScrubMemo();
 
   // Drops every memoized chunk overlapping [addr, addr+len). Called on any

@@ -91,8 +91,9 @@ std::unique_ptr<net::Transport> MakeTransport(net::FrameHandler handler,
                                               const net::FaultConfig& fault,
                                               std::function<void()> crash);
 
-// The single-client convenience wrapper: frames go straight to mc.Handle
-// and a scheduled crash restarts every session (there is only one).
+// A port-less transport for callers outside a MultiClientSystem (the
+// D-cache, tests, timing probes): frames go straight to mc.Handle and a
+// scheduled crash restarts every session. A CacheController never uses it.
 std::unique_ptr<net::Transport> MakeMcTransport(MemoryController& mc,
                                                 net::Channel& channel,
                                                 const net::FaultConfig& fault);

@@ -77,7 +77,7 @@ std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
   // Backpressure: defer while this lane sits at its bound. The waiter holds
   // no queued ticket, and every queued ticket's submitter is either pumping
   // the lane or waiting to claim it, so deferral cannot deadlock.
-  // The single-threaded schedulers never defer: their depth is at most 1.
+  // A one-thread fleet never defers: its depth is at most 1.
   if (max_queue_ != 0 && lane.queue.size() >= max_queue_) {
     ++stats_.requests_deferred;
     cv_.wait(lock, [&] { return lane.queue.size() < max_queue_; });

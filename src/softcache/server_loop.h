@@ -14,13 +14,13 @@
 //   * frames routed to different lanes are serviced concurrently (there is
 //     no core-wide lock on the frame path).
 //
-// Single-threaded callers (the deterministic round-robin scheduler) have at
-// most one frame in flight fleet-wide, so the submitter always services its
-// own ticket and ticket service order — hence replies, wire traffic and
-// guest execution — is a pure function of the guest run.
+// A one-thread fleet has at most one frame in flight fleet-wide, so the
+// submitter always services its own ticket and ticket service order — hence
+// replies, wire traffic and guest execution — is a pure function of the
+// guest run.
 //
-// RunExclusive is a park-all barrier (the same publish/park/resume shape as
-// the threaded scheduler's inspection safepoint): out-of-band server
+// RunExclusive is a park-all barrier (the same stop/drain/resume shape as
+// the fleet scheduler's inspection safepoint): out-of-band server
 // mutations (crash-schedule restarts, whole-fleet snapshots) first stop new
 // ticket service, wait for every in-flight handler to finish, run, then
 // wake the lanes back up. A restart can therefore never interleave with

@@ -1,11 +1,12 @@
 #include "softcache/system.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "obs/trace.h"
 #include "softcache/reliable.h"
@@ -15,9 +16,9 @@ namespace sc::softcache {
 
 namespace {
 
-// With integrity on, every scheduler steps a client by the integrity
-// quantum (0 meaning 1024), so its tick stream is a pure function of its
-// own instruction count.
+// With integrity on, the scheduler steps a client by the integrity quantum
+// (0 meaning 1024), so its tick stream is a pure function of its own
+// instruction count.
 uint64_t StepQuantum(const MultiClientConfig& config) {
   const IntegrityConfig& integrity = config.base.integrity;
   if (!integrity.enabled) return config.quantum_instructions;
@@ -240,11 +241,7 @@ std::vector<vm::RunResult> MultiClientSystem::RunAll(
     client.cc->Attach();
     client.attached = true;
   }
-  if (config_.host_threads > 1 && clients_.size() > 1) {
-    RunAllThreaded(max_instructions_each);
-  } else {
-    RunAllRoundRobin(max_instructions_each);
-  }
+  Schedule(max_instructions_each);
   std::vector<vm::RunResult> results;
   results.reserve(clients_.size());
   for (Client& client : clients_) results.push_back(client.result);
@@ -261,167 +258,108 @@ bool MultiClientSystem::Step(Client& client, uint64_t quantum,
          client.machine->instructions() >= max_instructions_each;
 }
 
-void MultiClientSystem::RunAllRoundRobin(uint64_t max_instructions_each) {
-  // Deterministic round-robin on guest time: always step the laggard (the
-  // live machine with the smallest cycle count; ties break to the lowest
-  // index). Clients share no guest-visible state, so any interleaving gives
-  // each one a solo-identical execution — this rule just makes the schedule
-  // (and hence traces/metrics) reproducible.
-  for (;;) {
-    size_t next = clients_.size();
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      if (clients_[i].done) continue;
-      if (next == clients_.size() ||
-          clients_[i].machine->cycles() < clients_[next].machine->cycles()) {
-        next = i;
-      }
-    }
-    if (next == clients_.size()) return;
-    Client& client = clients_[next];
-    {
-      obs::TracerScope scope(next < client_lanes_.size() ? client_lanes_[next]
-                                                         : obs::tracer());
-      client.done = Step(client, step_quantum_, max_instructions_each);
-    }
-    if (!client.done && client.cc->integrity_enabled()) {
-      // One tick between integrity quanta. A client scrub pass also scrubs
-      // the server memo (deterministic here; the threaded scheduler leans
-      // on verify-on-hit instead).
-      if (client.cc->IntegrityTick()) mc_->server().ScrubMemo();
-    }
-    if (inspect_every_ != 0 && inspection_hook_) MaybeInspectRoundRobin();
-  }
-}
-
-void MultiClientSystem::MaybeInspectRoundRobin() {
-  uint64_t fleet_min = UINT64_MAX;
-  for (const Client& client : clients_) {
-    if (client.done) continue;
-    fleet_min = std::min(fleet_min, client.machine->cycles());
-  }
-  if (fleet_min == UINT64_MAX) return;  // every client finished
-  if (next_inspect_at_ == 0) next_inspect_at_ = inspect_every_;
-  if (fleet_min < next_inspect_at_) return;
-  inspection_hook_(fleet_min);
-  // One snapshot per crossing, then re-arm above the observed minimum (a
-  // long quantum can step the fleet past several multiples at once).
-  next_inspect_at_ = (fleet_min / inspect_every_ + 1) * inspect_every_;
-}
-
-void MultiClientSystem::RunAllThreaded(uint64_t max_instructions_each) {
-  // Host-thread parallelism trades the deterministic interleaving for
-  // concurrent per-client progress: each worker claims the next unfinished
-  // client and runs its VM to completion; the event loop serializes server
-  // work per memo shard, and the snoop fan-out synchronizes per store.
-  // Guest-visible results (output/exit/instructions) remain solo-identical —
-  // clients share no guest state and the fallback path absorbs any snoop
-  // races. Tracing rides per-client lanes: each worker installs the claimed
-  // client's lane into its own thread-local slot while running it, so no
-  // lane ring is ever written from two threads at once (the handoff from
-  // the attaching main thread is re-armed with RebindThread).
-  std::atomic<size_t> next_client{0};
-
-  // Periodic-inspection safepoint (armed only when a hook is set): workers
-  // run their client in scheduler quanta and park at quantum boundaries
-  // while one worker snapshots. Parking never happens inside a server
-  // dispatch, so every in-flight ticket drains before the fleet quiesces,
-  // and the mutex hands the inspector a happens-before edge over all
-  // client state it reads.
-  const bool inspect = inspect_every_ != 0 && inspection_hook_ != nullptr;
-  // Integrity also forces quantum slicing (the tick cadence), but needs no
-  // safepoint: each tick touches only the ticking client's own state plus
-  // the internally locked content store. The server memo is not scrubbed
-  // under threads — its verify-on-hit path alone guarantees clean replies.
-  const bool integrity = config_.base.integrity.enabled;
-  // Unsliced, one step runs a client to the end of its budget.
-  const uint64_t quantum = inspect || integrity ? step_quantum_ : UINT64_MAX;
-  std::mutex safepoint_mu;
-  std::condition_variable safepoint_cv;
-  bool inspecting = false;
-  size_t parked = 0;
-  size_t active_workers = 0;
-  uint64_t next_at = next_inspect_at_ != 0 ? next_inspect_at_ : inspect_every_;
-  std::vector<uint8_t> finished(clients_.size());
-  std::vector<uint64_t> published(clients_.size());
+void MultiClientSystem::Schedule(uint64_t max_instructions_each) {
+  // The laggard heap: every waiting client, keyed by (guest cycles, index).
+  // A waiting client's clock cannot move, so its key stays exact.
+  using Entry = std::pair<uint64_t, size_t>;
+  const auto later = std::greater<Entry>();
+  std::vector<Entry> heap;
   for (size_t i = 0; i < clients_.size(); ++i) {
-    finished[i] = clients_[i].done;
-    published[i] = clients_[i].machine->cycles();
+    if (!clients_[i].done) heap.emplace_back(clients_[i].machine->cycles(), i);
   }
+  std::make_heap(heap.begin(), heap.end(), later);
 
-  // Fleet-min guest cycles over unfinished clients (pending clients count
-  // at their attach-time clock); UINT64_MAX once everyone finished.
+  const size_t nthreads =
+      std::clamp<size_t>(config_.host_threads, 1, clients_.size());
+  const bool inspect = inspect_every_ != 0 && inspection_hook_ != nullptr;
+  const bool integrity = config_.base.integrity.enabled;
+  const uint64_t quantum =
+      nthreads == 1 || inspect || integrity ? step_quantum_ : UINT64_MAX;
+  if (inspect && next_inspect_at_ == 0) next_inspect_at_ = inspect_every_;
+
+  // One mutex guards the heap, the claims and the safepoint flag. A
+  // thread's claim is its client's cycle count when claimed (a lower bound
+  // on that client's clock), UINT64_MAX while the thread holds no client.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<uint64_t> claimed_at(nthreads, UINT64_MAX);
+  size_t running = 0;
+  bool inspecting = false;
   const auto fleet_min = [&] {
-    uint64_t min_cycles = UINT64_MAX;
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      if (finished[i]) continue;
-      min_cycles = std::min(min_cycles, published[i]);
-    }
+    uint64_t min_cycles = heap.empty() ? UINT64_MAX : heap.front().first;
+    for (const uint64_t c : claimed_at) min_cycles = std::min(min_cycles, c);
     return min_cycles;
   };
 
-  // Quantum-boundary check, entered lock-free of the loop: park while
-  // another worker inspects; become the inspector once the fleet minimum
-  // crosses the threshold, waiting for every other active worker to park.
-  const auto safepoint = [&] {
-    std::unique_lock<std::mutex> lock(safepoint_mu);
-    for (;;) {
-      if (inspecting) {
-        ++parked;
-        safepoint_cv.notify_all();
-        safepoint_cv.wait(lock, [&] { return !inspecting; });
-        --parked;
-        continue;  // the threshold may already be crossed again
-      }
-      const uint64_t min_cycles = fleet_min();
-      if (min_cycles == UINT64_MAX || min_cycles < next_at) return;
-      inspecting = true;
-      safepoint_cv.wait(lock, [&] { return parked == active_workers - 1; });
+  // The inspection safepoint, entered under the lock by a thread holding no
+  // client. Steps never stop inside a server dispatch, so once no client
+  // runs every in-flight ticket has drained, and the mutex gives the hook a
+  // happens-before edge over all client state it reads.
+  const auto safepoint = [&](std::unique_lock<std::mutex>& lock) {
+    if (inspecting) return;
+    const uint64_t crossed = fleet_min();
+    if (crossed == UINT64_MAX || crossed < next_inspect_at_) return;
+    inspecting = true;
+    cv.wait(lock, [&] { return running == 0; });
+    if (const uint64_t min_cycles = fleet_min(); min_cycles != UINT64_MAX) {
       inspection_hook_(min_cycles);
-      next_at = (min_cycles / inspect_every_ + 1) * inspect_every_;
-      inspecting = false;
-      safepoint_cv.notify_all();
+      // One snapshot per crossing, then re-arm above the observed minimum
+      // (a long quantum can step the fleet past several multiples at once).
+      next_inspect_at_ = (min_cycles / inspect_every_ + 1) * inspect_every_;
     }
+    inspecting = false;
+    cv.notify_all();
   };
 
-  const auto worker = [&] {
-    if (inspect) {
-      std::lock_guard<std::mutex> lock(safepoint_mu);
-      ++active_workers;
-    }
+  const auto worker = [&](size_t thread) {
+    std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      const size_t i = next_client.fetch_add(1);
-      if (i >= clients_.size()) break;
+      cv.wait(lock, [&] {
+        return (!inspecting && !heap.empty()) || (heap.empty() && running == 0);
+      });
+      if (heap.empty()) return;
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const size_t i = heap.back().second;
+      claimed_at[thread] = heap.back().first;
+      heap.pop_back();
+      ++running;
+      lock.unlock();
+
       Client& client = clients_[i];
-      if (client.done) continue;
-      obs::Tracer* lane = i < client_lanes_.size() ? client_lanes_[i] : nullptr;
-      if (lane != nullptr) lane->RebindThread();
-      obs::TracerScope scope(lane != nullptr ? lane : obs::tracer());
-      for (;;) {
+      bool scrubbed = false;
+      {
+        // A client may move between threads from one quantum to the next;
+        // its lane moves with it.
+        obs::Tracer* lane =
+            i < client_lanes_.size() ? client_lanes_[i] : nullptr;
+        if (lane != nullptr) lane->RebindThread();
+        obs::TracerScope scope(lane != nullptr ? lane : obs::tracer());
         client.done = Step(client, quantum, max_instructions_each);
-        if (inspect) {
-          std::lock_guard<std::mutex> lock(safepoint_mu);
-          published[i] = client.machine->cycles();
-          finished[i] = client.done;
-        }
-        if (client.done) break;
-        if (integrity) client.cc->IntegrityTick();
-        if (inspect) safepoint();
+        // One tick between integrity quanta, traced in the client's lane.
+        scrubbed = !client.done && integrity && client.cc->IntegrityTick();
       }
-    }
-    if (inspect) {
-      // Exiting shrinks the quorum the inspector waits for.
-      std::lock_guard<std::mutex> lock(safepoint_mu);
-      --active_workers;
-      safepoint_cv.notify_all();
+      // A client scrub pass also scrubs the server memo, each shard under
+      // its own lock; server events stay out of the client's lane.
+      if (scrubbed) mc_->server().ScrubMemo();
+      const uint64_t cycles = client.machine->cycles();
+
+      lock.lock();
+      claimed_at[thread] = UINT64_MAX;
+      --running;
+      if (!client.done) {
+        heap.emplace_back(cycles, i);
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+      cv.notify_all();
+      if (inspect) safepoint(lock);
     }
   };
-  const size_t nthreads =
-      std::min<size_t>(config_.host_threads, clients_.size());
+  // The calling thread is thread 0, so a one-thread run starts no thread.
   std::vector<std::thread> threads;
-  threads.reserve(nthreads);
-  for (size_t t = 0; t < nthreads; ++t) threads.emplace_back(worker);
+  threads.reserve(nthreads - 1);
+  for (size_t t = 1; t < nthreads; ++t) threads.emplace_back(worker, t);
+  worker(0);
   for (std::thread& t : threads) t.join();
-  next_inspect_at_ = next_at;
 }
 
 bool MultiClientSystem::SyncSessions() {

@@ -43,17 +43,12 @@ struct MultiClientConfig {
   uint64_t quantum_instructions = 1024;
   // Server-core tuning: memo shards, memo bound, published-digest window.
   McServerConfig server;
-  // Host threads running client VMs: 0/1 = the deterministic guest-cycle
-  // round-robin scheduler (single host thread; traces, metrics and wire
-  // traffic reproduce bit-identically). >1 = each client VM runs to
-  // completion on a pool of this many host threads; the event loop
-  // serializes server access per memo shard, so frames for different
-  // shards are serviced concurrently. Guest results stay solo-identical
-  // either way; what threading changes is the host-side interleaving, so
-  // cross-client cycle comparisons are meaningless. Tracing works under
-  // both schedulers once AttachTraceMux has split the instrumentation into
-  // thread-confined per-agent lanes; only the lane interleaving (not any
-  // guest-visible result) varies with threading.
+  // Host threads running client VMs (see MultiClientSystem); 0 and 1 both
+  // mean the calling thread alone, whose schedule is deterministic: traces,
+  // metrics and wire traffic reproduce bit-identically. More threads run
+  // clients concurrently; guest results stay solo-identical, but the
+  // host-side interleaving (cross-client cycle comparisons, lane order)
+  // varies from run to run.
   uint32_t host_threads = 0;
 };
 
@@ -89,12 +84,16 @@ inline bool ValidateShardCount(int64_t shards, std::string* error) {
 }
 
 // N independent guest machines sharing ONE MemoryController through a
-// net::Switch, interleaved by a deterministic guest-cycle round-robin
-// scheduler: each step runs the machine whose clock is furthest behind
-// (ties break to the lowest index) for one quantum. Because every client
-// owns disjoint server-side session state and its own channel/transport,
-// each client's guest execution is bit-identical to its solo run — the
-// sharing shows up only in server-side work (memoized translations).
+// net::Switch, on clamp(host_threads, 1, N) host threads: a free thread
+// takes the waiting client whose clock is furthest behind (ties break to the
+// lowest index), steps it for one quantum, ticks its integrity, and puts it
+// back unless it is done. On one thread this is a deterministic guest-time
+// round-robin; more threads run each client to the end of its budget in one
+// step unless inspection or integrity needs quantum boundaries. Because
+// every client owns disjoint server-side session state
+// and its own channel/transport, each client's guest execution is
+// bit-identical to its solo run at any thread count — the sharing shows up
+// only in server-side work (memoized translations).
 class MultiClientSystem {
  public:
   // The image must outlive the system.
@@ -152,19 +151,21 @@ class MultiClientSystem {
   // (pid 0 tid 1+s, on a manual clock advanced to each ticket's guest-cycle
   // enqueue stamp) carrying that shard's loop.ticket spans and everything
   // the MC records while servicing them, whoever services the lane.
-  // The schedulers install the matching lane into the thread-local tracer
-  // slot around every client step and every server dispatch, so each lane
-  // stays thread-confined even under host_threads > 1. Call once, before
-  // RunAll; `mux` must outlive this system. Enabling the lanes (and
+  // The scheduler installs a client's lane into the thread-local tracer slot
+  // around each of its steps and integrity ticks, on whichever thread
+  // claimed it, and every server dispatch installs its shard's lane, so
+  // each lane has one writer at a time under any host_threads. Call once,
+  // before RunAll; `mux` must outlive this system. Enabling the lanes (and
   // exporting the merged trace) is the caller's job via the mux.
   void AttachTraceMux(obs::TraceMux* mux);
 
   // Periodic live inspection: `hook` runs every time the fleet-min guest
   // cycle count (min over unfinished clients) crosses a multiple of
-  // `every_cycles`, with every client VM quiescent — the round-robin
-  // scheduler calls it between steps; the threaded scheduler parks all
-  // workers at quantum boundaries first (a fleet-wide safepoint), so the
-  // hook may freely read any client or server state. Pass 0 to disable.
+  // `every_cycles`, at one fleet-wide safepoint: the scheduler stops new
+  // claims and waits until no client is running (on one thread, that is
+  // the gap between two steps), so the hook may freely read any client or
+  // server state. Its argument is the quiescent fleet-min. Pass 0 to
+  // disable.
   using InspectionHook = std::function<void(uint64_t fleet_min_cycles)>;
   void set_inspection_hook(uint64_t every_cycles, InspectionHook hook) {
     inspect_every_ = every_cycles;
@@ -193,10 +194,9 @@ class MultiClientSystem {
   // budget. Returns true once the client is done for this RunAll.
   static bool Step(Client& client, uint64_t quantum,
                    uint64_t max_instructions_each);
-  // The RunAll schedulers: the deterministic guest-time round-robin, and a
-  // pool of config.host_threads host threads.
-  void RunAllRoundRobin(uint64_t max_instructions_each);
-  void RunAllThreaded(uint64_t max_instructions_each);
+  // The RunAll scheduler: the laggard heap served by
+  // clamp(config.host_threads, 1, clients) threads.
+  void Schedule(uint64_t max_instructions_each);
   // Broadcast-medium snoop: parses one reply frame and feeds every client's
   // content store (shared_reply mode only).
   void SnoopReply(const std::vector<uint8_t>& reply_bytes);
@@ -205,10 +205,6 @@ class MultiClientSystem {
   // lane of the shard the loop queued it on.
   std::vector<uint8_t> ServeTicket(const McServerLoop::TicketInfo& ticket,
                                    const std::vector<uint8_t>& frame);
-  // Round-robin-scheduler half of the periodic-inspection contract: fires
-  // the hook whenever the fleet-min cycle count crossed the next threshold.
-  void MaybeInspectRoundRobin();
-
   MultiClientConfig config_;
   uint64_t step_quantum_;  // instructions per scheduling step
   std::unique_ptr<MemoryController> mc_;

@@ -4,17 +4,21 @@
 // The headline property mirrors the repo's engine-differential proof: under
 // a seeded bit-flip storm the guest-visible run (exit code, instruction
 // count, cycle count, output bytes, fault message) is IDENTICAL on
-// {interpreter, threaded} x {round-robin scheduler, host-thread pool}, the
-// guest OUTPUT is identical to a fault-free run, and no corrupted
-// instruction is ever executed — corruption shows up only as heal counters
-// and extra miss traffic, never as changed guest behavior.
+// {interpreter, threaded} x {one host thread, several}, the guest OUTPUT is
+// identical to a fault-free run, and no corrupted instruction is ever
+// executed — corruption shows up only as heal counters and extra miss
+// traffic, never as changed guest behavior. The fleet scheduler has one
+// integrity rule at every thread count: each tick runs in the client's
+// trace lane, and every client scrub pass also scrubs the server memo.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "minicc/compiler.h"
+#include "obs/trace_mux.h"
 #include "softcache/cc.h"
 #include "softcache/inspector.h"
 #include "softcache/integrity.h"
@@ -237,7 +241,7 @@ TEST(Integrity, StormBitIdenticalAcrossEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// The four-combo identity: engines x schedulers under one storm seed
+// The four-combo identity: engines x host thread counts under one storm seed
 // ---------------------------------------------------------------------------
 
 TEST(Integrity, StormIdenticalAcrossEnginesAndSchedulers) {
@@ -246,7 +250,7 @@ TEST(Integrity, StormIdenticalAcrossEnginesAndSchedulers) {
   config.clients = 4;
   config.base = StormConfig();
   config.base.integrity.memfault = Storm(/*seed=*/23, /*rate=*/0.2);
-  // Server memo faults ride along: heal order differs across schedulers,
+  // Server memo faults ride along: heal order differs across thread counts,
   // but memo healing is guest-invisible so the identity must still hold.
   config.server.memfault = Storm(/*seed=*/29, /*rate=*/0.05);
 
@@ -256,10 +260,10 @@ TEST(Integrity, StormIdenticalAcrossEnginesAndSchedulers) {
     const char* name;
   };
   const Combo combos[] = {
-      {Engine::kInterp, 0, "interp/round-robin"},
-      {Engine::kThreaded, 0, "threaded/round-robin"},
-      {Engine::kInterp, 3, "interp/host-threads"},
-      {Engine::kThreaded, 3, "threaded/host-threads"},
+      {Engine::kInterp, 0, "interp/1-thread"},
+      {Engine::kThreaded, 0, "threaded/1-thread"},
+      {Engine::kInterp, 3, "interp/3-threads"},
+      {Engine::kThreaded, 3, "threaded/3-threads"},
   };
 
   std::vector<std::vector<StormRun>> per_combo;
@@ -284,6 +288,8 @@ TEST(Integrity, StormIdenticalAcrossEnginesAndSchedulers) {
       EXPECT_GT(run.integrity.heals, 0u) << combo.name << " client " << i;
       runs.push_back(run);
     }
+    // Client scrub passes scrub the server memo at every thread count.
+    EXPECT_GT(fleet.mc().server().stats().memo_scrubs, 0u) << combo.name;
     per_combo.push_back(std::move(runs));
   }
 
@@ -308,6 +314,51 @@ TEST(Integrity, StormIdenticalAcrossEnginesAndSchedulers) {
     EXPECT_EQ(per_combo[0][i].output, clean.OutputString(i));
   }
 }
+
+// Integrity ticks run inside the client's trace lane at every thread count:
+// each client lane records one mem_flip instant per injected flip and one
+// scrub span per scrub pass.
+class IntegrityTrace : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(IntegrityTrace, TicksLandInClientLanes) {
+  const image::Image img = StormImage();
+  MultiClientConfig config;
+  config.clients = 4;
+  config.base = StormConfig();
+  config.base.integrity.memfault = Storm(/*seed=*/23, /*rate=*/0.2);
+  config.host_threads = GetParam();
+  MultiClientSystem fleet(img, config);
+  obs::TraceMux mux;
+  fleet.AttachTraceMux(&mux);
+  mux.EnableAll(1 << 20);
+  const auto results = fleet.RunAll();
+  ASSERT_EQ(mux.TotalDropped(), 0u);
+
+  for (const obs::TraceMux::Lane& lane : mux.lanes()) {
+    if (lane.pid == 0) continue;  // server shard lanes
+    const size_t i = lane.pid - 1;
+    ASSERT_EQ(results[i].reason, vm::StopReason::kHalted) << "client " << i;
+    uint64_t flips = 0;
+    uint64_t scrubs = 0;
+    for (const obs::TraceEvent& e : lane.tracer.Snapshot()) {
+      if (std::strcmp(e.name, "mem_flip") == 0) ++flips;
+      if (std::strcmp(e.name, "scrub") == 0 && e.ph == obs::Phase::kBegin) {
+        ++scrubs;
+      }
+    }
+    const softcache::IntegrityStats& stats = fleet.cc(i).stats().integrity;
+    EXPECT_GT(stats.flips_injected, 0u) << "client " << i;
+    EXPECT_EQ(flips, stats.flips_injected) << "client " << i;
+    EXPECT_GT(stats.scrubs, 0u) << "client " << i;
+    EXPECT_EQ(scrubs, stats.scrubs) << "client " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HostThreads, IntegrityTrace, ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "host_threads_" +
+                                  std::to_string(param_info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Per-domain coverage: staged chunks, content store, server memo

@@ -672,7 +672,7 @@ TEST(MultiClientSystem, WorkloadInputFlowsPerClient) {
 
 TEST(MultiClientSystem, BoundedQueueSurvives256ClientFlood) {
   // 256 clients hammering one server through a 4-deep bounded ticket queue
-  // on a thread pool: no deadlock, no unbounded queue growth, and every
+  // on 8 host threads: no deadlock, no unbounded queue growth, and every
   // client still gets its solo-identical result.
   const image::Image img = LoopImage();
   softcache::MultiClientConfig config;
@@ -700,8 +700,9 @@ TEST(MultiClientSystem, BoundedQueueSurvives256ClientFlood) {
   EXPECT_LE(loop_stats.max_queue_depth, 4u);
 }
 
-// A client that stops on its budget resumes on the next RunAll, under both
-// schedulers: a sliced run tells the same guest story as an unsliced one.
+// A client that stops on its budget resumes on the next RunAll, at one and
+// two host threads: a sliced run tells the same guest story as an unsliced
+// one.
 class RunAllResume : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(RunAllResume, SlicedRunAllEqualsOneRunAll) {

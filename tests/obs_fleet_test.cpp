@@ -5,17 +5,21 @@
 // events (s/t/f sharing an id, arrow head bound to the enclosing slice), the
 // merged trace of a 64-client `host_threads` run under the threaded engine
 // (every client lane present, every flow endpoint inside a real span, all
-// JSON documents parseable), the fleet-wide inspection safepoint, and the
-// load-bearing invariant: observability fully on — lanes, metrics, periodic
-// inspection — changes NOTHING guest-visible under either scheduler or
-// engine. Server trace lanes are the memo shards, one per loop lane.
+// JSON documents parseable), the fleet-wide inspection safepoint at one and
+// four host threads, and the load-bearing invariant: observability fully
+// on — lanes, metrics, periodic inspection — changes NOTHING guest-visible
+// at any thread count or engine. Server trace lanes are the memo shards,
+// one per loop lane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "minicc/compiler.h"
@@ -197,9 +201,9 @@ TEST(FleetObservability, MergedTraceUnder64ThreadedClients) {
   fleet.RegisterMetrics(&registry);
   mux.RegisterMetrics(&registry);
 
-  // Periodic inspection exercises the threaded safepoint: all workers park
-  // at quantum boundaries, the hook reads cross-client state, everyone
-  // resumes. The hook must see monotone fleet-min cycle counts.
+  // Periodic inspection exercises the safepoint under threads: no client
+  // runs while the hook reads cross-client state, then everyone resumes.
+  // The hook must see monotone fleet-min cycle counts.
   uint64_t inspections = 0;
   uint64_t last_floor = 0;
   softcache::Inspector inspector(&fleet);
@@ -294,6 +298,65 @@ TEST(FleetObservability, MergedTraceUnder64ThreadedClients) {
   EXPECT_EQ(parsed["clients"].array.size(), 64u);
   EXPECT_TRUE(parsed["server"].is_object());
 }
+
+// --- One inspection safepoint at every thread count -----------------------
+
+class FleetSafepoint : public ::testing::TestWithParam<uint32_t> {};
+
+// The hook runs with no client stepping: its argument is the minimum clock
+// over unfinished clients, no clock moves while it runs, and successive
+// arguments never go back.
+TEST_P(FleetSafepoint, HookSeesQuiescentFleetMin) {
+  const image::Image img = LoopImage();
+  softcache::MultiClientConfig config;
+  config.clients = 8;
+  config.base.tcache_bytes = 8 * 1024;
+  config.host_threads = GetParam();
+  softcache::MultiClientSystem fleet(img, config);
+
+  // Every client's clock at each hook call, checked against the final
+  // clocks after the run: a client is unfinished at a hook iff its clock
+  // there is below its final clock (every instruction costs cycles).
+  std::vector<uint64_t> hook_args;
+  std::vector<std::vector<uint64_t>> hook_clocks;
+  fleet.set_inspection_hook(5000, [&](uint64_t fleet_min) {
+    std::vector<uint64_t> before;
+    for (size_t i = 0; i < fleet.clients(); ++i) {
+      before.push_back(fleet.machine(i).cycles());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (size_t i = 0; i < fleet.clients(); ++i) {
+      EXPECT_EQ(fleet.machine(i).cycles(), before[i])
+          << "client " << i << " ran during the inspection hook";
+    }
+    hook_args.push_back(fleet_min);
+    hook_clocks.push_back(std::move(before));
+  });
+
+  const auto results = fleet.RunAll();
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].reason, vm::StopReason::kHalted) << "client " << i;
+  }
+  ASSERT_GT(hook_args.size(), 1u);
+  for (size_t k = 0; k < hook_args.size(); ++k) {
+    uint64_t min_unfinished = UINT64_MAX;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (hook_clocks[k][i] < results[i].cycles) {
+        min_unfinished = std::min(min_unfinished, hook_clocks[k][i]);
+      }
+    }
+    EXPECT_EQ(hook_args[k], min_unfinished) << "inspection " << k;
+    if (k > 0) {
+      EXPECT_GT(hook_args[k], hook_args[k - 1]) << "inspection " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HostThreads, FleetSafepoint, ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "host_threads_" +
+                                  std::to_string(param_info.param);
+                         });
 
 // --- Server trace lanes follow the memo shards ---------------------------
 
@@ -413,17 +476,17 @@ FleetOutcome RunFleetWorkload(vm::Engine engine, uint32_t host_threads,
 
 TEST(FleetObservability, FullObservabilityDoesNotPerturbEitherEngine) {
   for (vm::Engine engine : {vm::Engine::kInterp, vm::Engine::kThreaded}) {
-    // Round-robin scheduler: everything is deterministic, so the entire
-    // metrics snapshot — every counter and gauge — must match bit for bit.
+    // One host thread: everything is deterministic, so the entire metrics
+    // snapshot — every counter and gauge — must match bit for bit.
     const FleetOutcome off = RunFleetWorkload(engine, 0, false);
     const FleetOutcome on = RunFleetWorkload(engine, 0, true);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.instructions, on.instructions);
     EXPECT_EQ(off.outputs, on.outputs);
     EXPECT_TRUE(off.metrics == on.metrics)
-        << "metrics diverged with observability on (round-robin)";
+        << "metrics diverged with observability on (one thread)";
 
-    // Threaded scheduler: host interleaving is nondeterministic, so compare
+    // Four host threads: the interleaving is nondeterministic, so compare
     // the guest-visible results (which the scheduler guarantees are
     // solo-identical) rather than interleaving-dependent aggregates.
     const FleetOutcome t_off = RunFleetWorkload(engine, 4, false);

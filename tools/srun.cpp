@@ -174,6 +174,9 @@ int main(int argc, char** argv) {
                  "                                 (each frame's client thread\n"
                  "                                 services its shard's lane)\n"
                  "            [--threads=N]        host threads for client VMs\n"
+                 "                                 (1, the default, steps them\n"
+                 "                                 in deterministic guest-time\n"
+                 "                                 order)\n"
                  "            [--verify]           re-run each client solo and\n"
                  "                                 check bit-identical behavior\n",
                  static_cast<unsigned>(softcache::kMaxClients));
@@ -359,7 +362,7 @@ int main(int argc, char** argv) {
     // The server memo rides the same fault schedule (its own salted RNG
     // stream), so --memfaults storms every layer of the stack at once.
     mcfg.server.memfault = config.integrity.memfault;
-    mcfg.host_threads = static_cast<uint32_t>(args.GetInt("threads", 0));
+    mcfg.host_threads = static_cast<uint32_t>(args.GetInt("threads", 1));
     for (uint32_t i = 0; i < n_clients; ++i) {
       net::FaultConfig fault = config.fault;
       fault.seed = config.fault.seed + i;  // distinct schedule per client
