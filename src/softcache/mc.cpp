@@ -241,21 +241,29 @@ bool McServer::CorruptMemoBit(MemoShard* shard) {
   return true;
 }
 
-void McServer::ScrubMemo() {
+void McServer::ScrubMemo(const ShardScope& around) {
   BumpStats([](McServerStats& s) { ++s.memo_scrubs; });
-  for (MemoShard& shard : memo_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [addr, entry] : shard.memo) {
-      if (DigestOfChunk(entry.chunk) == entry.digest) continue;
-      OBS_INSTANT("mc", "memo_corrupt", "addr", addr);
-      auto healed = Cut(image_, addr);
-      SC_CHECK(healed.ok()) << "pristine re-cut failed for memoized addr";
-      BumpStats([](McServerStats& s) {
-        ++s.memo_corruptions_detected;
-        ++s.memo_heals;
-      });
-      entry.chunk = *healed;
-      entry.digest = DigestOfChunk(*healed);
+  for (uint32_t s = 0; s < shards_; ++s) {
+    MemoShard& shard = memo_shards_[s];
+    const auto scrub = [this, &shard] {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (auto& [addr, entry] : shard.memo) {
+        if (DigestOfChunk(entry.chunk) == entry.digest) continue;
+        OBS_INSTANT("mc", "memo_corrupt", "addr", addr);
+        auto healed = Cut(image_, addr);
+        SC_CHECK(healed.ok()) << "pristine re-cut failed for memoized addr";
+        BumpStats([](McServerStats& st) {
+          ++st.memo_corruptions_detected;
+          ++st.memo_heals;
+        });
+        entry.chunk = *healed;
+        entry.digest = DigestOfChunk(*healed);
+      }
+    };
+    if (around) {
+      around(s, scrub);
+    } else {
+      scrub();
     }
   }
 }
@@ -359,7 +367,7 @@ void McSession::FaultTextPrivate() {
 
 void McSession::WritePages(PageMap* pages, uint32_t addr, const uint8_t* src,
                            size_t len, bool count_faults) {
-  const std::vector<uint8_t>& shared = server_.shared_data();
+  const McServer::DataStore& shared = server_.shared_data();
   uint32_t offset = addr - server_.DataBase();
   size_t remaining = len;
   while (remaining > 0) {
@@ -387,7 +395,7 @@ void McSession::WritePages(PageMap* pages, uint32_t addr, const uint8_t* src,
 }
 
 void McSession::ReadData(uint32_t addr, uint32_t len, uint8_t* out) const {
-  const std::vector<uint8_t>& shared = server_.shared_data();
+  const McServer::DataStore& shared = server_.shared_data();
   uint32_t offset = addr - server_.DataBase();
   uint32_t remaining = len;
   while (remaining > 0) {

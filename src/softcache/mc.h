@@ -23,6 +23,7 @@
 //                switch port via HandlePort).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -41,6 +42,7 @@
 #include "softcache/protocol.h"
 #include "util/open_table.h"
 #include "util/stats.h"
+#include "util/zero_pages.h"
 
 namespace sc::obs {
 class MetricsRegistry;
@@ -181,9 +183,12 @@ class McServer {
         memo_shards_(shards_) {
     // The server holds the authoritative copy of ALL program memory: the
     // pristine text plus data/bss/heap/stack backing for the D-cache
-    // protocol. Sessions overlay their private writes on top.
-    data_ = image.data;
-    data_.resize(image::kStackTop + 16 - image.data_base, 0);
+    // protocol. Sessions overlay their private writes on top. The store is
+    // sized once from empty on zero pages, so only the image's initialized
+    // data costs resident memory.
+    data_.resize(image::kStackTop + 16 - image.data_base);
+    std::copy_n(image.data.begin(), std::min(image.data.size(), data_.size()),
+                data_.begin());
     if (config_.memfault.enabled()) {
       // One independent fault stream per shard slice (substream = shard
       // index), so concurrent shards never contend on — or perturb — each
@@ -203,7 +208,8 @@ class McServer {
     return image_.data_base + static_cast<uint32_t>(data_.size());
   }
   // The shared pristine data store (no session overlays applied).
-  const std::vector<uint8_t>& shared_data() const { return data_; }
+  using DataStore = std::vector<uint8_t, util::ZeroPageAllocator<uint8_t>>;
+  const DataStore& shared_data() const { return data_; }
 
   // Memoized translation from the shared pristine text: the first request
   // for a chunk address pays the cut, every later request (from ANY session)
@@ -223,7 +229,12 @@ class McServer {
   // it). Guest-invisible; counters only. The fleet scheduler calls it at
   // every client scrub pass, at any thread count: each shard is scrubbed
   // under its own lock, so it may race frame service on other shards.
-  void ScrubMemo();
+  // `around`, when set, is called once per shard as around(shard, scrub)
+  // and must call scrub() once: a traced fleet installs the shard's trace
+  // lane there, so its memo_corrupt instants land in that lane.
+  using ShardScope = std::function<void(uint32_t shard,
+                                        const std::function<void()>& scrub)>;
+  void ScrubMemo(const ShardScope& around = nullptr);
 
   // Drops every memoized chunk overlapping [addr, addr+len). Called on any
   // session's kTextWrite: the writing session stops reading shared text
@@ -343,7 +354,9 @@ class McServer {
   uint32_t max_trace_blocks_;
   McServerConfig config_;
   uint32_t shards_;
-  std::vector<uint8_t> data_;  // pristine shared data/bss/heap/stack
+  // Pristine shared data/bss/heap/stack, [data_base, kStackTop + 16): about
+  // 15 MiB of lazy zero pages of which only the image's data is written.
+  DataStore data_;
   // Deque, not vector: slices hold mutexes (non-movable) and their
   // addresses must stay stable for the registry's histogram pointers.
   mutable std::deque<MemoShard> memo_shards_;

@@ -21,10 +21,11 @@
 //
 // RunExclusive is a park-all barrier (the same stop/drain/resume shape as
 // the fleet scheduler's inspection safepoint): out-of-band server
-// mutations (crash-schedule restarts, whole-fleet snapshots) first stop new
-// ticket service, wait for every in-flight handler to finish, run, then
-// wake the lanes back up. A restart can therefore never interleave with
-// frame handling, however many client threads are pumping.
+// mutations (crash-schedule restarts, whole-fleet snapshots, traced memo
+// scrubs) first stop new ticket service, wait for every in-flight handler
+// to finish, run, then wake the lanes back up. A restart can therefore
+// never interleave with frame handling, however many client threads are
+// pumping.
 //
 // Lock ownership (the loop side of the table in docs/DESIGN.md): ONE mutex
 // (mu_) owns every queue, flag, loop counter and the queue-wait histogram —
@@ -119,8 +120,9 @@ class McServerLoop {
   // Park-all barrier: stops new ticket service, waits for every in-flight
   // handler to drain, runs `fn` with the core exclusively held, then
   // resumes the lanes. Used for crash-schedule restarts arriving off the
-  // frame path and whole-server snapshots. Must not be called from inside a
-  // handler (it would wait on itself).
+  // frame path, whole-server snapshots and traced memo scrubs (which write
+  // every shard's trace lane). Must not be called from inside a handler
+  // (it would wait on itself).
   void RunExclusive(const std::function<void()>& fn);
 
   // Quiescent read surface: loop counters are written only under mu_; read

@@ -170,6 +170,21 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
   }
 }
 
+void MultiClientSystem::ScrubServerMemo(uint64_t cycles) {
+  if (shard_lanes_.empty()) return mc_->server().ScrubMemo();
+  // Shard lane s has one writer at a time, whoever services loop lane s.
+  // The exclusive section parks every lane, so the scrub may write them all.
+  loop_.RunExclusive([this, cycles] {
+    mc_->server().ScrubMemo(
+        [this, cycles](uint32_t s, const std::function<void()>& scrub) {
+          obs::Tracer* lane = shard_lanes_[s];
+          obs::TracerScope scope(lane);
+          lane->AdvanceClockFloor(cycles);
+          scrub();
+        });
+  });
+}
+
 std::vector<uint8_t> MultiClientSystem::ServeTicket(
     const McServerLoop::TicketInfo& ticket,
     const std::vector<uint8_t>& frame) {
@@ -339,8 +354,8 @@ void MultiClientSystem::Schedule(uint64_t max_instructions_each) {
         scrubbed = !client.done && integrity && client.cc->IntegrityTick();
       }
       // A client scrub pass also scrubs the server memo, each shard under
-      // its own lock; server events stay out of the client's lane.
-      if (scrubbed) mc_->server().ScrubMemo();
+      // its own lock; its events go to the shard lanes, not the client's.
+      if (scrubbed) ScrubServerMemo(client.machine->cycles());
       const uint64_t cycles = client.machine->cycles();
 
       lock.lock();

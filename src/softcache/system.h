@@ -197,6 +197,9 @@ class MultiClientSystem {
   // The RunAll scheduler: the laggard heap served by
   // clamp(config.host_threads, 1, clients) threads.
   void Schedule(uint64_t max_instructions_each);
+  // The server memo scrub that follows a client scrub pass at guest time
+  // `cycles`. With a mux attached, shard s is scrubbed in shard lane s.
+  void ScrubServerMemo(uint64_t cycles);
   // Broadcast-medium snoop: parses one reply frame and feeds every client's
   // content store (shared_reply mode only).
   void SnoopReply(const std::vector<uint8_t>& reply_bytes);

@@ -327,7 +327,8 @@ class Machine {
   // self-modifying-code check is two compares against locals. sb_interrupt_
   // is raised whenever invalidation kills blocks while the threaded loop is
   // inside one — the loop leaves the (possibly stale) block at the next op
-  // boundary and re-resolves through the dispatch loop.
+  // boundary and re-resolves through the dispatch loop, which may enter a
+  // live block covering the resume pc mid-way.
   Engine engine_;
   std::unique_ptr<SuperblockCache> sb_cache_;
   SbStats sb_stats_;

@@ -43,7 +43,12 @@ Engine DefaultEngine() {
 }
 
 SuperblockCache::SuperblockCache(uint32_t mem_bytes)
-    : slab_(kSbMaxBlocks + 1), by_start_(mem_bytes / 4), cover_(mem_bytes / 4) {}
+    : slab_(kSbMaxBlocks + 1),
+      ops_((kSbMaxBlocks + 1) * (kSbMaxOps + 1)),
+      by_start_(mem_bytes / 4),
+      cover_(mem_bytes / 4) {
+  tail_.ops = tail_ops_;
+}
 
 void SuperblockCache::Kill(Superblock& sb, SbStats* stats) {
   sb.valid = false;
@@ -110,6 +115,7 @@ void SuperblockCache::Reclaim() {
     }
   }
   fill_ = 0;
+  ops_fill_ = 0;
   live_ = 0;
   lo_ = UINT32_MAX;
   hi_ = 0;
@@ -156,16 +162,21 @@ uint32_t SuperblockCache::ScrubCorrupt(SbStats* stats,
   return corrupt;
 }
 
-Superblock* SuperblockCache::BudgetTail(const Superblock& sb, uint32_t k,
+Superblock* SuperblockCache::BudgetTail(const Superblock& sb, uint32_t from,
+                                        uint32_t count,
                                         const void* stop_handler) {
-  tail_.start = sb.start;
-  tail_.span = 4 * k;
-  tail_.n_ops = k + 1;
-  std::copy_n(sb.ops, k, tail_.ops);
-  SbOp& stop = tail_.ops[k];
+  const uint32_t base = sb.ops[from].cyc_before;
+  tail_.start = sb.start + 4 * from;
+  tail_.span = 4 * count;
+  tail_.n_ops = count + 1;
+  for (uint32_t i = 0; i < count; ++i) {
+    tail_ops_[i] = sb.ops[from + i];
+    tail_ops_[i].cyc_before -= base;
+  }
+  SbOp& stop = tail_ops_[count];
   stop = SbOp{};
   stop.handler = stop_handler;
-  stop.cyc_before = sb.ops[k].cyc_before;
+  stop.cyc_before = sb.ops[from + count].cyc_before - base;
   stop.kind = kSbStop;
   return &tail_;
 }
@@ -290,7 +301,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     uint32_t word = 0;
     std::memcpy(&word, mem_.data() + pc, 4);
     const Instr in = isa::Decode(word);
-    // Slab blocks are reused after Reclaim: every field is rewritten here
+    // Arena ops are reused after Reclaim: every field is rewritten here
     // (HALT, TCMISS and illegal ops charge no cost).
     SbOp& op = sb->ops[n++];
     op.cyc_before = prefix;
@@ -430,19 +441,23 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
 // at translation time, and the bookkeeping is paid once per block:
 //
 //   - Counters. The locals `ret` and `cyc` hold instret_ and cycles_ as they
-//     were at the running block's entry. Op `ord` (op - sb->ops) sits at pc
-//     sb->start + 4 * ord, and the interpreter's counters there are
+//     would be at the running block's first op. Op `ord` (op - sb->ops) sits
+//     at pc sb->start + 4 * ord, and the interpreter's counters there are
 //     ret + ord + 1 and cyc + op->cyc_before, plus op->cost once the op has
-//     charged. SB_SYNC publishes them before anything that can observe the
+//     charged. A block entered at op k (a slice that resumes mid-block, see
+//     the dispatch loop) rebases them to ret = instret_ - k and
+//     cyc = cycles_ - ops[k].cyc_before, so every handler stays as it is.
+//     SB_SYNC publishes them before anything that can observe the
 //     members (fault construction, syscalls, trap handlers, the data hook,
 //     OBS events whose tracer clock reads cycles_); after the data hook,
 //     which may Charge(), `cyc` is rebased on cycles_. A terminator retires
 //     the whole block (SB_RETIRE). pc_ is only written where someone can
 //     read it: fault paths, call-outs, and block exits.
 //   - Budget. Entering a block, from the dispatch loop or from a chain,
-//     checks that its instructions fit in what is left of the budget; a
-//     block that does not runs as its budget tail (BudgetTail), which stops
-//     at the interpreter's exact instruction.
+//     checks that its instructions from the entry op on fit in what is left
+//     of the budget; a block that does not runs as its budget tail
+//     (BudgetTail, copied from the entry op), which stops at the
+//     interpreter's exact instruction.
 //   - Fetch observer. An observed run goes to the interpreter, the
 //     reference, at the dispatch loop's top; the handlers never test for it.
 
@@ -496,8 +511,8 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     Superblock* nxt = sb->slot;                               \
     if (nxt != nullptr && nxt->valid) {                       \
       sb = nxt;                                               \
-      if (budget_end - ret < sb->span / 4) goto budget_tail;  \
       op = sb->ops;                                           \
+      if (budget_end - ret < sb->span / 4) goto budget_tail;  \
       SB_DISPATCH();                                          \
     }                                                         \
     pc_ = (next_pc);                                          \
@@ -712,6 +727,11 @@ outer:
     return FaultHere("fetch outside permitted range");
   }
   sb = sb_cache_->Find(pc_);
+  // With no chain slot to fill (a slice resuming mid-block, a return from a
+  // call-out or an interrupted block), a live block that covers pc_ is
+  // entered in the middle instead of translating a new one. A chained exit
+  // still gets a block that starts at its target.
+  if (sb == nullptr && chain_slot == nullptr) sb = sb_cache_->FindCovering(pc_);
   if (sb == nullptr) {
     const uint64_t flushes_before = sb_stats_.flushes;
     sb = TranslateSuperblock(pc_, handlers);
@@ -725,23 +745,34 @@ outer:
     OBS_INSTANT("vm", "sb.chain", "pc", pc_);
     chain_slot = nullptr;
   }
-  ret = instret_;
-  cyc = cycles_;
-  if (budget_end - ret < sb->span / 4) goto budget_tail;
-  op = sb->ops;
+  // Enter at op k = (pc_ - start) / 4, 0 unless entered mid-block, with the
+  // counters rebased to the block's first op.
+  op = sb->ops + (pc_ - sb->start) / 4;
+  ret = instret_ - static_cast<uint64_t>(op - sb->ops);
+  cyc = cycles_ - op->cyc_before;
+  if (budget_end - instret_ <
+      sb->span / 4 - static_cast<uint32_t>(op - sb->ops)) {
+    goto budget_tail;
+  }
   SB_DISPATCH();
 
 budget_tail:
-  // The budget ends inside `sb`, after k of its instructions (none of them
-  // its terminator): run a copy of those k ops that ends in kSbStop.
+  // The budget ends inside `sb`, `count` instructions after its entry op
+  // (none of them its terminator): run a copy of those ops that ends in
+  // kSbStop, with the counters rebased to the copy's first op.
   {
-    const uint32_t k = static_cast<uint32_t>(budget_end - ret);
-    if (k == 0) {
+    const uint32_t from = static_cast<uint32_t>(op - sb->ops);
+    const uint32_t count = static_cast<uint32_t>(budget_end - (ret + from));
+    if (count == 0) {
+      // Only a chained entry (op 0) can find nothing left: the dispatch loop
+      // returns before entering a block with a spent budget.
       pc_ = sb->start;
       SB_FLUSH();
       return MakeResult(StopReason::kInstrLimit);
     }
-    sb = sb_cache_->BudgetTail(*sb, k, stop_handler);
+    ret += from;
+    cyc += op->cyc_before;
+    sb = sb_cache_->BudgetTail(*sb, from, count, stop_handler);
     op = sb->ops;
     SB_DISPATCH();
   }

@@ -83,14 +83,17 @@ static_assert(sizeof(SbOp) == 24, "SbOp is the threaded loop's stride");
 inline constexpr uint32_t kSbMaxOps = 32;
 // Slab bound: translating past this many blocks since the last flush (live
 // plus invalidated-but-not-yet-reclaimed) flushes the whole cache. It bounds
-// the slab's memory (about 3.3 MiB) and the cost of one flush, not the
-// working set: a tcache smaller than the hot set retranslates without end
-// and reaches it again and again (adpcm_enc with a 1 KB tcache: 94 capacity
-// flushes in 388k fills).
+// the reservation (about 192 KiB of headers and 3.1 MiB of op arena, both
+// lazy zero pages, so a machine pays only for the ops it fills) and the
+// cost of one flush, not the working set: a tcache smaller than the hot set
+// retranslates without end and reaches it again and again (adpcm_enc with a
+// 1 KB tcache: 94 capacity flushes in 388k fills).
 inline constexpr uint32_t kSbMaxBlocks = 4096;
 
 // All-zero bytes are a value-initialized Superblock (pinned by a test): the
-// slab hands out fresh zero pages without constructing them.
+// slab hands out fresh zero pages without constructing them. The header does
+// not hold its ops: they sit packed in the cache's op arena, `n_ops` of them
+// from `ops`.
 struct Superblock {
   uint32_t start = 0;   // first fetch address covered
   uint32_t span = 0;    // bytes of guest text covered (real ops only)
@@ -107,7 +110,9 @@ struct Superblock {
   // The scrub walk (ScrubCorrupt) invalidates any block whose recomputed
   // digest mismatches, so a bit flip in the decoded form never executes.
   uint64_t digest = 0;
-  SbOp ops[kSbMaxOps + 1];  // +1 for the synthetic fallthrough terminator
+  // The block's ops in the arena: at most kSbMaxOps real ones plus the
+  // synthetic fallthrough terminator. Stable until Reclaim rewinds the arena.
+  SbOp* ops = nullptr;
 };
 
 // FNV-1a over the block's semantic content: start/span/n_ops plus every
@@ -125,24 +130,33 @@ struct SbStats {
   uint64_t flushes = 0;        // whole-cache flushes (capacity, exec range)
 };
 
-// The translated-block store. Three arrays, each sized once on lazy zero
+// The translated-block store. Four arrays, each sized once on lazy zero
 // pages (util::ZeroPageAllocator), so a machine pays RSS only for the pages
 // its translated text touches:
-//   - slab_: kSbMaxBlocks + 1 blocks handed out by a fill cursor, so block
-//     addresses stay stable until Reclaim rewinds it (the +1 is the block
-//     translated right after a capacity flush, before its reclaim);
+//   - slab_: kSbMaxBlocks + 1 block headers handed out by a fill cursor, so
+//     block addresses stay stable until Reclaim rewinds it (the +1 is the
+//     block translated right after a capacity flush, before its reclaim);
+//   - ops_: the op arena. A fill writes its ops at the arena's bump cursor
+//     and Publish advances the cursor by n_ops, so blocks are packed with no
+//     per-block slack and no two blocks share op storage. It reserves the
+//     worst case, (kSbMaxBlocks + 1) * (kSbMaxOps + 1) ops, so it never runs
+//     out before the slab does; Reclaim rewinds it with the slab;
 //   - by_start_: one Superblock* per guest word, the block starting there
 //     (a direct-mapped start-pc index);
 //   - cover_: one byte per guest word, the number of live blocks covering
 //     it (at most kSbMaxOps). A write whose words all read zero kills
 //     nothing, so Invalidate returns after one load per word written.
 // Invalidation only *marks* blocks dead (chains and the currently executing
-// block may still hold pointers into the slab); reclamation is deferred to
-// the dispatch loop's next top-of-loop, when no block is executing.
+// block may still hold pointers into the slab and the arena); reclamation
+// is deferred to the dispatch loop's next top-of-loop, when no block is
+// executing.
 class SuperblockCache {
  public:
   // Covers guest addresses [0, mem_bytes).
   explicit SuperblockCache(uint32_t mem_bytes);
+  // Blocks point into the arrays and the tail into its own scratch ops.
+  SuperblockCache(const SuperblockCache&) = delete;
+  SuperblockCache& operator=(const SuperblockCache&) = delete;
 
   // `pc` must be a word-aligned guest address.
   Superblock* Find(uint32_t pc) {
@@ -150,19 +164,38 @@ class SuperblockCache {
     return sb != nullptr && sb->valid ? sb : nullptr;
   }
 
-  // Takes the next slab block, header reset (caller fills its ops and then
-  // calls Publish). The caller flushes before the slab runs out: at most one
-  // block follows pool_size() reaching kSbMaxBlocks before Reclaim.
+  // A live block covering the word at `pc` without starting there, or null:
+  // the one starting nearest below `pc`. Only the kSbMaxOps - 1 words before
+  // `pc` can hold its start, as in Invalidate.
+  Superblock* FindCovering(uint32_t pc) const {
+    const uint32_t w = pc >> 2;
+    if (cover_[w] == 0) return nullptr;
+    const uint32_t lo = w > kSbMaxOps - 1 ? w - (kSbMaxOps - 1) : 0;
+    for (uint32_t s = w; s-- > lo;) {
+      Superblock* sb = by_start_[s];
+      if (sb != nullptr && sb->valid && sb->start + sb->span > pc) return sb;
+    }
+    return nullptr;
+  }
+
+  // Takes the next slab block, header reset, with its ops at the arena's
+  // cursor (the caller fills at most kSbMaxOps + 1 of them and then calls
+  // Publish, which claims n_ops). The caller flushes before the slab runs
+  // out: at most one block follows pool_size() reaching kSbMaxBlocks before
+  // Reclaim.
   Superblock* NewBlock() {
     Superblock* sb = &slab_[fill_++];
     sb->valid = false;
     sb->taken = nullptr;
     sb->fall = nullptr;
     sb->digest = 0;
+    sb->ops = &ops_[ops_fill_];
     return sb;
   }
-  // Makes `sb` live. No live block may start at sb->start.
+  // Makes `sb`, the block NewBlock returned last, live. No live block may
+  // start at sb->start.
   void Publish(Superblock* sb) {
+    ops_fill_ += sb->n_ops;
     sb->valid = true;
     by_start_[sb->start >> 2] = sb;
     Cover(*sb, 1);
@@ -192,11 +225,13 @@ class SuperblockCache {
   void FlushMark(SbStats* stats);
 
   bool reclaim_pending() const { return reclaim_pending_; }
-  // Rewinds the slab. Also drops the block published after a capacity
-  // FlushMark, which is still live here.
+  // Rewinds the slab and the op arena. Also drops the block published after
+  // a capacity FlushMark, which is still live here.
   void Reclaim();
 
   size_t pool_size() const { return fill_; }
+  // Arena ops claimed by the blocks published since the last Reclaim.
+  size_t arena_ops() const { return ops_fill_; }
   size_t live_blocks() const { return live_; }
   // Live blocks covering the word at `addr` (tests check the count drains).
   uint32_t coverage(uint32_t addr) const { return cover_[addr >> 2]; }
@@ -222,11 +257,13 @@ class SuperblockCache {
   uint32_t lo() const { return live_ == 0 ? UINT32_MAX : lo_; }
   uint32_t hi() const { return live_ == 0 ? 0 : hi_; }
 
-  // The budget tail of `sb`: a copy of its first k real ops (0 < k < span / 4,
-  // so no terminator) followed by a kSbStop op carrying the cycle prefix. One
-  // scratch block, rewritten by every call and never published or chained;
+  // The budget tail of `sb` entered at op `from`: a copy of its ops
+  // [from, from + count) (0 < count and from + count < span / 4, so no
+  // terminator) followed by a kSbStop op, as a block of its own starting at
+  // op `from`'s pc, with cycle prefixes rebased to it. One scratch block with
+  // its own ops, rewritten by every call and never published or chained;
   // the dispatch loop runs it when the instruction budget ends inside `sb`.
-  Superblock* BudgetTail(const Superblock& sb, uint32_t k,
+  Superblock* BudgetTail(const Superblock& sb, uint32_t from, uint32_t count,
                          const void* stop_handler);
 
  private:
@@ -243,14 +280,17 @@ class SuperblockCache {
   template <typename T>
   using ZeroVec = std::vector<T, util::ZeroPageAllocator<T>>;
   ZeroVec<Superblock> slab_;      // stable addresses; rewound only by Reclaim
+  ZeroVec<SbOp> ops_;              // op arena; rewound only by Reclaim
   ZeroVec<Superblock*> by_start_;  // word index -> block starting there
   ZeroVec<uint8_t> cover_;         // word index -> live blocks covering it
   uint32_t fill_ = 0;              // slab blocks handed out since Reclaim
+  uint32_t ops_fill_ = 0;          // arena ops claimed since Reclaim
   size_t live_ = 0;
   uint32_t lo_ = UINT32_MAX;  // min start over live blocks (never shrinks)
   uint32_t hi_ = 0;           // max start+span over live blocks
   bool reclaim_pending_ = false;
   Superblock tail_;  // BudgetTail's scratch block
+  SbOp tail_ops_[kSbMaxOps + 1];  // and its ops
 };
 
 }  // namespace sc::vm

@@ -201,6 +201,51 @@ TEST(EngineDifferential, MultiClientThreaded) {
   }
 }
 
+// A slice that ends inside a block resumes there: the dispatch loop enters
+// the live block covering the resume pc at that op instead of translating a
+// new block from it. So a fleet sliced into 1024-instruction quanta fills
+// exactly the blocks an unsliced one does, client by client (two adpcm_enc
+// clients filled 602 blocks each sliced against 307 unsliced when every
+// resume translated afresh).
+TEST(EngineResume, SlicedFleetFillsLikeUnsliced) {
+  const auto* spec = workloads::FindWorkload("adpcm_enc");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  const auto input = workloads::MakeInput("adpcm_enc", 1);
+  struct Client {
+    uint64_t fills;
+    uint64_t instructions;
+    uint64_t cycles;
+  };
+  const auto run = [&](uint64_t quantum) {
+    softcache::MultiClientConfig mcfg;
+    mcfg.clients = 2;
+    mcfg.quantum_instructions = quantum;
+    softcache::MultiClientSystem fleet(img, mcfg);
+    for (uint32_t i = 0; i < mcfg.clients; ++i) {
+      fleet.machine(i).set_engine(Engine::kThreaded);
+      fleet.SetInput(i, input);
+    }
+    std::vector<Client> clients;
+    for (const vm::RunResult& r : fleet.RunAll()) {
+      EXPECT_EQ(r.reason, vm::StopReason::kHalted) << r.fault_message;
+      const size_t i = clients.size();
+      clients.push_back(Client{fleet.machine(i).sb_stats().fills,
+                               r.instructions, r.cycles});
+    }
+    return clients;
+  };
+  const std::vector<Client> unsliced = run(UINT64_MAX);
+  const std::vector<Client> sliced = run(1024);
+  ASSERT_EQ(sliced.size(), unsliced.size());
+  for (size_t i = 0; i < sliced.size(); ++i) {
+    EXPECT_GT(unsliced[i].fills, 0u);
+    EXPECT_EQ(sliced[i].fills, unsliced[i].fills) << "client " << i;
+    EXPECT_EQ(sliced[i].instructions, unsliced[i].instructions) << i;
+    EXPECT_EQ(sliced[i].cycles, unsliced[i].cycles) << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Random programs (property_test-style)
 // ---------------------------------------------------------------------------
@@ -812,7 +857,8 @@ TEST(EngineSmc, SysReadIntoTextInvalidates) {
 // ---------------------------------------------------------------------------
 
 TEST(SuperblockStore, ZeroBytesAreAValueInitializedBlock) {
-  // The slab hands out fresh zero pages without constructing them.
+  // The slab and the op arena hand out fresh zero pages without
+  // constructing them.
   const unsigned char zeros[sizeof(vm::Superblock)] = {};
   vm::Superblock from_zeros;
   std::memcpy(&from_zeros, zeros, sizeof zeros);
@@ -824,18 +870,19 @@ TEST(SuperblockStore, ZeroBytesAreAValueInitializedBlock) {
   EXPECT_EQ(from_zeros.taken, init.taken);
   EXPECT_EQ(from_zeros.fall, init.fall);
   EXPECT_EQ(from_zeros.digest, init.digest);
-  for (uint32_t i = 0; i <= vm::kSbMaxOps; ++i) {
-    const vm::SbOp& a = from_zeros.ops[i];
-    const vm::SbOp& b = init.ops[i];
-    EXPECT_EQ(a.handler, b.handler);
-    EXPECT_EQ(a.cyc_before, b.cyc_before);
-    EXPECT_EQ(a.imm, b.imm);
-    EXPECT_EQ(a.cost, b.cost);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.rd, b.rd);
-    EXPECT_EQ(a.rs1, b.rs1);
-    EXPECT_EQ(a.rs2, b.rs2);
-  }
+  EXPECT_EQ(from_zeros.ops, init.ops);
+  const unsigned char op_zeros[sizeof(vm::SbOp)] = {};
+  vm::SbOp a;
+  std::memcpy(&a, op_zeros, sizeof op_zeros);
+  const vm::SbOp b{};
+  EXPECT_EQ(a.handler, b.handler);
+  EXPECT_EQ(a.cyc_before, b.cyc_before);
+  EXPECT_EQ(a.imm, b.imm);
+  EXPECT_EQ(a.cost, b.cost);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.rd, b.rd);
+  EXPECT_EQ(a.rs1, b.rs1);
+  EXPECT_EQ(a.rs2, b.rs2);
 }
 
 // The kill rules of SuperblockCache, by brute force: a write kills every
@@ -942,6 +989,7 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
   vm::SuperblockCache cache(kMem);
   vm::SbStats stats;
   RefStore ref;
+  const vm::SbOp* arena_base = nullptr;  // the first block's ops
 
   const auto publish = [&] {
     const uint32_t start =
@@ -952,6 +1000,7 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
     ASSERT_EQ(cache.Find(start) != nullptr, taken) << "start " << start;
     if (taken) return;  // one live block per start
     vm::Superblock* sb = cache.NewBlock();
+    if (arena_base == nullptr) arena_base = sb->ops;
     sb->start = start;
     sb->n_ops = 1 + static_cast<uint32_t>(rng.Below(vm::kSbMaxOps));
     sb->span = sb->n_ops * 4;
@@ -989,10 +1038,31 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
         ASSERT_EQ(cache.Find(b.start), b.sb);
       }
     }
+    // The op arena: the blocks since the last Reclaim sit packed from its
+    // base in publish order, so no two of them share op storage and Reclaim
+    // hands the base out again.
+    size_t arena = 0;
+    for (const RefStore::Block& b : ref.blocks()) {
+      ASSERT_EQ(b.sb->ops, arena_base + arena) << "block at " << b.start;
+      arena += b.sb->n_ops;
+    }
+    ASSERT_EQ(cache.arena_ops(), arena);
     if (!coverage && ref.live() != 0) return;
     const std::vector<uint32_t> want = ref.Coverage(kWords);
     for (uint32_t w = 0; w < kWords; ++w) {
       ASSERT_EQ(cache.coverage(w * 4), want[w]) << "word at " << w * 4;
+    }
+    // A mid-block entry at pc enters the live block starting nearest below
+    // pc that covers it.
+    for (uint32_t pc = kBase - 256; pc < kBase + kText + 256; pc += 4) {
+      const vm::Superblock* nearest = nullptr;
+      for (const RefStore::Block& b : ref.blocks()) {
+        if (b.live && b.start < pc && b.start + b.span > pc &&
+            (nearest == nullptr || b.start > nearest->start)) {
+          nearest = b.sb;
+        }
+      }
+      ASSERT_EQ(cache.FindCovering(pc), nearest) << "pc " << pc;
     }
   };
 
@@ -1039,6 +1109,7 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
   ref.Reclaim();
   check(true);
   EXPECT_EQ(cache.pool_size(), 0u);
+  EXPECT_EQ(cache.arena_ops(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SuperblockStoreProperty,

@@ -28,6 +28,7 @@
 #include "tests/testing.h"
 #include "util/check.h"
 #include "vm/machine.h"
+#include "workloads/workloads.h"
 
 namespace sc {
 namespace {
@@ -355,6 +356,56 @@ TEST_P(IntegrityTrace, TicksLandInClientLanes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HostThreads, IntegrityTrace, ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "host_threads_" +
+                                  std::to_string(param_info.param);
+                         });
+
+// Server memo scrubs run in the server's shard lanes at every thread count:
+// in srun's 8-client `--memfaults=rate=0.2,seed=5` storm, every detected
+// memo corruption (on a hit or in a scrub) leaves one memo_corrupt instant
+// in the lane of the shard that holds the entry.
+class MemoScrubTrace : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(MemoScrubTrace, CorruptionsLandInShardLanes) {
+  const image::Image img =
+      workloads::CompileWorkload(*workloads::FindWorkload("adpcm_enc"));
+  MultiClientConfig config;
+  config.clients = 8;
+  config.base.shared_reply = true;
+  config.base.integrity.enabled = true;
+  config.base.integrity.memfault = Storm(/*seed=*/5, /*rate=*/0.2);
+  config.server.shards = 4;
+  config.server.memfault = config.base.integrity.memfault;
+  config.host_threads = GetParam();
+  MultiClientSystem fleet(img, config);
+  for (uint32_t i = 0; i < config.clients; ++i) {
+    fleet.SetInput(i, workloads::MakeInput("adpcm_enc", 1));
+  }
+  obs::TraceMux mux;
+  fleet.AttachTraceMux(&mux);
+  mux.EnableAll(1 << 20);
+  for (const vm::RunResult& r : fleet.RunAll()) {
+    ASSERT_EQ(r.reason, vm::StopReason::kHalted) << r.fault_message;
+  }
+  ASSERT_EQ(mux.TotalDropped(), 0u);
+
+  uint64_t in_shard_lanes = 0;
+  uint64_t in_client_lanes = 0;
+  for (const obs::TraceMux::Lane& lane : mux.lanes()) {
+    for (const obs::TraceEvent& e : lane.tracer.Snapshot()) {
+      if (std::strcmp(e.name, "memo_corrupt") != 0) continue;
+      ++(lane.pid == 0 ? in_shard_lanes : in_client_lanes);
+    }
+  }
+  const auto& stats = fleet.mc().server().stats();
+  EXPECT_GT(stats.memo_scrubs, 0u);
+  EXPECT_GT(stats.memo_corruptions_detected, 0u);
+  EXPECT_EQ(in_shard_lanes, stats.memo_corruptions_detected);
+  EXPECT_EQ(in_client_lanes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(HostThreads, MemoScrubTrace, ::testing::Values(1u, 4u),
                          [](const auto& param_info) {
                            return "host_threads_" +
                                   std::to_string(param_info.param);

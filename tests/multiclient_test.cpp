@@ -266,6 +266,26 @@ TEST(CowData, WritebackIsPrivatePerSession) {
 // Per-session crash isolation
 // ---------------------------------------------------------------------------
 
+#ifdef __linux__
+TEST(CowData, SharedStoreIsResidentOnlyWhereTheImageHasData) {
+  // The server's shared data store spans data_base to the stack top, about
+  // 15 MiB on lazy zero pages: building a server for a bundled workload
+  // makes resident only the pages the image's initialized data covers.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  for (const char* name : {"adpcm_enc", "dijkstra", "sha256"}) {
+    const image::Image img =
+        workloads::CompileWorkload(*workloads::FindWorkload(name));
+    MemoryController mc(img, softcache::Style::kSparc, 64);
+    const auto& data = mc.server().shared_data();
+    const size_t image_pages = (img.data.size() + page - 1) / page;
+    ASSERT_GT(data.size() / page, 64 * (image_pages + 4)) << name;
+    EXPECT_LE(testing::ResidentPages(data.data(), data.size()),
+              image_pages + 4)
+        << name << ": " << image_pages << " pages of image data";
+  }
+}
+#endif
+
 TEST(SessionIsolation, RestartOneSessionLeavesOthersIntact) {
   const image::Image img = LoopImage();
   MemoryController mc(img, softcache::Style::kSparc, 64);

@@ -31,18 +31,28 @@ inline uint8_t McDataByte(softcache::MemoryController& mc, uint32_t addr) {
 }
 
 #ifdef __linux__
-// How many of `machine`'s guest memory pages are resident (mincore). Guest
-// memory is lazy zero pages, so this counts the pages something touched.
-inline size_t ResidentGuestPages(vm::Machine& machine) {
-  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  uint8_t* base = machine.mem_data();
-  const size_t bytes = machine.mem_size();
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(base) % page, 0u);
-  std::vector<unsigned char> resident((bytes + page - 1) / page);
-  EXPECT_EQ(mincore(base, bytes, resident.data()), 0);
+// How many pages of [data, data + bytes) are resident (mincore), counting
+// the partial pages at either end. Zero-page buffers are resident only
+// where something wrote them, so this counts the pages something touched.
+inline size_t ResidentPages(const void* data, size_t bytes) {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t first = reinterpret_cast<uintptr_t>(data) & ~(page - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(data) + bytes;
+  std::vector<unsigned char> resident((end - first + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(first), end - first,
+                    resident.data()),
+            0);
   size_t touched = 0;
   for (const unsigned char r : resident) touched += r & 1;
   return touched;
+}
+
+// How many of `machine`'s guest memory pages are resident. Guest memory is
+// lazy zero pages.
+inline size_t ResidentGuestPages(vm::Machine& machine) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(machine.mem_data()) % page, 0u);
+  return ResidentPages(machine.mem_data(), machine.mem_size());
 }
 #endif
 
