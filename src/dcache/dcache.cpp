@@ -101,7 +101,7 @@ Reply DataCache::Call(Request request) {
     error.type = MsgType::kError;
     return error;
   }
-  return std::move(*reply);
+  return reply->ToReply();
 }
 
 void DataCache::FetchBlock(uint32_t tag, uint32_t slot) {

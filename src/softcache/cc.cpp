@@ -38,24 +38,22 @@ CacheController::CacheController(vm::Machine& machine, MemoryController& mc,
       // Miss-handling latency spread: one bucket per 512 cycles covers the
       // loopback round trip (~12k cycles) with room for retry storms; worse
       // misses clamp into the last bucket.
-      miss_latency_(0, 65536, 128),
-      fetch_counts_(256),
-      // Flat-table sizing: typical translated blocks run well past 16 bytes
-      // (body + exit slots), so tcache_bytes/16 covers the realistic resident
-      // population (the table still grows for degenerate one-word blocks);
-      // the cell region holds exactly one word per forward cell.
-      block_tc_(config.tcache_bytes / 16),
-      cell_for_orig_(config.forward_cell_bytes / 4) {
+      miss_latency_(0, 65536, 128) {
   SC_CHECK_EQ(config_.tcache_bytes % 4, 0u);
   SC_CHECK_GE(config_.tcache_bytes, 64u);
   // Conditional-branch patches must reach anywhere in the tcache (imm16
-  // word offsets span +-128 KB).
+  // word offsets span +-128 KB), which also keeps every slot in kSlotBits.
   SC_CHECK_LE(config_.tcache_bytes, 128u * 1024) << "tcache exceeds branch reach";
   SC_CHECK_EQ(config_.forward_cell_bytes % 4, 0u);
   local_base_ = image::kLocalBase;
   cells_base_ = local_base_ + config_.tcache_bytes;
   cells_bytes_ = config_.forward_cell_bytes;
   SC_CHECK_LE(cells_base_ + cells_bytes_, image::kLocalLimit);
+  slab_.reserve(config_.tcache_bytes / 4);
+  owner_.resize(config_.tcache_bytes / 4);
+  const image::Image& image = mc_.server().image();
+  text_base_ = image.text_base;
+  text_.resize(image.text.size() / 4 + 1);
   session_.set_quiesce_hook([this] { QuiesceForRecovery(); });
   if (config_.shared_reply) {
     content_store_ =
@@ -79,6 +77,20 @@ void CacheController::Fail(const std::string& what) {
   machine_.RaiseFault("softcache: " + what);
 }
 
+template <typename Fn>
+void CacheController::ForEachBlock(Fn&& fn) const {
+  const uint32_t words = static_cast<uint32_t>(owner_.size());
+  for (uint32_t w = 0; w < words;) {
+    if (owner_[w] == 0) {
+      ++w;
+      continue;
+    }
+    const Block& block = slab_[owner_[w] - 1];
+    fn(block);
+    w = (block.tc_addr + block.tc_bytes - local_base_) / 4;
+  }
+}
+
 void CacheController::Attach() {
   machine_.set_trap_handler(this);
   if (config_.restrict_exec) {
@@ -95,45 +107,57 @@ void CacheController::Attach() {
 
 namespace {
 
-// Rebuilds a Chunk from its wire form: (addr, packed meta, extra, words).
-// Shared by the plain-reply and batched-reply paths; the fallthrough /
-// continuation target is reconstructed as the word after the terminator in
-// the original program.
-Chunk ChunkFromWire(uint32_t addr, uint32_t aux, uint32_t extra,
-                    const uint8_t* words, uint32_t nwords) {
-  Chunk chunk;
-  chunk.orig_addr = addr;
-  chunk.exit = UnpackExit(aux);
-  chunk.jump_folded = UnpackJumpFolded(aux);
-  chunk.entry_word = UnpackEntryWord(aux);
-  chunk.taken_target = extra;
-  chunk.words.resize(nwords);
-  if (nwords != 0) std::memcpy(chunk.words.data(), words, nwords * 4u);
-  if (chunk.exit == ExitKind::kBranch || chunk.exit == ExitKind::kCall ||
-      chunk.exit == ExitKind::kComputed) {
-    chunk.fall_target = chunk.orig_addr + chunk.size_bytes();
+// Rebuilds a Chunk from its wire form: (addr, packed meta, extra, words),
+// reusing `out`'s word storage. Shared by the plain-reply and batched-reply
+// paths; the fallthrough / continuation target is reconstructed as the word
+// after the terminator in the original program.
+void ChunkFromWire(uint32_t addr, uint32_t aux, uint32_t extra,
+                   const uint8_t* words, uint32_t nwords, Chunk* out) {
+  out->orig_addr = addr;
+  out->exit = UnpackExit(aux);
+  out->jump_folded = UnpackJumpFolded(aux);
+  out->entry_word = UnpackEntryWord(aux);
+  out->taken_target = extra;
+  out->words.resize(nwords);
+  if (nwords != 0) std::memcpy(out->words.data(), words, nwords * 4u);
+  out->fall_target = 0;
+  if (out->exit == ExitKind::kBranch || out->exit == ExitKind::kCall ||
+      out->exit == ExitKind::kComputed) {
+    out->fall_target = out->orig_addr + out->size_bytes();
   }
-  return chunk;
+}
+
+util::Error McError(const ReplyView& reply) {
+  return util::Error{
+      "MC error: " + std::string(reinterpret_cast<const char*>(reply.payload),
+                                 reply.payload_size)};
 }
 
 }  // namespace
 
-util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
+util::Status CacheController::AcceptChunkReply(const ReplyView& reply) {
+  if (reply.type == MsgType::kError) return McError(reply);
+  if (reply.type != MsgType::kChunkReply || reply.payload_size % 4 != 0) {
+    return util::Error{"malformed chunk reply"};
+  }
+  ChunkFromWire(reply.addr, reply.aux, reply.extra, reply.payload,
+                reply.payload_size / 4, &fetched_);
+  return util::Status::Ok();
+}
+
+util::Status CacheController::FetchChunk(uint32_t orig_pc) {
   OBS_SPAN("cc", "fetch", "orig", orig_pc);
   pending_flow_id_ = 0;
   current_rid_ = 0;
   // Per-chunk heat: how often this client demanded each chunk start.
-  if (uint32_t* heat = fetch_counts_.Find(orig_pc)) {
-    ++*heat;
-  } else {
-    fetch_counts_.Put(orig_pc, 1);
+  if (const uint32_t w = TextWordIndex(orig_pc); w != kNoTextWord) {
+    ++text_[w].fetches;
   }
   // A staged prefetched chunk answers the miss with zero round trips.
-  Chunk staged;
-  if (TakeStaged(orig_pc, &staged)) {
+  if (TakeStaged(orig_pc, &fetched_)) {
     ++stats_.prefetch.hits;
     OBS_INSTANT("prefetch", "hit", "orig", orig_pc);
-    return staged;
+    return util::Status::Ok();
   }
 
   Request request;
@@ -171,10 +195,6 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
   ++stats_.prefetch.demand_fetches;
 
   if (!reply.ok()) return reply.error();
-  if (reply->type == MsgType::kError) {
-    return util::Error{"MC error: " + std::string(reply->payload.begin(),
-                                                  reply->payload.end())};
-  }
   if (reply->type == MsgType::kChunkDigestReply) {
     // The body crossed the medium earlier and we (should have) snooped it.
     ++stats_.shared.digest_replies;
@@ -217,9 +237,10 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
       ++stats_.shared.digest_hits;
       stats_.shared.bytes_saved += stored.words->size();
       OBS_INSTANT("shared", "digest_hit", "orig", orig_pc);
-      return ChunkFromWire(stored.addr, stored.aux, stored.extra,
-                           stored.words->data(),
-                           static_cast<uint32_t>(stored.words->size() / 4));
+      ChunkFromWire(stored.addr, stored.aux, stored.extra,
+                    stored.words->data(),
+                    static_cast<uint32_t>(stored.words->size() / 4), &fetched_);
+      return util::Status::Ok();
     }
     // The bounded store displaced the body (or the snoop never reached us):
     // fall back to a plain kChunkRequest, which always carries a full body.
@@ -228,7 +249,8 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
     return FetchChunkFullBody(orig_pc);
   }
   if (reply->type == MsgType::kChunkBatchReply) {
-    auto views = ParseBatchPayload(reply->payload, reply->aux);
+    auto views =
+        ParseBatchPayload(reply->payload, reply->payload_size, reply->aux);
     if (!views.ok()) return views.error();
     if (views->empty()) return util::Error{"empty batch reply"};
     ++stats_.prefetch.batches;
@@ -245,25 +267,22 @@ util::Result<Chunk> CacheController::FetchChunk(uint32_t orig_pc) {
       // a corrupted or hostile reply and must not reach install.
       return util::Error{"batch head addr mismatch"};
     }
-    Chunk chunk =
-        ChunkFromWire(head.addr, head.aux, head.extra, head.words, head.nwords);
+    ChunkFromWire(head.addr, head.aux, head.extra, head.words, head.nwords,
+                  &fetched_);
     for (size_t i = 1; i < views->size(); ++i) {
       const BatchChunkView& view = (*views)[i];
       ++stats_.prefetch.chunks_prefetched;
-      StageChunk(
-          ChunkFromWire(view.addr, view.aux, view.extra, view.words, view.nwords));
+      Chunk staged;
+      ChunkFromWire(view.addr, view.aux, view.extra, view.words, view.nwords,
+                    &staged);
+      StageChunk(std::move(staged));
     }
-    return chunk;
+    return util::Status::Ok();
   }
-  if (reply->type != MsgType::kChunkReply || reply->payload.size() % 4 != 0) {
-    return util::Error{"malformed chunk reply"};
-  }
-  return ChunkFromWire(reply->addr, reply->aux, reply->extra,
-                       reply->payload.data(),
-                       static_cast<uint32_t>(reply->payload.size() / 4));
+  return AcceptChunkReply(*reply);
 }
 
-util::Result<Chunk> CacheController::FetchChunkFullBody(uint32_t orig_pc) {
+util::Status CacheController::FetchChunkFullBody(uint32_t orig_pc) {
   Request request;
   request.type = MsgType::kChunkRequest;
   request.addr = orig_pc;
@@ -276,16 +295,7 @@ util::Result<Chunk> CacheController::FetchChunkFullBody(uint32_t orig_pc) {
   Charge(config_.cost.mc_service_cycles);
   ++stats_.prefetch.demand_fetches;
   if (!reply.ok()) return reply.error();
-  if (reply->type == MsgType::kError) {
-    return util::Error{"MC error: " + std::string(reply->payload.begin(),
-                                                  reply->payload.end())};
-  }
-  if (reply->type != MsgType::kChunkReply || reply->payload.size() % 4 != 0) {
-    return util::Error{"malformed chunk reply"};
-  }
-  return ChunkFromWire(reply->addr, reply->aux, reply->extra,
-                       reply->payload.data(),
-                       static_cast<uint32_t>(reply->payload.size() / 4));
+  return AcceptChunkReply(*reply);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,15 +309,10 @@ uint32_t CacheController::StagedCost(const Chunk& chunk) {
 void CacheController::UnstageAt(uint32_t orig_addr) {
   const auto it = staged_.find(orig_addr);
   if (it == staged_.end()) return;
-  staged_bytes_ -= StagedCost(it->second);
+  staged_bytes_ -= StagedCost(it->second.chunk);
   staged_.erase(it);
-  staged_digest_.erase(orig_addr);
-  for (auto fifo = staged_fifo_.begin(); fifo != staged_fifo_.end(); ++fifo) {
-    if (*fifo == orig_addr) {
-      staged_fifo_.erase(fifo);
-      break;
-    }
-  }
+  staged_fifo_.erase(
+      std::find(staged_fifo_.begin(), staged_fifo_.end(), orig_addr));
 }
 
 void CacheController::StageChunk(Chunk&& chunk) {
@@ -330,10 +335,8 @@ void CacheController::StageChunk(Chunk&& chunk) {
   OBS_INSTANT("prefetch", "stage", "orig", chunk.orig_addr, "bytes", cost);
   staged_fifo_.push_back(chunk.orig_addr);
   staged_bytes_ += cost;
-  if (config_.integrity.enabled) {
-    staged_digest_[chunk.orig_addr] = StagedDigest(chunk);
-  }
-  staged_.emplace(chunk.orig_addr, std::move(chunk));
+  const uint64_t digest = config_.integrity.enabled ? StagedDigest(chunk) : 0;
+  staged_.emplace(chunk.orig_addr, Staged{std::move(chunk), digest});
   ++stats_.prefetch.staged;
 }
 
@@ -344,7 +347,7 @@ bool CacheController::TakeStaged(uint32_t orig_pc, Chunk* out) {
     auto below = staged_.upper_bound(orig_pc);
     if (below != staged_.begin()) {
       --below;
-      const Chunk& chunk = below->second;
+      const Chunk& chunk = below->second.chunk;
       if (orig_pc >= chunk.orig_addr &&
           orig_pc < chunk.orig_addr + chunk.orig_span_bytes()) {
         it = below;
@@ -355,9 +358,7 @@ bool CacheController::TakeStaged(uint32_t orig_pc, Chunk* out) {
   if (config_.integrity.enabled) {
     // Verify-on-use: corrupted staged words must never reach the install
     // path. A mismatch discards the chunk and the miss goes over the wire.
-    const auto dig = staged_digest_.find(it->first);
-    if (dig == staged_digest_.end() ||
-        dig->second != StagedDigest(it->second)) {
+    if (it->second.digest != StagedDigest(it->second.chunk)) {
       ++stats_.integrity.corruptions_detected;
       ++stats_.integrity.staged_drops;
       OBS_INSTANT("cc", "staged_corrupt", "orig", it->first);
@@ -365,17 +366,9 @@ bool CacheController::TakeStaged(uint32_t orig_pc, Chunk* out) {
       return false;
     }
   }
-  *out = std::move(it->second);
+  *out = it->second.chunk;  // into storage reused across misses
   out->entry_word = (orig_pc - out->orig_addr) / 4;
-  const uint32_t key = it->first;
-  staged_.erase(it);
-  staged_bytes_ -= StagedCost(*out);
-  for (auto fifo = staged_fifo_.begin(); fifo != staged_fifo_.end(); ++fifo) {
-    if (*fifo == key) {
-      staged_fifo_.erase(fifo);
-      break;
-    }
-  }
+  UnstageAt(it->first);
   return true;
 }
 
@@ -400,8 +393,8 @@ bool CacheController::SyncSession() {
 
 void CacheController::DropStagedRange(uint32_t addr, uint32_t len) {
   std::vector<uint32_t> victims;
-  for (const auto& [start, chunk] : staged_) {
-    if (start < addr + len && start + chunk.orig_span_bytes() > addr) {
+  for (const auto& [start, staged] : staged_) {
+    if (start < addr + len && start + staged.chunk.orig_span_bytes() > addr) {
       victims.push_back(start);
     }
   }
@@ -414,14 +407,25 @@ void CacheController::DropStagedRange(uint32_t addr, uint32_t len) {
 
 CacheController::Block* CacheController::Translate(uint32_t orig_pc) {
   OBS_SPAN("cc", "translate", "orig", orig_pc);
-  auto chunk = FetchChunk(orig_pc);
-  if (!chunk.ok()) {
-    Fail(chunk.error().message);
+  const util::Status fetched = FetchChunk(orig_pc);
+  if (!fetched.ok()) {
+    Fail(fetched.error().message);
+    return nullptr;
+  }
+  const Chunk& chunk = fetched_;
+  // A legitimate chunk lies inside the program text (all the text index
+  // covers) and covers the demanded address; anything else comes from a
+  // corrupted or hostile reply and must not serve this miss.
+  const uint32_t first = TextWordIndex(chunk.orig_addr);
+  if (first == kNoTextWord ||
+      first + chunk.orig_span_bytes() / 4 >= text_.size() ||
+      orig_pc - chunk.orig_addr >= chunk.orig_span_bytes()) {
+    Fail("chunk reply does not cover the demanded text address");
     return nullptr;
   }
   Block* block = nullptr;
   {
-    OBS_SPAN("cc", "install", "orig", chunk->orig_addr);
+    OBS_SPAN("cc", "install", "orig", chunk.orig_addr);
     // Close the causal arrow opened at FetchChunk: the flow ends at the
     // install slice that makes the missed chunk executable.
     if (pending_flow_id_ != 0) {
@@ -430,8 +434,8 @@ CacheController::Block* CacheController::Translate(uint32_t orig_pc) {
       }
       pending_flow_id_ = 0;
     }
-    block = config_.style == Style::kSparc ? InstallSparc(*chunk)
-                                           : InstallArm(*chunk);
+    block = config_.style == Style::kSparc ? InstallSparc(chunk)
+                                           : InstallArm(chunk);
   }
   if (block != nullptr) {
     ++stats_.blocks_translated;
@@ -493,12 +497,9 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
   const uint32_t tc = Allocate(total_bytes);
   if (tc == 0) return nullptr;
 
-  Block block;
-  block.id = next_block_id_++;
+  Block& block = NewBlock(tc, total_bytes);
   block.orig_addr = chunk.orig_addr;
   block.orig_span = chunk.orig_span_bytes();
-  block.tc_addr = tc;
-  block.tc_bytes = total_bytes;
   block.body_words = body_words;
   block.exit = chunk.exit;
   block.taken_orig = chunk.taken_target;
@@ -578,14 +579,9 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
   }
   machine_.WriteBlock(tc, out.data(), total_bytes);
 
-  const uint32_t tc_addr = block.tc_addr;
-  const uint64_t id = block.id;
   stats_.extra_words_live += slots + mid_count;
-  by_orig_[block.orig_addr] = id;
-  block_tc_.Put(id, tc_addr);
-  auto [it, inserted] = blocks_.emplace(tc_addr, std::move(block));
-  SC_CHECK(inserted);
-  return &it->second;
+  IndexOrig(block, /*live=*/true);
+  return &block;
 }
 
 CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
@@ -593,7 +589,8 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   DecodeChunk(chunk);
   // Pass 1: classify and size. Every JAL call site expands to 3 words
   // (lui ra / ori ra / j) plus one appended exit slot.
-  std::vector<uint32_t> index_map(orig_words, 0);
+  std::vector<uint32_t>& index_map = install_index_map_;
+  index_map.resize(orig_words);
   uint32_t tc_words = 0;
   uint32_t call_sites = 0;
   for (uint32_t i = 0; i < orig_words; ++i) {
@@ -635,24 +632,15 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   const uint32_t tc = Allocate(total_bytes);
   if (tc == 0) return nullptr;
 
-  Block block;
-  block.id = next_block_id_++;
-  block.orig_addr = chunk.orig_addr;
-  block.orig_span = orig_words * 4;
-  block.tc_addr = tc;
-  block.tc_bytes = total_bytes;
-  block.body_words = body_tc_words;
-  block.slot_words = call_sites;
-  block.exit = ExitKind::kNone;
-  block.index_map = std::move(index_map);
-
   // Register the block before emission so ForwardCell can link cells to it.
-  const uint64_t id = block.id;
-  by_orig_[block.orig_addr] = id;
-  block_tc_.Put(id, tc);
-  auto [map_it, inserted] = blocks_.emplace(tc, std::move(block));
-  SC_CHECK(inserted);
-  Block& blk = map_it->second;
+  Block& blk = NewBlock(tc, total_bytes);
+  blk.orig_addr = chunk.orig_addr;
+  blk.orig_span = orig_words * 4;
+  blk.body_words = body_tc_words;
+  blk.slot_words = call_sites;
+  blk.exit = ExitKind::kNone;
+  blk.index_map.assign(index_map.begin(), index_map.end());
+  IndexOrig(blk, /*live=*/true);
   // Accounted here (not after emission) so a mid-emission rollback through
   // EvictBlock stays symmetric.
   stats_.extra_words_live += blk.slot_words;
@@ -731,32 +719,16 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
 
 CacheController::Block* CacheController::FindResident(uint32_t orig_pc,
                                                       uint32_t* tc_addr) {
-  // Exact hit on a block start.
-  const auto exact = by_orig_.find(orig_pc);
-  if (exact != by_orig_.end()) {
-    Block* block = BlockById(exact->second);
-    SC_CHECK(block != nullptr);
-    if (tc_addr != nullptr) *tc_addr = block->tc_addr;
-    return block;
-  }
-  // ARM style: the address may be interior to a resident procedure.
-  if (config_.style == Style::kArm && !by_orig_.empty()) {
-    auto it = by_orig_.upper_bound(orig_pc);
-    if (it != by_orig_.begin()) {
-      --it;
-      Block* block = BlockById(it->second);
-      SC_CHECK(block != nullptr);
-      if (orig_pc >= block->orig_addr &&
-          orig_pc < block->orig_addr + block->orig_span) {
-        if (tc_addr != nullptr) {
-          *tc_addr = block->tc_addr +
-                     block->index_map[(orig_pc - block->orig_addr) / 4] * 4;
-        }
-        return block;
-      }
+  const uint32_t slot = IndexedSlot(orig_pc);
+  if (slot == 0) return nullptr;
+  Block* block = &slab_[slot - 1];
+  if (tc_addr != nullptr) {
+    *tc_addr = block->tc_addr;
+    if (!block->index_map.empty()) {
+      *tc_addr += block->index_map[(orig_pc - block->orig_addr) / 4] * 4;
     }
   }
-  return nullptr;
+  return block;
 }
 
 CacheController::Resolution CacheController::ResolveEntry(uint32_t orig_pc) {
@@ -793,6 +765,12 @@ CacheController::Resolution CacheController::ResolveEntry(uint32_t orig_pc) {
 
 uint32_t CacheController::Allocate(uint32_t bytes) {
   SC_CHECK_EQ(bytes % 4, 0u);
+  if (bytes == 0) {
+    // Only a malformed reply yields an empty block: every legitimate chunk
+    // translates to at least one word (a folded jump keeps its exit slot).
+    Fail("empty chunk");
+    return 0;
+  }
   if (bytes > config_.tcache_bytes) {
     std::ostringstream msg;
     msg << "chunk of " << bytes << " bytes exceeds tcache of "
@@ -819,23 +797,21 @@ uint32_t CacheController::Allocate(uint32_t bytes) {
       }
     }
     const uint32_t lo = local_base_ + alloc_cursor_;
-    const uint32_t hi = lo + bytes;
     bool restarted = false;
-    for (;;) {
-      // Find any block overlapping [lo, hi).
-      auto it = blocks_.lower_bound(lo);
-      if (it != blocks_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second.tc_addr + prev->second.tc_bytes > lo) it = prev;
-      }
-      if (it == blocks_.end() || it->second.tc_addr >= hi) break;
-      if (it->second.pinned) {
+    // Evict the owners of the window's words, lowest address first.
+    const uint32_t end_word = (alloc_cursor_ + bytes) / 4;
+    for (uint32_t w = alloc_cursor_ / 4; w < end_word; ++w) {
+      if (owner_[w] == 0) continue;
+      const Block& block = slab_[owner_[w] - 1];
+      const uint32_t block_end = block.tc_addr + block.tc_bytes - local_base_;
+      if (block.pinned) {
         // Cannot evict: move the allocation window past the pinned block.
-        alloc_cursor_ = it->second.tc_addr + it->second.tc_bytes - local_base_;
+        alloc_cursor_ = block_end;
         restarted = true;
         break;
       }
-      EvictBlock(it->second.id);
+      EvictBlock(block.id);
+      w = block_end / 4 - 1;  // its remaining words are free now
     }
     if (restarted) continue;
     alloc_cursor_ += bytes;
@@ -863,30 +839,73 @@ void CacheController::Unpin(uint32_t orig_addr) {
 
 uint64_t CacheController::pinned_bytes() const {
   uint64_t total = 0;
-  for (const auto& [tc, block] : blocks_) {
+  ForEachBlock([&total](const Block& block) {
     if (block.pinned) total += block.tc_bytes;
-  }
+  });
   return total;
 }
 
+CacheController::Block& CacheController::NewBlock(uint32_t tc, uint32_t bytes) {
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    // Within the reservation: live blocks hold disjoint tcache words.
+    slot = static_cast<uint32_t>(slab_.size());
+    SC_CHECK_LT(slab_.size(), slab_.capacity());
+    slab_.emplace_back();
+  }
+  Block& block = slab_[slot];
+  static_cast<BlockHead&>(block) = BlockHead{};
+  block.id = next_serial_++ << kSlotBits | slot;
+  block.tc_addr = tc;
+  block.tc_bytes = bytes;
+  const uint32_t first = (tc - local_base_) / 4;
+  std::fill_n(owner_.begin() + first, bytes / 4,
+              static_cast<uint16_t>(slot + 1));
+  return block;
+}
+
+uint32_t CacheController::IndexedWords(const Block& block) const {
+  return config_.style == Style::kArm ? block.orig_span / 4 : 1;
+}
+
+void CacheController::IndexOrig(const Block& block, bool live) {
+  // Procedures never overlap, so each original word names at most one
+  // block in either style.
+  const uint32_t first = TextWordIndex(block.orig_addr);
+  const uint16_t slot = static_cast<uint16_t>((block.id & kSlotMask) + 1);
+  for (uint32_t w = first; w < first + IndexedWords(block); ++w) {
+    if (live) {
+      text_[w].slot = slot;
+    } else if (text_[w].slot == slot) {
+      text_[w].slot = 0;
+    }
+  }
+}
+
 void CacheController::EvictBlock(uint64_t block_id) {
-  const uint32_t* tc_ptr = block_tc_.Find(block_id);
-  SC_CHECK(tc_ptr != nullptr);
-  const uint32_t tc_victim = *tc_ptr;
-  Block block = std::move(blocks_.at(tc_victim));
-  blocks_.erase(tc_victim);
-  block_tc_.Erase(block_id);
-  by_orig_.erase(block.orig_addr);
+  Block* found = BlockById(block_id);
+  SC_CHECK(found != nullptr);
+  Block& block = *found;
+  const uint64_t id = block.id;
+  const uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
+  // Unregister first: lookups during the unlinking no longer find it.
+  IndexOrig(block, /*live=*/false);
+  std::fill_n(owner_.begin() + (block.tc_addr - local_base_) / 4,
+              block.tc_bytes / 4, uint16_t{0});
+  block.id = 0;
 
   // Unlink incoming edges: every branch/jump/cell that points here goes back
   // to a miss stub.
   for (const InEdge& edge : block.in_edges) {
-    if (edge.from_block == block.id) continue;  // self-edge dies with us
+    if (edge.from_block == id) continue;  // self-edge dies with us
     UnlinkEdge(edge);
   }
   // Remove our outgoing edges from the targets' incoming lists.
   for (const auto& [target_id, patch_addr] : block.out_edges) {
-    if (target_id == block.id) continue;
+    if (target_id == id) continue;
     Block* target = BlockById(target_id);
     if (target == nullptr) continue;  // target already evicted
     auto& edges = target->in_edges;
@@ -928,28 +947,35 @@ void CacheController::EvictBlock(uint64_t block_id) {
       if (v >= lo && v < hi) {
         fprintf(stderr, "[scan] reg %s holds 0x%x into evicted block %llu\n",
                 isa::RegName(static_cast<uint8_t>(r)), v,
-                (unsigned long long)block.id);
+                (unsigned long long)(id >> kSlotBits));
       }
     }
     for (uint32_t a = machine_.reg(isa::kSp) & ~3u; a < image::kStackTop; a += 4) {
       const uint32_t v = machine_.ReadWord(a);
       if (v >= lo && v < hi) {
         fprintf(stderr, "[scan] stack[0x%x] holds 0x%x into evicted block %llu (sp=0x%x fp=0x%x)\n",
-                a, v, (unsigned long long)block.id, machine_.reg(isa::kSp),
-                machine_.reg(isa::kFp));
+                a, v, (unsigned long long)(id >> kSlotBits),
+                machine_.reg(isa::kSp), machine_.reg(isa::kFp));
       }
     }
   }
 #endif
+  // Release the slot; its vectors keep their capacity for the next install.
+  block.mid_slots.clear();
+  block.index_map.clear();
+  block.in_edges.clear();
+  block.out_edges.clear();
+  block.own_stubs.clear();
+  free_slots_.push_back(static_cast<uint16_t>(slot));
 }
 
 void CacheController::FlushAll() {
   OBS_SPAN("cc", "flush_all");
   ++stats_.flushes;
   std::vector<uint64_t> victims;
-  for (const auto& [tc, block] : blocks_) {
+  ForEachBlock([&victims](const Block& block) {
     if (!block.pinned) victims.push_back(block.id);
-  }
+  });
   for (uint64_t id : victims) EvictBlock(id);
   alloc_cursor_ = 0;
   SC_CHECK_EQ(live_bytes_, pinned_bytes());
@@ -1046,10 +1072,13 @@ void CacheController::UnlinkEdge(const InEdge& edge) {
 
 uint32_t CacheController::ForwardCell(uint32_t cont_orig, uint32_t known_tc,
                                       Block* owner) {
-  uint32_t cell;
-  const uint32_t* existing = cell_for_orig_.Find(cont_orig);
-  if (existing != nullptr) {
-    cell = *existing;
+  const uint32_t w = TextWordIndex(cont_orig);
+  if (w == kNoTextWord) {
+    Fail("forward cell for a non-text continuation");
+    return 0;
+  }
+  uint32_t cell = text_[w].cell;
+  if (cell != 0) {
     if (known_tc == 0) return cell;  // existing content is still valid
     // The cell currently holds a TCMISS (its target was evicted); free that
     // stub before rebinding.
@@ -1069,7 +1098,7 @@ uint32_t CacheController::ForwardCell(uint32_t cont_orig, uint32_t known_tc,
     }
     cell = cells_base_ + cells_used_;
     cells_used_ += 4;
-    cell_for_orig_.Put(cont_orig, cell);
+    text_[w].cell = cell;
     if (config_.style == Style::kArm) {
       ++stats_.redirector_words;
     } else {
@@ -1181,27 +1210,20 @@ uint32_t CacheController::OnIcacheInvalidate(vm::Machine& m, uint32_t addr,
   // The invalidation may cover the very block that issued it; remember the
   // original continuation so execution can be relocated into fresh code.
   uint32_t resume_orig = 0;
-  {
-    auto it = blocks_.upper_bound(pc);
-    if (it != blocks_.begin()) {
-      --it;
-      const Block& current = it->second;
-      if (pc >= current.tc_addr && pc < current.tc_addr + current.tc_bytes &&
-          current.orig_addr < addr + len &&
-          current.orig_addr + current.orig_span > addr) {
-        resume_orig = OrigForTcacheAddr(current, pc + 4);
-      }
-    }
+  if (const Block* current = BlockAt(pc);
+      current != nullptr && current->orig_addr < addr + len &&
+      current->orig_addr + current->orig_span > addr) {
+    resume_orig = OrigForTcacheAddr(*current, pc + 4);
   }
   // Evict every block whose original range overlaps [addr, addr+len).
   std::vector<uint64_t> victims;
-  for (const auto& [tc, block] : blocks_) {
+  ForEachBlock([&victims, addr, len](const Block& block) {
     if (block.orig_addr < addr + len && block.orig_addr + block.orig_span > addr) {
       victims.push_back(block.id);
     }
-  }
+  });
   for (uint64_t id : victims) {
-    if (block_tc_.Contains(id)) EvictBlock(id);
+    if (BlockById(id) != nullptr) EvictBlock(id);
   }
   // Staged prefetched chunks covering the rewritten range hold stale words.
   DropStagedRange(addr, len);
@@ -1239,7 +1261,7 @@ uint32_t CacheController::OnTcMiss(vm::Machine& m, uint32_t stub_index) {
   const bool stub_intact = stubs_[stub_index].live &&
                            stubs_[stub_index].generation == stub.generation;
   const bool source_alive =
-      stub.from_block == 0 || block_tc_.Contains(stub.from_block);
+      stub.from_block == 0 || BlockById(stub.from_block) != nullptr;
   if (stub_intact && source_alive) {
     LinkEdge(stub, *res.block, res.tc_addr);
     FreeStub(stub_index);
@@ -1275,27 +1297,53 @@ uint32_t CacheController::OnTcJalr(vm::Machine& m, const isa::Instr& instr,
 // ---------------------------------------------------------------------------
 
 CacheController::Block* CacheController::BlockById(uint64_t id) {
-  const uint32_t* tc = block_tc_.Find(id);
-  if (tc == nullptr) return nullptr;
-  return &blocks_.at(*tc);
+  const uint64_t slot = id & kSlotMask;
+  if (id == 0 || slot >= slab_.size() || slab_[slot].id != id) return nullptr;
+  return &slab_[slot];
+}
+
+CacheController::Block* CacheController::BlockAt(uint32_t addr) {
+  if (addr < local_base_ || addr >= cells_base_) return nullptr;
+  const uint16_t slot = owner_[(addr - local_base_) / 4];
+  return slot == 0 ? nullptr : &slab_[slot - 1];
+}
+
+uint32_t CacheController::TextWordIndex(uint32_t addr) const {
+  if (addr < text_base_ || addr % 4 != 0) return kNoTextWord;
+  const uint32_t w = (addr - text_base_) / 4;
+  return w < text_.size() ? w : kNoTextWord;
+}
+
+uint32_t CacheController::IndexedSlot(uint32_t orig_pc) const {
+  const uint32_t w = TextWordIndex(orig_pc);
+  return w == kNoTextWord ? 0 : text_[w].slot;
+}
+
+const CacheController::Block& CacheController::NthBlock(uint64_t k) const {
+  const Block* nth = nullptr;
+  ForEachBlock([&nth, &k](const Block& block) {
+    if (nth == nullptr && k-- == 0) nth = &block;
+  });
+  SC_CHECK(nth != nullptr);
+  return *nth;
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> CacheController::ChunkFetchCounts()
     const {
   std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(fetch_counts_.size());
-  fetch_counts_.ForEach([&out](uint32_t orig, uint32_t count) {
-    out.emplace_back(orig, count);
-  });
+  for (uint32_t w = 0; w < text_.size(); ++w) {
+    if (text_[w].fetches != 0) {
+      out.emplace_back(text_base_ + w * 4, text_[w].fetches);
+    }
+  }
   return out;
 }
-
 
 std::vector<CacheController::BlockView> CacheController::SnapshotBlocks()
     const {
   std::vector<BlockView> views;
-  views.reserve(blocks_.size());
-  for (const auto& [tc_addr, block] : blocks_) {
+  views.reserve(ResidentBlocks());
+  ForEachBlock([&views](const Block& block) {
     BlockView view;
     view.orig_addr = block.orig_addr;
     view.orig_span = block.orig_span;
@@ -1305,7 +1353,7 @@ std::vector<CacheController::BlockView> CacheController::SnapshotBlocks()
     view.in_edges = static_cast<uint32_t>(block.in_edges.size());
     view.pinned = block.pinned;
     views.push_back(view);
-  }
+  });
   return views;
 }
 
@@ -1314,8 +1362,7 @@ std::vector<std::pair<uint32_t, uint32_t>> CacheController::SnapshotStaged()
   std::vector<std::pair<uint32_t, uint32_t>> staged;
   staged.reserve(staged_fifo_.size());
   for (const uint32_t orig : staged_fifo_) {
-    const auto it = staged_.find(orig);
-    if (it != staged_.end()) staged.emplace_back(orig, StagedCost(it->second));
+    staged.emplace_back(orig, StagedCost(staged_.at(orig).chunk));
   }
   return staged;
 }
@@ -1326,10 +1373,10 @@ std::string CacheController::DumpState() const {
   out << "region: [0x" << std::hex << local_base_ << ", 0x" << cells_base_
       << ")  cells: [0x" << cells_base_ << ", 0x" << cells_base_ + cells_used_
       << ")\n" << std::dec;
-  out << "blocks: " << blocks_.size() << "  live bytes: " << live_bytes_
+  out << "blocks: " << ResidentBlocks() << "  live bytes: " << live_bytes_
       << "  cursor: " << alloc_cursor_ << "\n";
-  for (const auto& [tc, block] : blocks_) {
-    out << std::hex << "  block#" << std::dec << block.id << std::hex
+  ForEachBlock([this, &out](const Block& block) {
+    out << "  block#" << (block.id >> kSlotBits) << std::hex
         << "  tc=[0x" << block.tc_addr << ",0x" << block.tc_addr + block.tc_bytes
         << ")  orig=[0x" << block.orig_addr << ",0x"
         << block.orig_addr + block.orig_span << ")" << std::dec;
@@ -1359,21 +1406,15 @@ std::string CacheController::DumpState() const {
       out << "    mid slot @0x" << std::hex << slot << std::dec << ": "
           << slot_state(slot) << "\n";
     }
-  }
+  });
   uint32_t live_stub_count = 0;
   for (const StubInfo& stub : stubs_) {
     if (stub.live) ++live_stub_count;
   }
   out << "stubs: " << live_stub_count << " live of " << stubs_.size()
       << " allocated\n";
-  out << "forward cells: " << cell_for_orig_.size() << "\n";
-  // Address order, for a stable dump independent of the table's probing.
-  std::vector<std::pair<uint32_t, uint32_t>> cells;
-  cell_for_orig_.ForEach([&cells](uint32_t orig, uint32_t cell) {
-    cells.emplace_back(cell, orig);
-  });
-  std::sort(cells.begin(), cells.end());
-  for (const auto& [cell, orig] : cells) {
+  out << "forward cells: " << cells_used_ / 4 << "\n";
+  for (const auto& [cell, orig] : CellsInAddressOrder()) {
     const Instr in = isa::Decode(machine_.ReadWord(cell));
     out << "  cell 0x" << std::hex << cell << " for orig 0x" << orig << ": "
         << (in.op == Opcode::kTcMiss ? "MISSING" : "LINKED") << std::dec << "\n";
@@ -1381,31 +1422,60 @@ std::string CacheController::DumpState() const {
   if (!staged_.empty()) {
     out << "staged prefetched chunks: " << staged_.size() << " ("
         << staged_bytes_ << " bytes)\n";
-    for (const auto& [orig, chunk] : staged_) {
+    for (const auto& [orig, staged] : staged_) {
       out << "  staged orig=[0x" << std::hex << orig << ",0x"
-          << orig + chunk.orig_span_bytes() << ")" << std::dec << "\n";
+          << orig + staged.chunk.orig_span_bytes() << ")" << std::dec << "\n";
     }
   }
   return out.str();
 }
 
 bool CacheController::IsResident(uint32_t orig_addr) const {
-  return by_orig_.count(orig_addr) != 0;
+  const uint32_t slot = IndexedSlot(orig_addr);
+  return slot != 0 && slab_[slot - 1].orig_addr == orig_addr;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>>
+CacheController::CellsInAddressOrder() const {
+  std::vector<std::pair<uint32_t, uint32_t>> cells;
+  cells.reserve(cells_used_ / 4);
+  for (uint32_t w = 0; w < text_.size(); ++w) {
+    if (text_[w].cell != 0) {
+      cells.emplace_back(text_[w].cell, text_base_ + w * 4);
+    }
+  }
+  std::sort(cells.begin(), cells.end());
+  return cells;
 }
 
 void CacheController::CheckInvariants() const {
   uint64_t total_bytes = 0;
   uint32_t prev_end = 0;
-  for (const auto& [tc, block] : blocks_) {
-    SC_CHECK_EQ(tc, block.tc_addr);
+  size_t live_blocks = 0;
+  size_t indexed_words = 0;
+  ForEachBlock([&](const Block& block) {
+    const uint32_t tc = block.tc_addr;
     SC_CHECK_GE(tc, local_base_);
     SC_CHECK_LE(tc + block.tc_bytes, cells_base_);
     SC_CHECK_GE(tc, prev_end) << "blocks overlap in the tcache";
+    SC_CHECK_GT(block.tc_bytes, 0u);
     prev_end = tc + block.tc_bytes;
     total_bytes += block.tc_bytes;
-    // Map consistency.
-    SC_CHECK_EQ(by_orig_.at(block.orig_addr), block.id);
-    SC_CHECK_EQ(block_tc_.At(block.id), tc);
+    ++live_blocks;
+    // The id names this slot, which owns the block's words and text words.
+    const uint64_t slot = block.id & kSlotMask;
+    SC_CHECK(block.id != 0 && slot < slab_.size() && &slab_[slot] == &block)
+        << "block id does not name its slot";
+    for (uint32_t a = tc; a < tc + block.tc_bytes; a += 4) {
+      SC_CHECK_EQ(owner_[(a - local_base_) / 4], slot + 1)
+          << "tcache word not owned by its block";
+    }
+    const uint32_t indexed = IndexedWords(block);
+    for (uint32_t w = 0; w < indexed; ++w) {
+      SC_CHECK_EQ(IndexedSlot(block.orig_addr + w * 4), slot + 1)
+          << "original-text index misses a block";
+    }
+    indexed_words += indexed;
     // Incoming edges really point at us.
     for (const InEdge& edge : block.in_edges) {
       const Instr in = isa::Decode(machine_.ReadWord(edge.patch_addr));
@@ -1429,14 +1499,30 @@ void CacheController::CheckInvariants() const {
     }
     // Outgoing edges are mirrored by the target's incoming list.
     for (const auto& [target_id, patch_addr] : block.out_edges) {
-      const uint32_t* target_tc = block_tc_.Find(target_id);
-      SC_CHECK(target_tc != nullptr) << "out-edge to evicted block";
-      const Block& target = blocks_.at(*target_tc);
+      const uint64_t target_slot = target_id & kSlotMask;
+      SC_CHECK(target_slot < slab_.size() && slab_[target_slot].id == target_id)
+          << "out-edge to evicted block";
+      const Block& target = slab_[target_slot];
       const bool found = std::any_of(
           target.in_edges.begin(), target.in_edges.end(),
           [&, pa = patch_addr](const InEdge& e) { return e.patch_addr == pa; });
       SC_CHECK(found) << "out-edge without matching in-edge";
     }
+  });
+  // No other word is owned (each block's words are owned by it, above).
+  const auto owned = std::count_if(owner_.begin(), owner_.end(),
+                                   [](uint16_t slot) { return slot != 0; });
+  SC_CHECK_EQ(static_cast<uint64_t>(owned) * 4, total_bytes)
+      << "tcache word owned by no live block";
+  // Nor does the original-text index hold other entries.
+  const auto entries = std::count_if(text_.begin(), text_.end(),
+                                     [](const TextWord& t) { return t.slot; });
+  SC_CHECK_EQ(static_cast<size_t>(entries), indexed_words)
+      << "original-text index names an evicted block";
+  // Free slots plus live blocks fill the slab; a free slot holds no block.
+  SC_CHECK_EQ(free_slots_.size() + live_blocks, slab_.size());
+  for (const uint16_t slot : free_slots_) {
+    SC_CHECK_EQ(slab_.at(slot).id, 0u) << "live block on the free list";
   }
   SC_CHECK_EQ(total_bytes, live_bytes_);
   // Live stubs hold TCMISS words carrying their own id.
@@ -1448,21 +1534,22 @@ void CacheController::CheckInvariants() const {
     SC_CHECK_EQ(static_cast<uint32_t>(in.imm), id);
   }
   // Cells hold either a live TCMISS or a jump into a live block.
-  cell_for_orig_.ForEach([this](uint32_t orig, uint32_t cell) {
-    (void)orig;
+  const auto cells = CellsInAddressOrder();
+  SC_CHECK_EQ(cells.size() * 4, cells_used_);
+  for (const auto& [cell, orig] : cells) {
     const Instr in = isa::Decode(machine_.ReadWord(cell));
     SC_CHECK(in.op == Opcode::kTcMiss || in.op == Opcode::kJ);
     if (in.op == Opcode::kTcMiss) {
       SC_CHECK(stubs_.at(static_cast<uint32_t>(in.imm)).live);
     }
-  });
+  }
   // Staging accounting: byte counter and FIFO mirror the staged map exactly.
   uint64_t staged_total = 0;
-  for (const auto& [orig, chunk] : staged_) {
-    SC_CHECK_EQ(orig, chunk.orig_addr);
+  for (const auto& [orig, staged] : staged_) {
+    SC_CHECK_EQ(orig, staged.chunk.orig_addr);
     SC_CHECK(std::find(staged_fifo_.begin(), staged_fifo_.end(), orig) !=
              staged_fifo_.end());
-    staged_total += StagedCost(chunk);
+    staged_total += StagedCost(staged.chunk);
   }
   SC_CHECK_EQ(staged_fifo_.size(), staged_.size());
   SC_CHECK_EQ(staged_total, staged_bytes_);
@@ -1487,21 +1574,18 @@ uint64_t CacheController::StagedDigest(const Chunk& chunk) const {
 
 void CacheController::RefreshDigestAt(uint32_t addr) {
   if (!config_.integrity.enabled) return;
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) return;
-  --it;
-  Block& block = it->second;
-  if (addr < block.tc_addr || addr >= block.tc_addr + block.tc_bytes) return;
-  block.digest = BlockDigest(block);
+  if (Block* block = BlockAt(addr)) block->digest = BlockDigest(*block);
 }
 
 uint32_t CacheController::AnyResidentTcacheByteForTest() const {
   const uint32_t pc = machine_.pc();
-  for (const auto& [tc, block] : blocks_) {
-    if (pc >= block.tc_addr && pc < block.tc_addr + block.tc_bytes) continue;
-    return block.tc_addr + block.tc_bytes / 2;
-  }
-  return 0;
+  uint32_t byte = 0;
+  ForEachBlock([pc, &byte](const Block& block) {
+    const uint32_t end = block.tc_addr + block.tc_bytes;
+    const bool has_pc = pc >= block.tc_addr && pc < end;
+    if (byte == 0 && !has_pc) byte = block.tc_addr + block.tc_bytes / 2;
+  });
+  return byte;
 }
 
 bool CacheController::VerifyResident(Block* block) {
@@ -1546,10 +1630,10 @@ void CacheController::ScrubCachedState() {
   // OTHER blocks' digests (RefreshDigestAt), and must never restamp a block
   // we have already decided is corrupt.
   std::vector<uint64_t> corrupt_ids;
-  for (auto& [tc, block] : blocks_) {
+  ForEachBlock([this, &charged_words, &corrupt_ids](const Block& block) {
     charged_words += block.tc_bytes / 4;
     if (BlockDigest(block) != block.digest) corrupt_ids.push_back(block.id);
-  }
+  });
   for (uint64_t id : corrupt_ids) {
     Block* block = BlockById(id);
     if (block == nullptr) continue;  // evicted by an earlier quarantine
@@ -1558,10 +1642,9 @@ void CacheController::ScrubCachedState() {
     if (!Quarantine(block)) return;  // heal budget exhausted: machine faulted
   }
   std::vector<uint32_t> corrupt_staged;
-  for (const auto& [orig, chunk] : staged_) {
-    charged_words += chunk.words.size();
-    auto it = staged_digest_.find(orig);
-    if (it == staged_digest_.end() || StagedDigest(chunk) != it->second) {
+  for (const auto& [orig, staged] : staged_) {
+    charged_words += staged.chunk.words.size();
+    if (StagedDigest(staged.chunk) != staged.digest) {
       corrupt_staged.push_back(orig);
     }
   }
@@ -1603,9 +1686,10 @@ bool CacheController::IntegrityTick() {
       util::Rng& rng = inj_staged_->rng();
       auto victim = staged_.begin();
       std::advance(victim, static_cast<long>(rng.Below(staged_.size())));
-      if (!victim->second.words.empty()) {
-        const uint64_t bit = rng.Below(victim->second.words.size() * 32);
-        victim->second.words[bit / 32] ^= 1u << (bit % 32);
+      std::vector<uint32_t>& words = victim->second.chunk.words;
+      if (!words.empty()) {
+        const uint64_t bit = rng.Below(words.size() * 32);
+        words[bit / 32] ^= 1u << (bit % 32);
         ++stats_.integrity.flips_injected;
         OBS_INSTANT("cc", "mem_flip", "domain", 1, "orig", victim->first);
       }
@@ -1620,11 +1704,9 @@ bool CacheController::IntegrityTick() {
     // and the scrub below detects it within the same tick, so no corrupted
     // instruction is ever reachable by the engine between ticks.
     if (scrub_tick) {
-      if (inj_tcache_->Due(cyc) && !blocks_.empty()) {
+      if (inj_tcache_->Due(cyc) && ResidentBlocks() != 0) {
         util::Rng& rng = inj_tcache_->rng();
-        auto victim = blocks_.begin();
-        std::advance(victim, static_cast<long>(rng.Below(blocks_.size())));
-        const Block& block = victim->second;
+        const Block& block = NthBlock(rng.Below(ResidentBlocks()));
         const uint64_t bit = rng.Below(static_cast<uint64_t>(block.tc_bytes) * 8);
         // Model restriction: spare the block the program counter currently
         // sits in. Quarantining it at a scrub boundary would strand the pc

@@ -49,8 +49,8 @@
 #include "softcache/reliable.h"
 #include "softcache/session.h"
 #include "softcache/stats.h"
-#include "util/open_table.h"
 #include "util/stats.h"
+#include "util/zero_pages.h"
 #include "vm/machine.h"
 
 namespace sc::softcache {
@@ -115,6 +115,7 @@ class CacheController : public vm::TrapHandler {
   void set_quarantine_hook(std::function<void(uint32_t orig_addr)> hook) {
     quarantine_hook_ = std::move(hook);
   }
+
   // Test hook: the address of a byte inside some resident tcache block that
   // does NOT contain the machine's current pc (0 when nothing qualifies).
   // Lets integrity tests plant a corruption without knowing the layout.
@@ -159,15 +160,16 @@ class CacheController : public vm::TrapHandler {
 
   // --- Introspection (tests and benchmarks) ---
   bool IsResident(uint32_t orig_addr) const;
-  size_t ResidentBlocks() const { return blocks_.size(); }
+  size_t ResidentBlocks() const { return slab_.size() - free_slots_.size(); }
   uint32_t local_base() const { return local_base_; }
   uint32_t cells_base() const { return cells_base_; }
   uint32_t local_limit() const { return cells_base_ + cells_bytes_; }
   uint64_t live_tcache_bytes() const { return live_bytes_; }
 
   // Validates every cross-structure invariant (edges consistent both ways,
-  // stubs point at live TCMISS words, map entries match blocks, no block
-  // overlap). Fatal on violation; called from tests after every phase.
+  // stubs point at live TCMISS words, no block overlap, the owner and text
+  // indexes name exactly the live blocks, free slots plus live blocks fill
+  // the slab). Fatal on violation; called from tests after every phase.
   void CheckInvariants() const;
 
   // Human-readable dump of the whole rewriting state: every resident block
@@ -193,6 +195,10 @@ class CacheController : public vm::TrapHandler {
   const vm::Machine& machine() const { return machine_; }
 
  private:
+  // Tests reach the block store's internals through this peer (defined in
+  // the test that needs it) to check them against a brute-force model.
+  friend struct CacheControllerPeer;
+
   struct InEdge {
     uint64_t from_block;   // source block id; 0 for permanent cells
     uint32_t patch_addr;   // the word that currently points at the target
@@ -201,7 +207,10 @@ class CacheController : public vm::TrapHandler {
     uint32_t target_orig;  // original target address (stub recreation)
   };
 
-  struct Block {
+  // A block's scalar fields, reset wholesale when a slab slot is reused.
+  // `id` is serial << kSlotBits | slot while the block is live and 0 while
+  // the slot is free.
+  struct BlockHead {
     uint64_t id = 0;
     uint32_t orig_addr = 0;
     uint32_t orig_span = 0;  // bytes of original code this block covers
@@ -221,6 +230,10 @@ class CacheController : public vm::TrapHandler {
     uint32_t fall_orig = 0;
     uint32_t slot_a = 0;  // 0 = absent
     uint32_t slot_b = 0;
+  };
+  // A slab slot: a freed slot's vectors are cleared but keep their
+  // capacity for the next install.
+  struct Block : BlockHead {
     // Trace chunking: mid-chunk side exits as (slot address, taken target).
     std::vector<std::pair<uint32_t, uint32_t>> mid_slots;
     // ARM mode: original word index -> tcache word index. Empty in SPARC
@@ -268,10 +281,13 @@ class CacheController : public vm::TrapHandler {
   // Both installs stage the whole block and write it with one WriteBlock.
   Block* InstallSparc(const Chunk& chunk);
   Block* InstallArm(const Chunk& chunk);
-  util::Result<Chunk> FetchChunk(uint32_t orig_pc);
+  // Both fetches fill fetched_ (its words vector is reused across misses).
+  util::Status FetchChunk(uint32_t orig_pc);
   // Second round trip after a digest reply whose body the snoop store no
   // longer holds: a plain kChunkRequest, always answered with a full body.
-  util::Result<Chunk> FetchChunkFullBody(uint32_t orig_pc);
+  util::Status FetchChunkFullBody(uint32_t orig_pc);
+  // Copies a plain chunk reply's words into fetched_.
+  util::Status AcceptChunkReply(const ReplyView& reply);
 
   // --- Prefetch staging ---
   // Prefetched chunks wait here as raw untranslated words — no tcache space,
@@ -279,8 +295,9 @@ class CacheController : public vm::TrapHandler {
   // Cost accounting mirrors the wire cost (sub-header + words).
   static uint32_t StagedCost(const Chunk& chunk);
   void StageChunk(Chunk&& chunk);
-  // Moves the staged chunk covering `orig_pc` into `*out` (exact start, or —
-  // ARM style — a procedure containing the interior address). False on miss.
+  // Copies the staged chunk covering `orig_pc` (exact start, or — ARM
+  // style — a procedure containing the interior address) into `*out` and
+  // unstages it. False on miss.
   bool TakeStaged(uint32_t orig_pc, Chunk* out);
   // Drops staged chunks overlapping [addr, addr+len): their words are stale
   // once the program rewrites that text.
@@ -297,8 +314,16 @@ class CacheController : public vm::TrapHandler {
   }
 
   // --- Allocation / eviction ---
-  // Returns 0 on failure (fault raised).
+  // Returns 0 on failure (fault raised). Evicts the owners of the window's
+  // words.
   uint32_t Allocate(uint32_t bytes);
+  // A fresh block in a free slot, owning the words of [tc, tc + bytes); the
+  // caller fills in the rest and indexes it (IndexOrig).
+  Block& NewBlock(uint32_t tc, uint32_t bytes);
+  // Points the text index at `block` (live) or clears what still points at
+  // it: IndexedWords words from its start (1 SPARC, its procedure ARM).
+  void IndexOrig(const Block& block, bool live);
+  uint32_t IndexedWords(const Block& block) const;
   void EvictBlock(uint64_t block_id);
   void FlushAll();
 
@@ -324,7 +349,23 @@ class CacheController : public vm::TrapHandler {
   // style; the ARM style routes returns through cells up front).
   void FixStaleReturnAddresses(const Block& block);
 
+  // --- Block store lookups ---
   Block* BlockById(uint64_t id);
+  // The block owning tcache word `addr`; null when free or outside.
+  Block* BlockAt(uint32_t addr);
+  // Slot + 1 of the block starting at (SPARC) or covering (ARM) `orig_pc`;
+  // 0 when none.
+  uint32_t IndexedSlot(uint32_t orig_pc) const;
+  // `addr`'s index in text_; kNoTextWord if unaligned or outside the text.
+  uint32_t TextWordIndex(uint32_t addr) const;
+  // Visits every live block in tcache-address order (the order stubs,
+  // snapshots, dumps and fault schedules depend on). `fn` must not evict.
+  template <typename Fn>
+  void ForEachBlock(Fn&& fn) const;
+  // The k-th live block in tcache-address order (k < ResidentBlocks()).
+  const Block& NthBlock(uint64_t k) const;
+  // (cell address, continuation) for every forward cell, by cell address.
+  std::vector<std::pair<uint32_t, uint32_t>> CellsInAddressOrder() const;
   void Fail(const std::string& what);
 
   // --- Integrity internals ---
@@ -357,8 +398,6 @@ class CacheController : public vm::TrapHandler {
   std::set<uint32_t> pending_heal_;
   std::map<uint32_t, uint32_t> heal_counts_;
   std::set<uint32_t> poisoned_origs_;
-  // Digest per staged prefetch chunk, keyed like staged_.
-  std::map<uint32_t, uint64_t> staged_digest_;
   std::function<void(uint32_t)> quarantine_hook_;
   // Latched when the heal budget is exhausted: the run is degrading to a
   // clean Fail, so no further verification/healing work happens.
@@ -375,40 +414,57 @@ class CacheController : public vm::TrapHandler {
   // Observability series (see accessors above).
   util::Histogram miss_latency_;
   obs::Series occupancy_;
-  util::OpenTable<uint32_t, uint32_t> fetch_counts_;
 
   uint32_t local_base_ = 0;
   uint32_t cells_base_ = 0;
   uint32_t cells_bytes_ = 0;
   uint32_t cells_used_ = 0;
 
-  uint64_t next_block_id_ = 1;
   uint32_t alloc_cursor_ = 0;  // offset within the tcache region
   uint64_t live_bytes_ = 0;
 
-  std::map<uint32_t, Block> blocks_;  // keyed by tc_addr
-  // id -> tc_addr. Hit on every TCMISS resolution and invariant check; an
-  // open-addressed flat table sized at construction from the worst-case
-  // resident-block count.
-  util::OpenTable<uint64_t, uint32_t> block_tc_;
-  // Original start -> block id; ordered so the ARM style can find the
-  // procedure containing an interior address (and eviction scans stay
-  // address-ordered).
-  std::map<uint32_t, uint64_t> by_orig_;
+  // --- Block store: a slab and two direct indexes, no search trees ---
+  // Every block holds a word, so at most tcache_bytes / 4 <= 2^15 live.
+  static constexpr uint32_t kSlotBits = 15;
+  static constexpr uint64_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr uint32_t kNoTextWord = ~0u;
+  template <typename T>
+  using ZeroVec = std::vector<T, util::ZeroPageAllocator<T>>;
+  // Reserved to that bound (Block pointers stay valid), touched only as far
+  // as blocks are live.
+  std::vector<Block> slab_;
+  std::vector<uint16_t> free_slots_;
+  uint64_t next_serial_ = 1;
+  // Per tcache word: slot + 1 of the block owning it, 0 when free.
+  ZeroVec<uint16_t> owner_;
+  // Per original text word, text_base..text_end inclusive (a call in the
+  // last word continues at text_end).
+  struct TextWord {
+    uint32_t fetches;  // this client's demand fetches of the chunk here
+    uint32_t cell;     // forward cell for this continuation, 0 = none
+    uint16_t slot;     // what IndexedSlot returns for this word
+  };
+  uint32_t text_base_ = 0;
+  ZeroVec<TextWord> text_;
+
   std::vector<StubInfo> stubs_;
   std::vector<uint32_t> free_stub_ids_;
   uint64_t stub_generation_ = 0;
-  // Install buffers, reused across misses: the chunk's words decoded once,
-  // and the block's words (body, exit and mid slots) staged so one
-  // Machine::WriteBlock installs them.
+  // Install buffers, reused across misses: the fetched chunk, its words
+  // decoded once, ARM's index map, and the block's words (body, exit and
+  // mid slots) staged so one Machine::WriteBlock installs them.
+  Chunk fetched_;
   std::vector<isa::Instr> install_decoded_;
+  std::vector<uint32_t> install_index_map_;
   std::vector<uint32_t> install_words_;
-  // orig -> cell addr; sized from the cell region (one word per cell).
-  util::OpenTable<uint32_t, uint32_t> cell_for_orig_;
   // Staging buffer for prefetched chunks, keyed by orig_addr (ordered for
   // the ARM interior-address lookup), bounded by config.prefetch.staging_bytes
   // with FIFO displacement.
-  std::map<uint32_t, Chunk> staged_;
+  struct Staged {
+    Chunk chunk;
+    uint64_t digest;  // StagedDigest at staging; 0 with integrity off
+  };
+  std::map<uint32_t, Staged> staged_;
   std::deque<uint32_t> staged_fifo_;
   uint64_t staged_bytes_ = 0;
 

@@ -80,7 +80,7 @@ uint32_t McServer::ShardFor(uint32_t addr) const {
   return shard >= shards_ ? shards_ - 1 : shard;
 }
 
-util::Result<Chunk> McServer::CutShared(uint32_t addr) {
+util::Result<ChunkRef> McServer::CutShared(uint32_t addr) {
   const uint32_t shard_index = ShardFor(addr);
   MemoShard& shard = memo_shards_[shard_index];
   // The slice's own lock covers everything the demand touches — memo map,
@@ -102,19 +102,14 @@ util::Result<Chunk> McServer::CutShared(uint32_t addr) {
   // or miss), and the memo bound evicts its coldest entry by this signal.
   // Keyed by chunk start address, so slicing the table per shard changes
   // nothing about the values — only who owns them.
-  uint32_t* heat = shard.heat.Find(addr);
-  if (heat != nullptr) {
-    ++*heat;
-  } else {
-    shard.heat.Put(addr, 1);
-  }
+  if (const uint32_t h = HeatIndex(addr); h != kNoHeat) ++shard.heat[h];
   auto it = shard.memo.find(addr);
   if (it != shard.memo.end()) {
     // Verify-on-hit: the memoized artifact is never trusted. A mismatch is
     // healed by re-cutting from the pristine image — the one store
     // corruption cannot reach — so the requester always receives clean
     // bytes, fault storm or not.
-    if (DigestOfChunk(it->second.chunk) == it->second.digest) {
+    if (DigestOfChunk(*it->second.chunk) == it->second.digest) {
       BumpStats([](McServerStats& s) { ++s.translate_memo_hits; });
       ++shard.memo_hits;
       return it->second.chunk;
@@ -128,17 +123,19 @@ util::Result<Chunk> McServer::CutShared(uint32_t addr) {
       ++s.translates;
     });
     ++shard.translates;
-    it->second.chunk = *healed;
     it->second.digest = DigestOfChunk(*healed);
-    return healed;
+    it->second.chunk = std::make_shared<const Chunk>(std::move(*healed));
+    return it->second.chunk;
   }
-  auto chunk = Cut(image_, addr);
-  if (!chunk.ok()) return chunk;  // failures are cheap; not worth memoizing
+  auto cut = Cut(image_, addr);
+  if (!cut.ok()) return cut.error();  // failures are cheap; not worth memoizing
   BumpStats([](McServerStats& s) { ++s.translates; });
   ++shard.translates;
   const size_t per_shard = std::max<size_t>(1, config_.memo_capacity / shards_);
   if (shard.memo.size() >= per_shard) EvictColdest(&shard);
-  shard.memo.emplace(addr, MemoEntry{*chunk, DigestOfChunk(*chunk)});
+  const uint64_t digest = DigestOfChunk(*cut);
+  ChunkRef chunk = std::make_shared<const Chunk>(std::move(*cut));
+  shard.memo.emplace(addr, MemoEntry{chunk, digest});
   return chunk;
 }
 
@@ -154,10 +151,9 @@ std::vector<McServer::MemoEntryView> McServer::SnapshotMemo() const {
       MemoEntryView view;
       view.shard = s;
       view.addr = addr;
-      view.span_bytes = entry.chunk.orig_span_bytes();
-      view.words = static_cast<uint32_t>(entry.chunk.words.size());
-      const uint32_t* heat = shard.heat.Find(addr);
-      view.heat = heat == nullptr ? 0 : *heat;
+      view.span_bytes = entry.chunk->orig_span_bytes();
+      view.words = static_cast<uint32_t>(entry.chunk->words.size());
+      view.heat = shard.heat[HeatIndex(addr)];
       views.push_back(view);
     }
   }
@@ -168,8 +164,7 @@ void McServer::EvictColdest(MemoShard* shard) {
   auto coldest = shard->memo.begin();
   uint32_t coldest_heat = ~0u;
   for (auto it = shard->memo.begin(); it != shard->memo.end(); ++it) {
-    const uint32_t* h = shard->heat.Find(it->first);
-    const uint32_t entry_heat = h == nullptr ? 0 : *h;
+    const uint32_t entry_heat = shard->heat[HeatIndex(it->first)];
     if (entry_heat < coldest_heat) {
       coldest_heat = entry_heat;
       coldest = it;
@@ -179,8 +174,8 @@ void McServer::EvictColdest(MemoShard* shard) {
   BumpStats([](McServerStats& s) { ++s.memo_evictions; });
 }
 
-util::Result<Chunk> McServer::CutPrivate(const image::Image& text_image,
-                                         uint32_t addr) {
+util::Result<ChunkRef> McServer::CutPrivate(const image::Image& text_image,
+                                            uint32_t addr) {
   // Private cuts are un-memoized but still shard-attributed (by address
   // range) so a session with COW text shows up in the shard's service time.
   // The cut itself reads only the session's private image and immutable
@@ -194,7 +189,8 @@ util::Result<Chunk> McServer::CutPrivate(const image::Image& text_image,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count()));
-  return chunk;
+  if (!chunk.ok()) return chunk.error();
+  return std::make_shared<const Chunk>(std::move(*chunk));
 }
 
 void McServer::InvalidateMemoRange(uint32_t addr, uint32_t len) {
@@ -210,7 +206,7 @@ void McServer::InvalidateMemoRange(uint32_t addr, uint32_t len) {
   for (MemoShard& shard : memo_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.memo.begin(); it != shard.memo.end();) {
-      const Chunk& chunk = it->second.chunk;
+      const Chunk& chunk = *it->second.chunk;
       const uint64_t chunk_lo = chunk.orig_addr;
       const uint64_t chunk_hi =
           static_cast<uint64_t>(chunk.orig_addr) + chunk.orig_span_bytes();
@@ -233,10 +229,13 @@ bool McServer::CorruptMemoBit(MemoShard* shard) {
   size_t k = rng.Below(shard->memo.size());
   auto it = shard->memo.begin();
   std::advance(it, static_cast<long>(k));
-  Chunk& chunk = it->second.chunk;
-  if (chunk.words.empty()) return false;
-  const uint64_t bit = rng.Below(chunk.words.size() * 32);
-  chunk.words[bit / 32] ^= 1u << (bit % 32);
+  if (it->second.chunk->words.empty()) return false;
+  // Chunks are shared with in-flight replies, so the flip lands in a copy
+  // that replaces the entry.
+  auto flipped = std::make_shared<Chunk>(*it->second.chunk);
+  const uint64_t bit = rng.Below(flipped->words.size() * 32);
+  flipped->words[bit / 32] ^= 1u << (bit % 32);
+  it->second.chunk = std::move(flipped);
   OBS_INSTANT("mc", "memo_flip", "addr", it->first);
   return true;
 }
@@ -248,7 +247,7 @@ void McServer::ScrubMemo(const ShardScope& around) {
     const auto scrub = [this, &shard] {
       std::lock_guard<std::mutex> lock(shard.mu);
       for (auto& [addr, entry] : shard.memo) {
-        if (DigestOfChunk(entry.chunk) == entry.digest) continue;
+        if (DigestOfChunk(*entry.chunk) == entry.digest) continue;
         OBS_INSTANT("mc", "memo_corrupt", "addr", addr);
         auto healed = Cut(image_, addr);
         SC_CHECK(healed.ok()) << "pristine re-cut failed for memoized addr";
@@ -256,8 +255,8 @@ void McServer::ScrubMemo(const ShardScope& around) {
           ++st.memo_corruptions_detected;
           ++st.memo_heals;
         });
-        entry.chunk = *healed;
         entry.digest = DigestOfChunk(*healed);
+        entry.chunk = std::make_shared<const Chunk>(std::move(*healed));
       }
     };
     if (around) {
@@ -294,7 +293,7 @@ std::vector<uint8_t> McSession::HandleRequest(const Request& request) {
   ++stats_.requests;
   const bool is_write = request.type == MsgType::kTextWrite ||
                         request.type == MsgType::kDataWriteback;
-  if (!is_write) return Finish(HandleParsed(request));
+  if (!is_write) return HandleParsed(request);
 
   // A write stamped with a pre-restart epoch is a retransmission from a
   // client that has not yet observed the crash. Applying it would desync the
@@ -323,7 +322,7 @@ std::vector<uint8_t> McSession::HandleRequest(const Request& request) {
       return entry.reply_bytes;
     }
   }
-  std::vector<uint8_t> reply_bytes = Finish(HandleParsed(request));
+  std::vector<uint8_t> reply_bytes = HandleParsed(request);
   if (replay_cache_.size() >= kReplayCacheEntries) replay_cache_.pop_front();
   replay_cache_.push_back(ReplayEntry{key_type, request.seq, request.addr,
                                       key_checksum, epoch_, reply_bytes});
@@ -336,9 +335,14 @@ std::vector<uint8_t> McSession::ErrorFrame(uint32_t seq,
 }
 
 std::vector<uint8_t> McSession::Finish(Reply reply) const {
-  reply.epoch = epoch_ & kEpochMask;
-  reply.client_id = client_id_ & kClientIdMask;
-  return reply.Serialize();
+  return Finish(reply, reply.payload.data(), reply.payload.size());
+}
+
+std::vector<uint8_t> McSession::Finish(Reply& header, const uint8_t* body,
+                                       size_t size) const {
+  header.epoch = epoch_ & kEpochMask;
+  header.client_id = client_id_ & kClientIdMask;
+  return header.Serialize(body, size);
 }
 
 Reply McSession::ErrorReply(uint32_t seq, const std::string& message) const {
@@ -349,7 +353,7 @@ Reply McSession::ErrorReply(uint32_t seq, const std::string& message) const {
   return reply;
 }
 
-util::Result<Chunk> McSession::CutChunk(uint32_t addr) {
+util::Result<ChunkRef> McSession::CutChunk(uint32_t addr) {
   // A session whose text has diverged (COW fault) translates from its own
   // image and bypasses the memo entirely — memoized artifacts only describe
   // the shared pristine text.
@@ -500,7 +504,7 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
     }
     return false;
   };
-  std::vector<Chunk> candidates;
+  std::vector<ChunkRef> candidates;
   std::vector<uint32_t> frontier = ChunkSuccessors(text, primary);
   for (uint32_t level = 0; level < depth && !frontier.empty(); ++level) {
     std::vector<uint32_t> next;
@@ -511,10 +515,11 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
       if (is_included(addr)) continue;
       auto chunk = CutChunk(addr);
       if (!chunk.ok()) continue;  // e.g. successor with no symbol cover
-      if (is_included(chunk->orig_addr)) continue;  // ARM: same procedure
+      const Chunk& cut = **chunk;
+      if (is_included(cut.orig_addr)) continue;  // ARM: same procedure
       included.push_back(addr);
-      if (chunk->orig_addr != addr) included.push_back(chunk->orig_addr);
-      for (uint32_t succ : ChunkSuccessors(text, *chunk)) {
+      if (cut.orig_addr != addr) included.push_back(cut.orig_addr);
+      for (uint32_t succ : ChunkSuccessors(text, cut)) {
         next.push_back(succ);
       }
       candidates.push_back(std::move(*chunk));
@@ -523,7 +528,8 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
   }
   // Greedy admission under the chunk and byte budgets, in BFS order.
   uint32_t budget = hints.byte_budget;
-  for (const Chunk& cand : candidates) {
+  for (const ChunkRef& ref : candidates) {
+    const Chunk& cand = *ref;
     if (count - 1 >= max_chunks) break;
     const uint32_t cost =
         kBatchChunkHeaderBytes + static_cast<uint32_t>(cand.words.size()) * 4;
@@ -539,7 +545,7 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
   return reply;
 }
 
-Reply McSession::HandleParsed(const Request& request) {
+std::vector<uint8_t> McSession::HandleParsed(const Request& request) {
   switch (request.type) {
     case MsgType::kChunkRequest:
     case MsgType::kChunkSharedRequest: {
@@ -548,8 +554,11 @@ Reply McSession::HandleParsed(const Request& request) {
         ++stats_.shared_requests;
         server_.BumpStats([](McServerStats& st) { ++st.shared_requests; });
       }
-      auto chunk = CutChunk(request.addr);
-      if (!chunk.ok()) return ErrorReply(request.seq, chunk.error().message);
+      auto cut = CutChunk(request.addr);
+      if (!cut.ok()) {
+        return Finish(ErrorReply(request.seq, cut.error().message));
+      }
+      const Chunk* chunk = cut->get();
       // Content-addressed coalescing: only for opted-in clients reading
       // SHARED text (digests describe the pristine artifact; a COW session's
       // private translations are never published or answered by digest).
@@ -571,33 +580,33 @@ Reply McSession::HandleParsed(const Request& request) {
           reply.addr = chunk->orig_addr;
           reply.aux = static_cast<uint32_t>(digest);
           reply.extra = static_cast<uint32_t>(digest >> 32);
-          return reply;
+          return Finish(reply);
         }
       }
       const PrefetchHints hints = UnpackPrefetchHints(request.length);
       if (hints.policy != 0 && hints.max_chunks > 0) {
-        return BatchReply(request, *chunk, hints,
-                          /*publish_digests=*/coalesce);
-      }
-      Reply reply;
-      reply.type = MsgType::kChunkReply;
-      reply.seq = request.seq;
-      reply.addr = chunk->orig_addr;
-      reply.aux = PackChunkMeta(chunk->exit, chunk->entry_word, chunk->jump_folded);
-      reply.extra = chunk->taken_target;
-      reply.payload.resize(chunk->words.size() * 4);
-      if (!reply.payload.empty()) {
-        std::memcpy(reply.payload.data(), chunk->words.data(),
-                    reply.payload.size());
+        return Finish(BatchReply(request, *chunk, hints,
+                                 /*publish_digests=*/coalesce));
       }
       if (coalesce) server_.PublishDigest(DigestOfChunk(*chunk));
-      return reply;
+      // The chunk's words go from the (shared, immutable) memo entry
+      // straight into the frame.
+      Reply header;
+      header.type = MsgType::kChunkReply;
+      header.seq = request.seq;
+      header.addr = chunk->orig_addr;
+      header.aux =
+          PackChunkMeta(chunk->exit, chunk->entry_word, chunk->jump_folded);
+      header.extra = chunk->taken_target;
+      return Finish(header,
+                    reinterpret_cast<const uint8_t*>(chunk->words.data()),
+                    chunk->words.size() * 4);
     }
     case MsgType::kDataRequest: {
       if (request.addr < server_.DataBase() ||
           static_cast<uint64_t>(request.addr) + request.length >
               server_.DataLimit()) {
-        return ErrorReply(request.seq, "data request out of range");
+        return Finish(ErrorReply(request.seq, "data request out of range"));
       }
       Reply reply;
       reply.type = MsgType::kDataReply;
@@ -605,7 +614,7 @@ Reply McSession::HandleParsed(const Request& request) {
       reply.addr = request.addr;
       reply.payload.resize(request.length);
       ReadData(request.addr, request.length, reply.payload.data());
-      return reply;
+      return Finish(reply);
     }
     case MsgType::kTextWrite: {
       // Self-modifying code: the client pushes rewritten program text (the
@@ -618,7 +627,7 @@ Reply McSession::HandleParsed(const Request& request) {
           static_cast<uint64_t>(request.addr) + request.payload.size() >
               text.text_end() ||
           request.addr % 4 != 0 || request.payload.size() % 4 != 0) {
-        return ErrorReply(request.seq, "text write out of range");
+        return Finish(ErrorReply(request.seq, "text write out of range"));
       }
       FaultTextPrivate();
       if (!request.payload.empty()) {
@@ -634,13 +643,13 @@ Reply McSession::HandleParsed(const Request& request) {
       reply.type = MsgType::kTextWriteAck;
       reply.seq = request.seq;
       reply.addr = request.addr;
-      return reply;
+      return Finish(reply);
     }
     case MsgType::kDataWriteback: {
       if (request.addr < server_.DataBase() ||
           static_cast<uint64_t>(request.addr) + request.payload.size() >
               server_.DataLimit()) {
-        return ErrorReply(request.seq, "writeback out of range");
+        return Finish(ErrorReply(request.seq, "writeback out of range"));
       }
       if (!request.payload.empty()) {
         WritePages(&data_pages_, request.addr, request.payload.data(),
@@ -651,7 +660,7 @@ Reply McSession::HandleParsed(const Request& request) {
       reply.type = MsgType::kWritebackAck;
       reply.seq = request.seq;
       reply.addr = request.addr;
-      return reply;
+      return Finish(reply);
     }
     case MsgType::kHello: {
       // Session handshake: tell the client which boot epoch is live and how
@@ -663,10 +672,10 @@ Reply McSession::HandleParsed(const Request& request) {
       reply.addr = epoch_;
       reply.aux = static_cast<uint32_t>(stable_text_ops_);
       reply.extra = static_cast<uint32_t>(stable_data_ops_);
-      return reply;
+      return Finish(reply);
     }
     default:
-      return ErrorReply(request.seq, "unknown request type");
+      return Finish(ErrorReply(request.seq, "unknown request type"));
   }
 }
 

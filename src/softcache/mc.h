@@ -40,7 +40,6 @@
 #include "softcache/config.h"
 #include "softcache/integrity.h"
 #include "softcache/protocol.h"
-#include "util/open_table.h"
 #include "util/stats.h"
 #include "util/zero_pages.h"
 
@@ -74,6 +73,12 @@ inline uint64_t DigestOfChunk(const Chunk& chunk) {
       reinterpret_cast<const uint8_t*>(chunk.words.data()),
       chunk.words.size() * 4);
 }
+
+// A translated chunk as the server hands it out: memoized chunks are shared
+// with every requester and never modified in place (a heal or an injected
+// fault replaces the entry's pointer), so a reply is serialized straight
+// from the memo's words without copying them first.
+using ChunkRef = std::shared_ptr<const Chunk>;
 
 // Flush-barrier interval: every N applied write ops of one type (text writes
 // or data writebacks) a session folds its pending-write buffer into its
@@ -189,6 +194,9 @@ class McServer {
     data_.resize(image::kStackTop + 16 - image.data_base);
     std::copy_n(image.data.begin(), std::min(image.data.size(), data_.size()),
                 data_.begin());
+    for (MemoShard& shard : memo_shards_) {
+      shard.heat.resize(image.text.size() / 4);
+    }
     if (config_.memfault.enabled()) {
       // One independent fault stream per shard slice (substream = shard
       // index), so concurrent shards never contend on — or perturb — each
@@ -216,12 +224,12 @@ class McServer {
   // is a memo hit. The memo key is the requested address — the chunking
   // style and block-size caps are fixed per server, so (addr, style,
   // max_block_instrs) degenerates to addr alone.
-  util::Result<Chunk> CutShared(uint32_t addr);
+  util::Result<ChunkRef> CutShared(uint32_t addr);
 
   // Un-memoized translation from a session's private text image (after that
   // session's first kTextWrite made its text diverge from the shared copy).
-  util::Result<Chunk> CutPrivate(const image::Image& text_image,
-                                 uint32_t addr);
+  util::Result<ChunkRef> CutPrivate(const image::Image& text_image,
+                                    uint32_t addr);
 
   // Background memo scrub: verifies every memoized entry against its
   // install-time digest, healing mismatches by re-cutting from the pristine
@@ -314,7 +322,7 @@ class McServer {
   // The digest reuses DigestOfChunk, so "memo entry verifies" and "reply
   // frame verifies client-side" are the same 64-bit statement.
   struct MemoEntry {
-    Chunk chunk;
+    ChunkRef chunk;
     uint64_t digest = 0;
   };
 
@@ -326,9 +334,10 @@ class McServer {
   struct MemoShard {
     mutable std::mutex mu;
     std::map<uint32_t, MemoEntry> memo;  // requested addr -> translation
-    // Demand temperature per chunk start in this shard's range (every
-    // CutShared demand, across all sessions); the eviction-ranking signal.
-    util::OpenTable<uint32_t, uint32_t> heat{256};
+    // Demand temperature per text word (every CutShared demand, across all
+    // sessions); the eviction-ranking signal. Spans the whole text on zero
+    // pages, so only this shard's slice is ever touched.
+    std::vector<uint32_t, util::ZeroPageAllocator<uint32_t>> heat;
     // This shard's memo fault stream (null = no injection configured).
     std::unique_ptr<MemFaultInjector> inj;
     // Service-time spread: one bucket per ~8 us up to 1 ms; memo hits land
@@ -339,6 +348,14 @@ class McServer {
   };
 
   util::Result<Chunk> Cut(const image::Image& text_image, uint32_t addr) const;
+  // Index of chunk start `addr` in a shard's heat array, or kNoHeat for
+  // unaligned and non-text addresses (such a demand never memoizes, so its
+  // heat is never read).
+  static constexpr uint32_t kNoHeat = ~0u;
+  uint32_t HeatIndex(uint32_t addr) const {
+    if (addr % 4 != 0 || !image_.ContainsText(addr)) return kNoHeat;
+    return (addr - image_.text_base) / 4;
+  }
   // Displaces the lowest-heat entry of `shard` (called when a shard's slice
   // of the memo budget is full). Caller holds shard->mu.
   void EvictColdest(MemoShard* shard);
@@ -475,7 +492,8 @@ class McSession {
 
   using PageMap = std::map<uint32_t, std::vector<uint8_t>>;  // page index -> bytes
 
-  Reply HandleParsed(const Request& request);
+  // Serves one request; returns the finished reply frame.
+  std::vector<uint8_t> HandleParsed(const Request& request);
   Reply ErrorReply(uint32_t seq, const std::string& message) const;
   // Builds the kChunkBatchReply for a demanded chunk: walks the static CFG
   // from `primary` up to the hinted depth and packs the candidates, in BFS
@@ -486,10 +504,13 @@ class McSession {
                    const PrefetchHints& hints, bool publish_digests);
   // Translation through the server: memoized while this session reads shared
   // text, un-memoized once it holds a private (written) text image.
-  util::Result<Chunk> CutChunk(uint32_t addr);
+  util::Result<ChunkRef> CutChunk(uint32_t addr);
 
-  // Stamps this session's id + epoch into the reply and serializes it.
+  // Stamps this session's id + epoch into the reply and serializes it
+  // (around `body`, when given, instead of the reply's own payload).
   std::vector<uint8_t> Finish(Reply reply) const;
+  std::vector<uint8_t> Finish(Reply& header, const uint8_t* body,
+                              size_t size) const;
   // Materializes the private text image (first kTextWrite).
   void FaultTextPrivate();
   // Writes `len` bytes at `addr` into `pages`, faulting any missing page

@@ -11,18 +11,25 @@ bool IsWriteType(MsgType type) {
   return type == MsgType::kTextWrite || type == MsgType::kDataWriteback;
 }
 
+// One append: a single capacity check, then four byte stores.
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
+  const size_t at = out.size();
+  out.resize(at + 4);
+  out[at] = static_cast<uint8_t>(v);
+  out[at + 1] = static_cast<uint8_t>(v >> 8);
+  out[at + 2] = static_cast<uint8_t>(v >> 16);
+  out[at + 3] = static_cast<uint8_t>(v >> 24);
 }
 
-uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t offset) {
+uint32_t GetU32(const uint8_t* bytes, size_t offset) {
   return static_cast<uint32_t>(bytes[offset]) |
          static_cast<uint32_t>(bytes[offset + 1]) << 8 |
          static_cast<uint32_t>(bytes[offset + 2]) << 16 |
          static_cast<uint32_t>(bytes[offset + 3]) << 24;
+}
+
+uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t offset) {
+  return GetU32(bytes.data(), offset);
 }
 
 // The type word carries the message type in its low 8 bits, the client id in
@@ -104,6 +111,13 @@ uint64_t ChunkDigest(uint32_t addr, uint32_t aux, uint32_t extra,
 
 std::vector<uint8_t> Request::Serialize() const {
   std::vector<uint8_t> out;
+  SerializeTo(&out);
+  return out;
+}
+
+void Request::SerializeTo(std::vector<uint8_t>* frame) const {
+  std::vector<uint8_t>& out = *frame;
+  out.clear();
   out.reserve(wire_bytes());
   PutU32(out, kProtocolMagic);
   uint32_t type_word = PackTypeWord(type, epoch, client_id);
@@ -122,7 +136,6 @@ std::vector<uint8_t> Request::Serialize() const {
   PutU32(out, Checksum(payload.data(), payload.size(),
                        Checksum(out.data(), out.size())));
   out.insert(out.end(), payload.begin(), payload.end());
-  return out;
 }
 
 util::Result<Request> Request::Parse(const std::vector<uint8_t>& bytes) {
@@ -161,19 +174,20 @@ util::Result<Request> Request::Parse(const std::vector<uint8_t>& bytes) {
   return req;
 }
 
-std::vector<uint8_t> Reply::Serialize() const {
+std::vector<uint8_t> ReplyHeader::Serialize(const uint8_t* body,
+                                            size_t size) const {
   std::vector<uint8_t> out;
-  out.reserve(wire_bytes());
+  out.reserve(kReplyHeaderBytes + size + kReplyTrailerBytes);
   PutU32(out, kProtocolMagic);
   PutU32(out, PackTypeWord(type, epoch, client_id));
   PutU32(out, seq);
   PutU32(out, addr);
   PutU32(out, aux);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
+  PutU32(out, static_cast<uint32_t>(size));
   PutU32(out, extra);
   PutU32(out, Checksum(out.data(), out.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  PutU32(out, Checksum(payload.data(), payload.size()));
+  if (size != 0) out.insert(out.end(), body, body + size);
+  PutU32(out, Checksum(body, size));
   return out;
 }
 
@@ -193,15 +207,14 @@ void AppendBatchChunk(std::vector<uint8_t>* payload, uint32_t addr,
 }
 
 util::Result<std::vector<BatchChunkView>> ParseBatchPayload(
-    const std::vector<uint8_t>& payload, uint32_t count) {
+    const uint8_t* payload, size_t size, uint32_t count) {
   std::vector<BatchChunkView> chunks;
   // `count` is attacker-controlled (it rides the reply's aux field): bound
   // the reservation by what the payload could actually hold.
-  chunks.reserve(std::min<size_t>(
-      count, payload.size() / kBatchChunkHeaderBytes));
+  chunks.reserve(std::min<size_t>(count, size / kBatchChunkHeaderBytes));
   size_t offset = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    if (offset + kBatchChunkHeaderBytes > payload.size()) {
+    if (offset + kBatchChunkHeaderBytes > size) {
       return util::Error{"batch: short sub-chunk header"};
     }
     BatchChunkView view;
@@ -210,20 +223,20 @@ util::Result<std::vector<BatchChunkView>> ParseBatchPayload(
     view.extra = GetU32(payload, offset + 8);
     view.nwords = GetU32(payload, offset + 12);
     offset += kBatchChunkHeaderBytes;
-    if (view.nwords > (payload.size() - offset) / 4) {
+    if (view.nwords > (size - offset) / 4) {
       return util::Error{"batch: sub-chunk words overflow payload"};
     }
-    view.words = payload.data() + offset;
+    view.words = payload + offset;
     offset += static_cast<size_t>(view.nwords) * 4;
     chunks.push_back(view);
   }
-  if (offset != payload.size()) {
+  if (offset != size) {
     return util::Error{"batch: trailing bytes after last sub-chunk"};
   }
   return chunks;
 }
 
-util::Result<Reply> Reply::Parse(const std::vector<uint8_t>& bytes) {
+util::Result<ReplyView> ReplyView::Parse(const std::vector<uint8_t>& bytes) {
   if (bytes.size() < kReplyHeaderBytes + kReplyTrailerBytes) {
     return util::Error{"reply: short frame"};
   }
@@ -231,7 +244,7 @@ util::Result<Reply> Reply::Parse(const std::vector<uint8_t>& bytes) {
   if (GetU32(bytes, 28) != Checksum(bytes.data(), 28)) {
     return util::Error{"reply: header checksum mismatch"};
   }
-  Reply reply;
+  ReplyView reply;
   const uint32_t type_word = GetU32(bytes, 4);
   reply.type = static_cast<MsgType>(type_word & kTypeMask);
   reply.client_id = (type_word >> kClientIdShift) & kClientIdMask;
@@ -244,13 +257,26 @@ util::Result<Reply> Reply::Parse(const std::vector<uint8_t>& bytes) {
   if (bytes.size() != kReplyHeaderBytes + payload_len + kReplyTrailerBytes) {
     return util::Error{"reply: length mismatch"};
   }
-  reply.payload.assign(bytes.begin() + kReplyHeaderBytes,
-                       bytes.begin() + kReplyHeaderBytes + payload_len);
+  reply.payload = bytes.data() + kReplyHeaderBytes;
+  reply.payload_size = payload_len;
   if (GetU32(bytes, kReplyHeaderBytes + payload_len) !=
-      Checksum(reply.payload.data(), reply.payload.size())) {
+      Checksum(reply.payload, payload_len)) {
     return util::Error{"reply: payload checksum mismatch"};
   }
   return reply;
+}
+
+Reply ReplyView::ToReply() const {
+  Reply reply;
+  static_cast<ReplyHeader&>(reply) = *this;
+  reply.payload.assign(payload, payload + payload_size);
+  return reply;
+}
+
+util::Result<Reply> Reply::Parse(const std::vector<uint8_t>& bytes) {
+  auto view = ReplyView::Parse(bytes);
+  if (!view.ok()) return view.error();
+  return view->ToReply();
 }
 
 }  // namespace sc::softcache

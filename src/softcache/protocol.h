@@ -153,7 +153,11 @@ void AppendBatchChunk(std::vector<uint8_t>* payload, uint32_t addr,
 // Splits a batch payload into `count` sub-chunk views; fails on any length
 // inconsistency (short record, trailing bytes, overflowing nwords).
 util::Result<std::vector<BatchChunkView>> ParseBatchPayload(
-    const std::vector<uint8_t>& payload, uint32_t count);
+    const uint8_t* payload, size_t size, uint32_t count);
+inline util::Result<std::vector<BatchChunkView>> ParseBatchPayload(
+    const std::vector<uint8_t>& payload, uint32_t count) {
+  return ParseBatchPayload(payload.data(), payload.size(), count);
+}
 
 // --- Prefetch hints ---
 //
@@ -208,10 +212,14 @@ struct Request {
     return kRequestBytes + static_cast<uint32_t>(payload.size());
   }
   std::vector<uint8_t> Serialize() const;
+  // Serializes into `frame`, replacing its contents but keeping its
+  // storage (a link reuses one request buffer across calls).
+  void SerializeTo(std::vector<uint8_t>* frame) const;
   static util::Result<Request> Parse(const std::vector<uint8_t>& bytes);
 };
 
-struct Reply {
+// The fields of a reply frame other than its payload.
+struct ReplyHeader {
   MsgType type = MsgType::kChunkReply;
   uint32_t seq = 0;
   uint32_t addr = 0;        // original address of the chunk/block
@@ -219,14 +227,36 @@ struct Reply {
   uint32_t extra = 0;       // chunk replies: taken/callee/jump target
   uint32_t epoch = 0;       // server boot epoch (low 12 bits used)
   uint32_t client_id = 0;   // MC session the reply belongs to (low 12 bits)
+
+  // The frame of this header around `size` payload bytes at `body`: the
+  // server serializes a memoized chunk's words straight into it.
+  std::vector<uint8_t> Serialize(const uint8_t* body, size_t size) const;
+};
+
+struct Reply : ReplyHeader {
   std::vector<uint8_t> payload;
 
   uint32_t wire_bytes() const {
     return kReplyHeaderBytes + static_cast<uint32_t>(payload.size()) +
            kReplyTrailerBytes;
   }
-  std::vector<uint8_t> Serialize() const;
+  using ReplyHeader::Serialize;
+  std::vector<uint8_t> Serialize() const {
+    return Serialize(payload.data(), payload.size());
+  }
   static util::Result<Reply> Parse(const std::vector<uint8_t>& bytes);
+};
+
+// A reply parsed in place: its payload stays in the frame it arrived in,
+// valid while that frame is alive and unchanged. The client's miss path
+// copies chunk words straight out of it.
+struct ReplyView : ReplyHeader {
+  const uint8_t* payload = nullptr;
+  uint32_t payload_size = 0;
+
+  // Checks framing and both checksums; Reply::Parse is this plus a copy.
+  static util::Result<ReplyView> Parse(const std::vector<uint8_t>& bytes);
+  Reply ToReply() const;
 };
 
 // 32-bit FNV-1a over a byte range; used as the frame checksum. Streamable:
@@ -257,7 +287,7 @@ uint32_t Checksum(const uint8_t* data, size_t len,
 uint64_t ChunkDigest(uint32_t addr, uint32_t aux, uint32_t extra,
                      const uint8_t* words, size_t nbytes);
 
-inline uint64_t DigestFromReply(const Reply& reply) {
+inline uint64_t DigestFromReply(const ReplyHeader& reply) {
   return static_cast<uint64_t>(reply.aux) |
          (static_cast<uint64_t>(reply.extra) << 32);
 }

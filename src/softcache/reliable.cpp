@@ -22,8 +22,8 @@ ReliableLink::ReliableLink(std::unique_ptr<net::Transport> transport,
   SC_CHECK_GT(retry_.timeout_cycles, 0u);
 }
 
-util::Result<Reply> ReliableLink::Call(const Request& request,
-                                       uint64_t* cycles) {
+util::Result<ReplyView> ReliableLink::Call(const Request& request,
+                                           uint64_t* cycles) {
   OBS_SPAN("link", "call", "seq", request.seq,
            "type", static_cast<uint64_t>(request.type));
   // A traced miss passes through here on its way to the wire: add the
@@ -34,7 +34,7 @@ util::Result<Reply> ReliableLink::Call(const Request& request,
     }
   }
   ++stats_->requests;
-  const std::vector<uint8_t> frame = request.Serialize();
+  request.SerializeTo(&request_frame_);
   uint64_t timeout = retry_.timeout_cycles;
   // Cycles this call has charged so far — the attempt deadline's clock.
   uint64_t spent = 0;
@@ -47,12 +47,11 @@ util::Result<Reply> ReliableLink::Call(const Request& request,
       ++stats_->retries;
       OBS_INSTANT("link", "retry", "seq", request.seq, "attempt", attempt);
     }
-    charge(transport_->Send(frame));
-    std::vector<uint8_t> reply_bytes;
+    charge(transport_->Send(request_frame_));
     uint64_t recv_cycles = 0;
-    while (transport_->Recv(&reply_bytes, &recv_cycles)) {
+    while (transport_->Recv(&reply_frame_, &recv_cycles)) {
       charge(recv_cycles);
-      auto reply = Reply::Parse(reply_bytes);
+      auto reply = ReplyView::Parse(reply_frame_);
       if (!reply.ok()) {
         ++stats_->corrupt_frames;
         OBS_INSTANT("link", "corrupt_frame", "seq", request.seq);
@@ -75,7 +74,7 @@ util::Result<Reply> ReliableLink::Call(const Request& request,
                     "got_client", reply->client_id);
         continue;
       }
-      return std::move(*reply);
+      return reply;
     }
     // Nothing pending matches: the request or every copy of its reply was
     // lost. Wait out the backoff and retransmit.

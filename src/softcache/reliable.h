@@ -68,9 +68,11 @@ class ReliableLink {
 
   // Performs one request/reply RPC. `*cycles` accumulates every
   // client-visible cost: transmissions, deliveries, and backoff waits. The
-  // returned Reply has the matching seq but may be kError — protocol-level
+  // returned reply has the matching seq but may be kError — protocol-level
   // failure is the caller's business; this layer only guarantees delivery.
-  util::Result<Reply> Call(const Request& request, uint64_t* cycles);
+  // Its payload stays in the link's receive buffer: valid until the next
+  // Call.
+  util::Result<ReplyView> Call(const Request& request, uint64_t* cycles);
 
   net::Transport& transport() { return *transport_; }
 
@@ -79,6 +81,10 @@ class ReliableLink {
   RetryConfig retry_;
   LinkStats* stats_;
   util::Rng jitter_rng_;  // drawn only when backoff_jitter > 0
+  // Reused across calls: the serialized request, and the last frame
+  // received (the returned reply's payload points into it).
+  std::vector<uint8_t> request_frame_;
+  std::vector<uint8_t> reply_frame_;
 };
 
 // Builds a client transport over an arbitrary server endpoint (e.g. one

@@ -125,6 +125,22 @@ void McServerLoop::RunExclusive(const std::function<void()>& fn) {
   cv_.notify_all();
 }
 
+void McServerLoop::RunOnLane(uint32_t l, const std::function<void()>& fn) {
+  std::unique_lock<std::mutex> lock(mu_);
+  Lane& lane = lanes_[l];
+  cv_.wait(lock, [&] { return !lane.pumping && !ExclusivePending(); });
+  lane.pumping = true;
+  ++busy_;
+  lock.unlock();
+  fn();
+  lock.lock();
+  --busy_;
+  lane.pumping = false;
+  // Wakes submitters waiting to claim the lane and any exclusive waiting
+  // for busy_ to reach zero.
+  cv_.notify_all();
+}
+
 void McServerLoop::RegisterMetrics(obs::MetricsRegistry* registry,
                                    const std::string& prefix) const {
   registry->RegisterCounter(prefix + "requests_enqueued",

@@ -21,11 +21,13 @@
 //
 // RunExclusive is a park-all barrier (the same stop/drain/resume shape as
 // the fleet scheduler's inspection safepoint): out-of-band server
-// mutations (crash-schedule restarts, whole-fleet snapshots, traced memo
-// scrubs) first stop new ticket service, wait for every in-flight handler
-// to finish, run, then wake the lanes back up. A restart can therefore
-// never interleave with frame handling, however many client threads are
-// pumping.
+// mutations (crash-schedule restarts, whole-fleet snapshots) first stop new
+// ticket service, wait for every in-flight handler to finish, run, then
+// wake the lanes back up. A restart can therefore never interleave with
+// frame handling, however many client threads are pumping. RunOnLane is
+// the one-lane form: it claims a single lane the way a pumper does (traced
+// memo scrubs write one shard's trace lane at a time) and leaves the
+// others serving.
 //
 // Lock ownership (the loop side of the table in docs/DESIGN.md): ONE mutex
 // (mu_) owns every queue, flag, loop counter and the queue-wait histogram —
@@ -120,10 +122,15 @@ class McServerLoop {
   // Park-all barrier: stops new ticket service, waits for every in-flight
   // handler to drain, runs `fn` with the core exclusively held, then
   // resumes the lanes. Used for crash-schedule restarts arriving off the
-  // frame path, whole-server snapshots and traced memo scrubs (which write
-  // every shard's trace lane). Must not be called from inside a handler
-  // (it would wait on itself).
+  // frame path and whole-server snapshots. Must not be called from inside
+  // a handler (it would wait on itself).
   void RunExclusive(const std::function<void()>& fn);
+
+  // Claims lane `lane` as its pumper would, runs `fn` while no ticket of
+  // that lane is serviced, then releases it. Other lanes keep serving, and
+  // an exclusive section waits for `fn` like for a handler. Not counted in
+  // any loop statistic. Must not be called from inside a handler.
+  void RunOnLane(uint32_t lane, const std::function<void()>& fn);
 
   // Quiescent read surface: loop counters are written only under mu_; read
   // them after the run (or inside an exclusive section / safepoint).

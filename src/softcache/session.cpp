@@ -26,7 +26,8 @@ Session::Session(std::unique_ptr<net::Transport> transport,
            journal_type_ == MsgType::kDataWriteback);
 }
 
-util::Result<Reply> Session::CallOnce(Request& request, uint64_t* cycles) {
+util::Result<ReplyView> Session::CallOnce(Request& request,
+                                          uint64_t* cycles) {
   request.seq = seq_++;
   request.epoch = epoch_ & kEpochMask;
   request.client_id = client_id_;
@@ -45,7 +46,7 @@ void Session::TruncateDurable(uint64_t acked_ops) {
   }
 }
 
-util::Result<Reply> Session::Call(Request request, uint64_t* cycles) {
+util::Result<ReplyView> Session::Call(Request request, uint64_t* cycles) {
   const bool journaled = request.type == journal_type_;
   uint64_t index = 0;
   if (journaled) {
@@ -90,8 +91,9 @@ util::Result<Reply> Session::Call(Request request, uint64_t* cycles) {
                      " recoveries"};
 }
 
-util::Result<Reply> Session::Recover(uint64_t* cycles, const Request* original,
-                                     uint64_t want_index) {
+util::Result<ReplyView> Session::Recover(uint64_t* cycles,
+                                         const Request* original,
+                                         uint64_t want_index) {
   OBS_SPAN("session", "recover", "journal",
            static_cast<uint64_t>(journal_.size()));
   const uint64_t start_cycles = *cycles;
@@ -101,7 +103,7 @@ util::Result<Reply> Session::Recover(uint64_t* cycles, const Request* original,
     // Handshake: learn the live epoch and the stable-op watermark.
     Request hello;
     hello.type = MsgType::kHello;
-    util::Result<Reply> ack = util::Error{""};
+    util::Result<ReplyView> ack = util::Error{""};
     {
       OBS_SPAN("session", "handshake", "attempt", attempt);
       ack = CallOnce(hello, cycles);
@@ -136,7 +138,6 @@ util::Result<Reply> Session::Recover(uint64_t* cycles, const Request* original,
     OBS_SPAN("session", "replay", "entries",
              static_cast<uint64_t>(journal_.size()));
     bool clean = true;
-    Reply captured;
     bool have_captured = false;
     for (const JournalEntry& entry : journal_) {
       Request replay;
@@ -163,7 +164,7 @@ util::Result<Reply> Session::Recover(uint64_t* cycles, const Request* original,
         return util::Error{"session: journal replay rejected by server"};
       }
       if (original != nullptr && entry.index == want_index) {
-        captured = *reply;
+        captured_ = *reply;
         have_captured = true;
       }
     }
@@ -175,13 +176,17 @@ util::Result<Reply> Session::Recover(uint64_t* cycles, const Request* original,
       // The op that triggered recovery sat below the watermark: it was
       // applied and flushed before the crash, only its ack was lost.
       // Synthesize the ack it would have carried.
-      captured.type = ack_type_;
-      captured.seq = original->seq;
-      captured.addr = original->addr;
-      captured.epoch = epoch_ & kEpochMask;
-      captured.client_id = client_id_;
+      captured_ = ReplyView{};
+      captured_.type = ack_type_;
+      captured_.seq = original->seq;
+      captured_.addr = original->addr;
+      captured_.epoch = epoch_ & kEpochMask;
+      captured_.client_id = client_id_;
     }
-    return captured;
+    // Acks carry no payload, and the link's buffer has moved on.
+    captured_.payload = nullptr;
+    captured_.payload_size = 0;
+    return captured_;
   }
   stats_->recovery_cycles += *cycles - start_cycles;
   ++stats_->recovery_failures;

@@ -70,8 +70,9 @@ class Session {
   // transparently recovers from epoch mismatches. The returned Reply is from
   // the current epoch; it may be kError (protocol-level failure is the
   // caller's business). Errors are clean diagnostics: link give-up or
-  // recovery exhaustion.
-  util::Result<Reply> Call(Request request, uint64_t* cycles);
+  // recovery exhaustion. The reply's payload is valid until the next call
+  // on this session.
+  util::Result<ReplyView> Call(Request request, uint64_t* cycles);
 
   // End-of-run barrier: if the journal is non-empty, confirm the server
   // still holds the current epoch (re-handshaking and replaying if not), so
@@ -95,15 +96,15 @@ class Session {
   }
   // One attempt: assigns a fresh seq + the current epoch and runs the
   // reliable link (which retransmits frames but never re-stamps them).
-  util::Result<Reply> CallOnce(Request& request, uint64_t* cycles);
+  util::Result<ReplyView> CallOnce(Request& request, uint64_t* cycles);
   // Drops journal entries proven durable by an ack of op `acked_ops - 1`.
   void TruncateDurable(uint64_t acked_ops);
   // Handshake + journal replay. When `original` is non-null it is the
   // journaled op (index `want_index`) whose Call triggered recovery; its
-  // replay reply is returned (synthesized when the watermark proved it
-  // durable). Otherwise the returned Reply is meaningless on success.
-  util::Result<Reply> Recover(uint64_t* cycles, const Request* original,
-                              uint64_t want_index);
+  // replay ack is returned (synthesized when the watermark proved it
+  // durable). Otherwise the returned reply is meaningless on success.
+  util::Result<ReplyView> Recover(uint64_t* cycles, const Request* original,
+                                  uint64_t want_index);
 
   ReliableLink link_;
   RetryConfig retry_;
@@ -116,6 +117,8 @@ class Session {
   uint64_t next_index_ = 0;  // ordinal of the next journaled op
   std::deque<JournalEntry> journal_;
   std::function<void()> quiesce_;
+  // The replay ack Recover returns for the op that triggered it.
+  ReplyView captured_;
 };
 
 }  // namespace sc::softcache

@@ -172,17 +172,18 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
 
 void MultiClientSystem::ScrubServerMemo(uint64_t cycles) {
   if (shard_lanes_.empty()) return mc_->server().ScrubMemo();
-  // Shard lane s has one writer at a time, whoever services loop lane s.
-  // The exclusive section parks every lane, so the scrub may write them all.
-  loop_.RunExclusive([this, cycles] {
-    mc_->server().ScrubMemo(
-        [this, cycles](uint32_t s, const std::function<void()>& scrub) {
+  // Shard lane s has one writer at a time, whoever services loop lane s
+  // (one loop lane per shard). Holding that loop lane makes the scrub that
+  // writer, without parking the other lanes or counting a section.
+  mc_->server().ScrubMemo(
+      [this, cycles](uint32_t s, const std::function<void()>& scrub) {
+        loop_.RunOnLane(s, [&] {
           obs::Tracer* lane = shard_lanes_[s];
           obs::TracerScope scope(lane);
           lane->AdvanceClockFloor(cycles);
           scrub();
         });
-  });
+      });
 }
 
 std::vector<uint8_t> MultiClientSystem::ServeTicket(
@@ -212,7 +213,7 @@ void MultiClientSystem::SnoopReply(const std::vector<uint8_t>& reply_bytes) {
   // Parse and digest ONCE per broadcast frame, then hand every client's
   // store a shared reference to the same body buffer — a 256-client fleet
   // pays one allocation and one digest per body crossing the medium.
-  auto reply = Reply::Parse(reply_bytes);
+  auto reply = ReplyView::Parse(reply_bytes);
   if (!reply.ok()) return;  // errors/acks are not snoopable bodies
   const auto snoop_all = [this](uint32_t addr, uint32_t aux, uint32_t extra,
                                 const uint8_t* words, uint32_t nbytes) {
@@ -227,13 +228,14 @@ void MultiClientSystem::SnoopReply(const std::vector<uint8_t>& reply_bytes) {
     }
   };
   if (reply->type == MsgType::kChunkReply) {
-    if (reply->payload.size() % 4 != 0) return;
-    snoop_all(reply->addr, reply->aux, reply->extra, reply->payload.data(),
-              static_cast<uint32_t>(reply->payload.size()));
+    if (reply->payload_size % 4 != 0) return;
+    snoop_all(reply->addr, reply->aux, reply->extra, reply->payload,
+              reply->payload_size);
     return;
   }
   if (reply->type == MsgType::kChunkBatchReply) {
-    auto views = ParseBatchPayload(reply->payload, reply->aux);
+    auto views =
+        ParseBatchPayload(reply->payload, reply->payload_size, reply->aux);
     if (!views.ok()) return;
     for (const BatchChunkView& view : *views) {
       snoop_all(view.addr, view.aux, view.extra, view.words, view.nwords * 4);

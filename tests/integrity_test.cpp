@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "minicc/compiler.h"
+#include "obs/metrics.h"
 #include "obs/trace_mux.h"
 #include "softcache/cc.h"
 #include "softcache/inspector.h"
@@ -410,6 +411,53 @@ INSTANTIATE_TEST_SUITE_P(HostThreads, MemoScrubTrace, ::testing::Values(1u, 4u),
                            return "host_threads_" +
                                   std::to_string(param_info.param);
                          });
+
+// Tracing only observes: the same one-thread storm fleet takes the same
+// metrics snapshot with every lane recording as without a mux (host-time
+// keys aside). The traced memo scrub holds one loop lane at a time rather
+// than a counted park-all section.
+TEST(MemoScrubTrace, TracingLeavesTheMetricsSnapshotUnchanged) {
+  const image::Image img =
+      workloads::CompileWorkload(*workloads::FindWorkload("adpcm_enc"));
+  const auto snapshot = [&img](bool traced) {
+    MultiClientConfig config;
+    config.clients = 8;
+    config.base.shared_reply = true;
+    config.base.integrity.enabled = true;
+    config.base.integrity.memfault = Storm(/*seed=*/5, /*rate=*/0.2);
+    config.server.shards = 4;
+    config.server.memfault = config.base.integrity.memfault;
+    MultiClientSystem fleet(img, config);
+    for (uint32_t i = 0; i < config.clients; ++i) {
+      fleet.SetInput(i, workloads::MakeInput("adpcm_enc", 1));
+    }
+    obs::TraceMux mux;
+    if (traced) {
+      fleet.AttachTraceMux(&mux);
+      mux.EnableAll(1 << 20);
+    }
+    for (const vm::RunResult& r : fleet.RunAll()) {
+      EXPECT_EQ(r.reason, vm::StopReason::kHalted) << r.fault_message;
+    }
+    obs::MetricsRegistry registry;
+    fleet.RegisterMetrics(&registry);
+    obs::MetricsRegistry::Snapshot snap = registry.TakeSnapshot();
+    const auto host_time = [](const auto& entry) {
+      return entry.first.find("_ns") != std::string::npos;
+    };
+    std::erase_if(snap.counters, host_time);
+    std::erase_if(snap.gauges, host_time);
+    return snap;
+  };
+  const obs::MetricsRegistry::Snapshot plain = snapshot(false);
+  const obs::MetricsRegistry::Snapshot traced = snapshot(true);
+  ASSERT_GT(plain.counters.at("mc.memo.scrubs"), 0u);
+  EXPECT_EQ(traced.counters.at("mc.loop.exclusive_sections"),
+            plain.counters.at("mc.loop.exclusive_sections"));
+  EXPECT_TRUE(traced == plain) << "untraced:\n"
+                               << plain.ToJson() << "\ntraced:\n"
+                               << traced.ToJson();
+}
 
 // ---------------------------------------------------------------------------
 // Per-domain coverage: staged chunks, content store, server memo

@@ -285,6 +285,40 @@ TEST(ProtocolFuzz, HostileBatchRepliesFailCleanlyThroughCcInstallPath) {
   }
 }
 
+TEST(ProtocolFuzz, ChunkReplyForAnotherAddressFailsCleanly) {
+  // A well-formed, checksummed chunk reply for a chunk that does not cover
+  // the demanded address (here: the server's own reply for the other
+  // function) must not serve the miss. The ARM style would otherwise index
+  // that procedure's word map with the demanded address.
+  const image::Image img = TestImage();
+  std::vector<uint32_t> functions;
+  for (const image::Symbol& sym : img.symbols) {
+    if (sym.kind == image::SymbolKind::kFunction) functions.push_back(sym.addr);
+  }
+  ASSERT_GE(functions.size(), 2u);
+  for (const softcache::Style style :
+       {softcache::Style::kSparc, softcache::Style::kArm}) {
+    softcache::SoftCacheConfig config;
+    config.style = style;
+    config.transport_factory =
+        [&](MemoryController& mc,
+            net::Channel&) -> std::unique_ptr<net::Transport> {
+      return std::make_unique<HostileBatchTransport>(
+          mc, [&mc, &functions](const Request& r) {
+            Request other = r;
+            other.addr = r.addr == functions[0] ? functions[1] : functions[0];
+            return *Reply::Parse(mc.Handle(other.Serialize()));
+          });
+    };
+    softcache::SoftCacheSystem system(img, config);
+    const vm::RunResult result = system.Run(1'000'000);
+    EXPECT_EQ(result.reason, vm::StopReason::kFault);
+    EXPECT_NE(result.fault_message.find("does not cover"), std::string::npos)
+        << result.fault_message;
+    EXPECT_EQ(system.stats().blocks_translated, 0u);
+  }
+}
+
 TEST(ProtocolFuzz, HostileClientIdsThroughTheSwitchDemux) {
   // Frames carrying arbitrary client ids arrive on switch ports they don't
   // belong to: every one must come back as a well-formed reply, misrouted
