@@ -60,6 +60,7 @@ void Inspector::WriteClient(std::ostream& out, uint32_t id,
   out << ",\"superblocks\":{\"fills\":" << sb_stats.fills
       << ",\"chains\":" << sb_stats.chains
       << ",\"invalidations\":" << sb_stats.invalidations
+      << ",\"retargets\":" << sb_stats.retargets
       << ",\"flushes\":" << sb_stats.flushes;
   if (const vm::SuperblockCache* sb_cache = machine.sb_cache()) {
     out << ",\"live\":" << sb_cache->live_blocks()

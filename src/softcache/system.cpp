@@ -420,6 +420,7 @@ void MultiClientSystem::RegisterClientMetrics(obs::MetricsRegistry* registry,
   registry->RegisterCounter(prefix + "vm.sb.fill_ops", &sb.fill_ops);
   registry->RegisterCounter(prefix + "vm.sb.chains", &sb.chains);
   registry->RegisterCounter(prefix + "vm.sb.invalidations", &sb.invalidations);
+  registry->RegisterCounter(prefix + "vm.sb.retargets", &sb.retargets);
   registry->RegisterCounter(prefix + "vm.sb.flushes", &sb.flushes);
 }
 

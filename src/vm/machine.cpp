@@ -94,7 +94,7 @@ uint32_t Machine::ReadWord(uint32_t addr) const {
 void Machine::WriteWord(uint32_t addr, uint32_t value) {
   SC_CHECK_LE(static_cast<uint64_t>(addr) + 4, mem_.size());
   std::memcpy(mem_.data() + addr, &value, 4);
-  InvalidateDecode(addr, 4);
+  InvalidateDecode(addr, 4, /*rewrite=*/true);
 }
 
 void Machine::ReadBlock(uint32_t addr, void* out, uint32_t len) const {
@@ -105,10 +105,10 @@ void Machine::ReadBlock(uint32_t addr, void* out, uint32_t len) const {
 void Machine::WriteBlock(uint32_t addr, const void* bytes, uint32_t len) {
   SC_CHECK_LE(static_cast<uint64_t>(addr) + len, mem_.size());
   std::memcpy(mem_.data() + addr, bytes, len);
-  InvalidateDecode(addr, len);
+  InvalidateDecode(addr, len, /*rewrite=*/false);
 }
 
-void Machine::InvalidateDecode(uint32_t addr, uint32_t len) {
+void Machine::InvalidateDecode(uint32_t addr, uint32_t len, bool rewrite) {
   if (len == 0) return;
   if (exec_lo_ != exec_hi_ &&
       (addr >= exec_hi_ || static_cast<uint64_t>(addr) + len <= exec_lo_)) {
@@ -116,8 +116,9 @@ void Machine::InvalidateDecode(uint32_t addr, uint32_t len) {
   }
   // Superblocks invalidate on the same plumbing as the decode cache: every
   // WriteWord/WriteBlock (cache-controller install/patch/evict, recovery
-  // journal replay, COW text writes, dcache block moves) lands here.
-  if (sb_cache_ != nullptr &&
+  // journal replay, COW text writes, dcache block moves) lands here. A
+  // WriteWord that only retargets terminators rewrites them in place.
+  if (sb_cache_ != nullptr && !(rewrite && RetargetSuperblocks(addr)) &&
       sb_cache_->Invalidate(addr, len, &sb_stats_)) {
     sb_interrupt_ = true;
     SyncSuperblockBounds();

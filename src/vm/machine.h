@@ -185,19 +185,35 @@ class Machine {
   // performed from the host side, architectural faults when from the guest).
   uint8_t* mem_data() { return mem_.data(); }
   uint32_t mem_size() const { return static_cast<uint32_t>(mem_.size()); }
+
+  // Host writes keep cached translations honest. WriteBlock kills every
+  // superblock overlapping the range. WriteWord to an aligned word rewrites
+  // the op in place instead when the old and the new word are both
+  // terminators and the word ends every live block covering it (the cache
+  // controller's branch, jump and miss-stub patches; see
+  // SuperblockCache::Retarget); any other WriteWord kills like WriteBlock.
+  // Both reset the interpreter's decode-cache entries for the words.
   uint32_t ReadWord(uint32_t addr) const;
   void WriteWord(uint32_t addr, uint32_t value);
   void ReadBlock(uint32_t addr, void* out, uint32_t len) const;
   void WriteBlock(uint32_t addr, const void* bytes, uint32_t len);
 
   // Drops cached translations (decode-cache entries and superblocks) over
-  // [addr, addr+len) without touching memory. WriteWord/WriteBlock do this
-  // implicitly; code managers call it when text becomes *dead* rather than
-  // different — e.g. the cache controller evicting a tcache block — so stale
-  // translations don't outlive the code they were built from.
+  // [addr, addr+len) without touching memory: it always kills, never
+  // rewrites in place. Code managers call it when text becomes *dead*
+  // rather than different — e.g. the cache controller evicting a tcache
+  // block — so stale translations don't outlive the code they were built
+  // from.
   void InvalidateCode(uint32_t addr, uint32_t len) {
-    InvalidateDecode(addr, len);
+    InvalidateDecode(addr, len, /*rewrite=*/false);
   }
+
+  // Forms, without publishing anything, the superblock TranslateSuperblock
+  // would build at `start` from the current memory, exec range, poison and
+  // cost model: writes its ops (at most kSbMaxOps + 1) to `ops`, its span
+  // to `*span` and returns its op count. `start` must be a legal fetch
+  // address. Differential tests check live blocks against it.
+  uint32_t FormSuperblock(uint32_t start, SbOp* ops, uint32_t* span) const;
 
   // Translates a data address through the installed data hook (identity when
   // no hook covers it). Host-side agents that must see the same memory the
@@ -265,10 +281,20 @@ class Machine {
   // superblock engine.
   RunResult RunInterp(uint64_t max_instructions);
   RunResult RunThreaded(uint64_t max_instructions);
-  // Forms a superblock starting at `start` (which the caller has validated
-  // as a legal fetch address). `handlers` is the threaded dispatch table
-  // (null in the switch fallback).
+  // Forms and publishes a superblock starting at `start` (which the caller
+  // has validated as a legal fetch address). `handlers` is the threaded
+  // dispatch table (null in the switch fallback); the first call captures
+  // it into the cache for ops filled outside the loop.
   Superblock* TranslateSuperblock(uint32_t start, const void* const* handlers);
+  // Fills every field of `*op` but cyc_before from guest `word` at `pc`:
+  // kind, registers, cost, the immediate (the absolute target for direct
+  // branches and jumps, the raw word for an illegal one) and the handler.
+  void FillOp(uint32_t word, uint32_t pc, const void* const* handlers,
+              SbOp* op) const;
+  // WriteWord's in-place path: refills the op of the word just written at
+  // `addr` and hands it to SuperblockCache::Retarget. False when the write
+  // must kill instead (unaligned, uncovered, or Retarget declines).
+  bool RetargetSuperblocks(uint32_t addr);
   // Marks every superblock dead (invalidation/flush paths and engine
   // switches); storage is reclaimed at the dispatch loop's next iteration.
   void FlushSuperblocks();
@@ -310,7 +336,10 @@ class Machine {
   static constexpr uint32_t kDecodeCacheBits = 16;
   static constexpr uint32_t kDecodeCacheEntries = 1u << kDecodeCacheBits;
   static constexpr uint32_t kDecodeCacheMask = kDecodeCacheEntries - 1;
-  void InvalidateDecode(uint32_t addr, uint32_t len);
+  // Resets the decode-cache entries of [addr, addr+len) and kills the
+  // superblocks over it; with `rewrite` (a host WriteWord), first tries
+  // RetargetSuperblocks.
+  void InvalidateDecode(uint32_t addr, uint32_t len, bool rewrite);
 
   // regs_[kSinkReg] is not architectural: superblock translation points an
   // rd of 0 there, so threaded handlers store without testing rd.

@@ -46,14 +46,14 @@ SuperblockCache::SuperblockCache(uint32_t mem_bytes)
     : slab_(kSbMaxBlocks + 1),
       ops_((kSbMaxBlocks + 1) * (kSbMaxOps + 1)),
       by_start_(mem_bytes / 4),
-      cover_(mem_bytes / 4) {
+      words_(mem_bytes / 4) {
   tail_.ops = tail_ops_;
 }
 
 void SuperblockCache::Kill(Superblock& sb, SbStats* stats) {
   sb.valid = false;
   by_start_[sb.start >> 2] = nullptr;
-  Cover(sb, -1);
+  Uncover(sb);
   --live_;
   ++stats->invalidations;
 }
@@ -73,12 +73,11 @@ bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
   const uint32_t end_word =
       static_cast<uint32_t>((std::min<uint64_t>(end, hi_) + 3) >> 2);
   uint32_t w = first_word;
-  while (w < end_word && cover_[w] == 0) ++w;
+  while (w < end_word && words_[w].cover == 0) ++w;
   if (w == end_word) return false;
-  // A block overlaps [addr, end) iff its start word lies in the kSbMaxOps - 1
-  // words before addr's or in the write itself, and start + span > addr.
-  const uint32_t scan_from =
-      first_word > kSbMaxOps - 1 ? first_word - (kSbMaxOps - 1) : 0;
+  // A block overlaps [addr, end) iff it covers addr's word, so starts at
+  // most reach words before it, or starts inside the write.
+  const uint32_t scan_from = first_word - words_[first_word].reach;
   bool any = false;
   for (uint32_t s = scan_from; s < end_word; ++s) {
     Superblock* sb = by_start_[s];
@@ -90,12 +89,40 @@ bool SuperblockCache::Invalidate(uint32_t addr, uint32_t len, SbStats* stats) {
   return any;
 }
 
+bool SuperblockCache::Retarget(uint32_t addr, const SbOp& op, bool restamp,
+                               SbStats* stats) {
+  const uint32_t w = addr >> 2;
+  if (!SbIsTerminator(op.kind) || words_[w].cover == 0) return false;
+  const uint32_t scan_from = w - words_[w].reach;
+  // All or nothing: check every covering block before touching any.
+  for (uint32_t s = scan_from; s <= w; ++s) {
+    const Superblock* sb = by_start_[s];
+    if (sb == nullptr || !sb->valid || sb->start + sb->span <= addr) continue;
+    const uint32_t k = w - s;
+    if (k + 1 != sb->n_ops || !SbIsTerminator(sb->ops[k].kind)) return false;
+    if (restamp && sb->digest != SbDigest(*sb)) return false;
+  }
+  for (uint32_t s = scan_from; s <= w; ++s) {
+    Superblock* sb = by_start_[s];
+    if (sb == nullptr || !sb->valid || sb->start + sb->span <= addr) continue;
+    SbOp& term = sb->ops[w - s];
+    const uint32_t cyc_before = term.cyc_before;
+    term = op;
+    term.cyc_before = cyc_before;
+    sb->taken = nullptr;
+    sb->fall = nullptr;
+    if (restamp) sb->digest = SbDigest(*sb);
+    ++stats->retargets;
+  }
+  return true;
+}
+
 void SuperblockCache::FlushMark(SbStats* stats) {
   for (uint32_t i = 0; i < fill_; ++i) {
     Superblock& sb = slab_[i];
     if (!sb.valid) continue;
     sb.valid = false;
-    Cover(sb, -1);
+    Uncover(sb);
   }
   live_ = 0;
   lo_ = UINT32_MAX;
@@ -111,7 +138,7 @@ void SuperblockCache::Reclaim() {
     if (by_start_[sb.start >> 2] == &sb) by_start_[sb.start >> 2] = nullptr;
     if (sb.valid) {
       sb.valid = false;
-      Cover(sb, -1);
+      Uncover(sb);
     }
   }
   fill_ = 0;
@@ -198,32 +225,6 @@ bool SuperblockCache::CorruptBit(util::Rng& rng) {
   return false;  // unreachable while live_ is consistent
 }
 
-namespace {
-
-bool IsTerminator(Opcode op) {
-  switch (op) {
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-    case Opcode::kJ:
-    case Opcode::kJal:
-    case Opcode::kJalr:
-    case Opcode::kSys:
-    case Opcode::kHalt:
-    case Opcode::kTcMiss:
-    case Opcode::kTcJalr:
-    case Opcode::kIllegal:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 void Machine::set_sb_integrity(bool on) {
   if (sb_integrity_ == on) return;
   sb_integrity_ = on;
@@ -271,18 +272,113 @@ void Machine::UnpoisonCodeRange(uint32_t addr, uint32_t len) {
   // range anyway before new code lands there.
 }
 
-Superblock* Machine::TranslateSuperblock(uint32_t start,
-                                         const void* const* handlers) {
-  SuperblockCache& cache = *sb_cache_;
-  if (cache.pool_size() >= kSbMaxBlocks) {
-    // Slab exhausted: mark everything dead; the dispatch loop reclaims the
-    // slab at its next top-of-loop.
-    cache.FlushMark(&sb_stats_);
-    sb_interrupt_ = true;
-    SyncSuperblockBounds();
+void Machine::FillOp(uint32_t word, uint32_t pc, const void* const* handlers,
+                     SbOp* op) const {
+  const Instr in = isa::Decode(word);
+  // Arena ops are reused after Reclaim: every field but cyc_before is
+  // rewritten here (HALT, TCMISS and illegal ops charge no cost).
+  op->rd = in.rd;
+  op->rs1 = in.rs1;
+  op->rs2 = in.rs2;
+  op->imm = in.imm;
+  op->cost = 0;
+  switch (in.op) {
+    case Opcode::kAlu:
+      // SbKind mirrors AluOp order (kSbAdd..kSbRemu).
+      op->kind = static_cast<uint8_t>(kSbAdd + static_cast<int>(in.funct));
+      op->cost = in.funct == AluOp::kMul ? cost_.mul
+                 : (in.funct == AluOp::kDiv || in.funct == AluOp::kDivu ||
+                    in.funct == AluOp::kRem || in.funct == AluOp::kRemu)
+                     ? cost_.div
+                     : cost_.alu;
+      if (op->rd == 0) op->rd = kSinkReg;
+      break;
+    case Opcode::kAddi:
+    case Opcode::kAndi:
+    case Opcode::kOri:
+    case Opcode::kXori:
+    case Opcode::kSlti:
+    case Opcode::kSltiu:
+    case Opcode::kSlli:
+    case Opcode::kSrli:
+    case Opcode::kSrai:
+    case Opcode::kLui:
+      // SbKind mirrors the opcode order kAddi..kLui.
+      op->kind = static_cast<uint8_t>(
+          kSbAddi + (static_cast<int>(in.op) - static_cast<int>(Opcode::kAddi)));
+      op->cost = cost_.alu;
+      if (op->rd == 0) op->rd = kSinkReg;
+      break;
+    case Opcode::kLw:
+    case Opcode::kLh:
+    case Opcode::kLhu:
+    case Opcode::kLb:
+    case Opcode::kLbu:
+      op->kind = static_cast<uint8_t>(
+          kSbLw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kLw)));
+      op->cost = cost_.load;
+      if (op->rd == 0) op->rd = kSinkReg;
+      break;
+    case Opcode::kSw:
+    case Opcode::kSh:
+    case Opcode::kSb:
+      op->kind = static_cast<uint8_t>(
+          kSbSw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kSw)));
+      op->cost = cost_.store;
+      break;
+    case Opcode::kBeq:
+    case Opcode::kBne:
+    case Opcode::kBlt:
+    case Opcode::kBge:
+    case Opcode::kBltu:
+    case Opcode::kBgeu:
+      op->kind = static_cast<uint8_t>(
+          kSbBeq + (static_cast<int>(in.op) - static_cast<int>(Opcode::kBeq)));
+      op->cost = cost_.branch;
+      op->imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
+      break;
+    case Opcode::kJ:
+      op->kind = kSbJ;
+      op->cost = cost_.jump;
+      op->imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
+      break;
+    case Opcode::kJal:
+      op->kind = kSbJal;
+      op->cost = cost_.jump;
+      op->imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
+      break;
+    case Opcode::kJalr:
+      op->kind = kSbJalr;
+      op->cost = cost_.jump;
+      if (op->rd == 0) op->rd = kSinkReg;
+      break;
+    case Opcode::kSys:
+      op->kind = kSbSys;
+      op->cost = cost_.syscall;
+      break;
+    case Opcode::kHalt:
+      op->kind = kSbHalt;
+      break;
+    case Opcode::kTcMiss:
+      op->kind = kSbTcMiss;
+      break;
+    case Opcode::kTcJalr:
+      op->kind = kSbTcJalr;
+      op->cost = cost_.jump;
+      break;
+    case Opcode::kIllegal:
+    default:
+      op->kind = kSbIllegal;
+      op->imm = static_cast<int32_t>(word);  // raw word for the fault text
+      break;
   }
-  Superblock* sb = cache.NewBlock();
-  sb->start = start;
+  op->handler = handlers != nullptr ? handlers[op->kind] : nullptr;
+}
+
+uint32_t Machine::FormSuperblock(uint32_t start, SbOp* ops,
+                                 uint32_t* span) const {
+  const void* const* handlers =
+      sb_cache_ != nullptr ? sb_cache_->handlers() : nullptr;
   uint32_t pc = start;
   uint32_t n = 0;
   uint32_t prefix = 0;  // cycles charged by the ops formed so far
@@ -300,110 +396,12 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     if (!poison_.empty() && n > 0 && InPoison(pc)) break;
     uint32_t word = 0;
     std::memcpy(&word, mem_.data() + pc, 4);
-    const Instr in = isa::Decode(word);
-    // Arena ops are reused after Reclaim: every field is rewritten here
-    // (HALT, TCMISS and illegal ops charge no cost).
-    SbOp& op = sb->ops[n++];
+    SbOp& op = ops[n++];
+    FillOp(word, pc, handlers, &op);
     op.cyc_before = prefix;
-    op.rd = in.rd;
-    op.rs1 = in.rs1;
-    op.rs2 = in.rs2;
-    op.imm = in.imm;
-    op.cost = 0;
-    switch (in.op) {
-      case Opcode::kAlu:
-        // SbKind mirrors AluOp order (kSbAdd..kSbRemu).
-        op.kind = static_cast<uint8_t>(kSbAdd + static_cast<int>(in.funct));
-        op.cost = in.funct == AluOp::kMul ? cost_.mul
-                  : (in.funct == AluOp::kDiv || in.funct == AluOp::kDivu ||
-                     in.funct == AluOp::kRem || in.funct == AluOp::kRemu)
-                      ? cost_.div
-                      : cost_.alu;
-        if (op.rd == 0) op.rd = kSinkReg;
-        break;
-      case Opcode::kAddi:
-      case Opcode::kAndi:
-      case Opcode::kOri:
-      case Opcode::kXori:
-      case Opcode::kSlti:
-      case Opcode::kSltiu:
-      case Opcode::kSlli:
-      case Opcode::kSrli:
-      case Opcode::kSrai:
-      case Opcode::kLui:
-        // SbKind mirrors the opcode order kAddi..kLui.
-        op.kind = static_cast<uint8_t>(
-            kSbAddi + (static_cast<int>(in.op) - static_cast<int>(Opcode::kAddi)));
-        op.cost = cost_.alu;
-        if (op.rd == 0) op.rd = kSinkReg;
-        break;
-      case Opcode::kLw:
-      case Opcode::kLh:
-      case Opcode::kLhu:
-      case Opcode::kLb:
-      case Opcode::kLbu:
-        op.kind = static_cast<uint8_t>(
-            kSbLw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kLw)));
-        op.cost = cost_.load;
-        if (op.rd == 0) op.rd = kSinkReg;
-        break;
-      case Opcode::kSw:
-      case Opcode::kSh:
-      case Opcode::kSb:
-        op.kind = static_cast<uint8_t>(
-            kSbSw + (static_cast<int>(in.op) - static_cast<int>(Opcode::kSw)));
-        op.cost = cost_.store;
-        break;
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlt:
-      case Opcode::kBge:
-      case Opcode::kBltu:
-      case Opcode::kBgeu:
-        op.kind = static_cast<uint8_t>(
-            kSbBeq + (static_cast<int>(in.op) - static_cast<int>(Opcode::kBeq)));
-        op.cost = cost_.branch;
-        op.imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
-        break;
-      case Opcode::kJ:
-        op.kind = kSbJ;
-        op.cost = cost_.jump;
-        op.imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
-        break;
-      case Opcode::kJal:
-        op.kind = kSbJal;
-        op.cost = cost_.jump;
-        op.imm = static_cast<int32_t>(isa::BranchTarget(pc, in.imm));
-        break;
-      case Opcode::kJalr:
-        op.kind = kSbJalr;
-        op.cost = cost_.jump;
-        if (op.rd == 0) op.rd = kSinkReg;
-        break;
-      case Opcode::kSys:
-        op.kind = kSbSys;
-        op.cost = cost_.syscall;
-        break;
-      case Opcode::kHalt:
-        op.kind = kSbHalt;
-        break;
-      case Opcode::kTcMiss:
-        op.kind = kSbTcMiss;
-        break;
-      case Opcode::kTcJalr:
-        op.kind = kSbTcJalr;
-        op.cost = cost_.jump;
-        break;
-      case Opcode::kIllegal:
-      default:
-        op.kind = kSbIllegal;
-        op.imm = static_cast<int32_t>(word);  // raw word for the fault text
-        break;
-    }
-    op.handler = handlers != nullptr ? handlers[op.kind] : nullptr;
     prefix += op.cost;
     pc += 4;
-    if (IsTerminator(in.op)) {
+    if (SbIsTerminator(op.kind)) {
       terminated = true;
       break;
     }
@@ -412,25 +410,50 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
     // threaded engine dispatches them one at a time.
     if (!poison_.empty() && InPoison(pc - 4)) break;
   }
-  sb->span = terminated ? pc - start : (n * 4);
+  *span = n * 4;
   if (!terminated) {
     // Cut at kSbMaxOps or at the edge of the fetchable range: a synthetic
     // zero-instruction terminator continues at `pc` (which, if invalid, the
     // dispatch loop faults on with the interpreter's exact message).
-    SbOp& op = sb->ops[n++];
+    SbOp& op = ops[n++];
     op = SbOp{};
     op.cyc_before = prefix;
     op.kind = kSbFallthrough;
     op.handler = handlers != nullptr ? handlers[kSbFallthrough] : nullptr;
   }
-  sb->n_ops = n;
+  return n;
+}
+
+Superblock* Machine::TranslateSuperblock(uint32_t start,
+                                         const void* const* handlers) {
+  SuperblockCache& cache = *sb_cache_;
+  if (handlers != nullptr) cache.CaptureHandlers(handlers);
+  if (cache.pool_size() >= kSbMaxBlocks) {
+    // Slab exhausted: mark everything dead; the dispatch loop reclaims the
+    // slab at its next top-of-loop.
+    cache.FlushMark(&sb_stats_);
+    sb_interrupt_ = true;
+    SyncSuperblockBounds();
+  }
+  Superblock* sb = cache.NewBlock();
+  sb->start = start;
+  sb->n_ops = FormSuperblock(start, sb->ops, &sb->span);
   if (sb_integrity_) sb->digest = SbDigest(*sb);
   cache.Publish(sb);
   SyncSuperblockBounds();
   ++sb_stats_.fills;
-  sb_stats_.fill_ops += terminated ? n : n - 1;
+  sb_stats_.fill_ops += sb->span / 4;
   OBS_INSTANT("vm", "sb.fill", "pc", start);
   return sb;
+}
+
+bool Machine::RetargetSuperblocks(uint32_t addr) {
+  if (addr % 4 != 0 || sb_cache_->coverage(addr) == 0) return false;
+  uint32_t word = 0;
+  std::memcpy(&word, mem_.data() + addr, 4);
+  SbOp op;
+  FillOp(word, addr, sb_cache_->handlers(), &op);
+  return sb_cache_->Retarget(addr, op, sb_integrity_, &sb_stats_);
 }
 
 // --- The threaded inner loop ---

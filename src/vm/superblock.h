@@ -14,13 +14,20 @@
 // guest output, exit code, instruction count, cycle total, fault messages,
 // FetchObserver stream, TrapHandler/DataHook call sequence and SetExecRange
 // enforcement are bit-identical to the interpreter. Invalidation rides the
-// existing InvalidateDecode plumbing — every WriteWord/WriteBlock (cache
-// controller installs/patches/evictions, recovery replay, COW text writes)
-// and every guest store or SYS_READ into translated text kills overlapping
-// superblocks, so self-modifying code behaves exactly as under the
-// interpreter.
+// existing InvalidateDecode plumbing, so self-modifying code behaves exactly
+// as under the interpreter:
+//   - a host WriteWord that turns one terminator into another (the cache
+//     controller retargeting a branch, a jump or a miss stub) rewrites that
+//     op in place when the word ends every live block covering it
+//     (SuperblockCache::Retarget); the blocks stay live and lose only their
+//     chain slots;
+//   - every other write kills the overlapping superblocks: WriteBlock
+//     (installs, recovery replay, COW text writes), InvalidateCode
+//     (evictions), a WriteWord that Retarget declines, and every guest
+//     store or SYS_READ into translated text.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -59,6 +66,12 @@ enum SbKind : uint8_t {
   kSbKindCount,
 };
 
+// A real terminator (kSbBeq..kSbIllegal), as TranslateSuperblock maps the
+// control-transfer, trap and illegal opcodes; the synthetic kinds are not.
+inline bool SbIsTerminator(uint8_t kind) {
+  return kind >= kSbBeq && kind <= kSbIllegal;
+}
+
 // A pre-decoded instruction in threaded form. `handler` is the computed-goto
 // label for `kind` (null in the portable switch fallback). `imm` holds the
 // sign-extended immediate, except for direct branches/jumps where it is the
@@ -78,7 +91,7 @@ struct SbOp {
 static_assert(sizeof(SbOp) == 24, "SbOp is the threaded loop's stride");
 
 // Superblock length cap. Basic blocks in the bundled workloads average well
-// under this; the cap bounds per-block storage and the invalidation scan (a
+// under this; the cap bounds per-block storage and the per-word reach (a
 // write can only hit blocks starting in the kSbMaxOps words up to it).
 inline constexpr uint32_t kSbMaxOps = 32;
 // Slab bound: translating past this many blocks since the last flush (live
@@ -127,6 +140,7 @@ struct SbStats {
   uint64_t fill_ops = 0;       // ops pre-decoded into superblocks
   uint64_t chains = 0;         // chain links installed
   uint64_t invalidations = 0;  // superblocks killed by overlapping writes
+  uint64_t retargets = 0;      // terminators rewritten in place (Retarget)
   uint64_t flushes = 0;        // whole-cache flushes (capacity, exec range)
 };
 
@@ -143,9 +157,13 @@ struct SbStats {
 //     out before the slab does; Reclaim rewinds it with the slab;
 //   - by_start_: one Superblock* per guest word, the block starting there
 //     (a direct-mapped start-pc index);
-//   - cover_: one byte per guest word, the number of live blocks covering
-//     it (at most kSbMaxOps). A write whose words all read zero kills
-//     nothing, so Invalidate returns after one load per word written.
+//   - words_: two bytes per guest word. `cover` counts the live blocks
+//     covering it (at most kSbMaxOps): a write whose words all read zero
+//     kills nothing, so Invalidate returns after one load per word written.
+//     `reach` bounds how far back the start of a live block covering it can
+//     lie: Publish raises it to the word's offset in the new block, and it
+//     drops to 0 with the word's coverage. Invalidate, FindCovering and
+//     Retarget scan by_start_ from w - reach, not w - (kSbMaxOps - 1).
 // Invalidation only *marks* blocks dead (chains and the currently executing
 // block may still hold pointers into the slab and the arena); reclamation
 // is deferred to the dispatch loop's next top-of-loop, when no block is
@@ -165,12 +183,11 @@ class SuperblockCache {
   }
 
   // A live block covering the word at `pc` without starting there, or null:
-  // the one starting nearest below `pc`. Only the kSbMaxOps - 1 words before
+  // the one starting nearest below `pc`. Only the reach(pc) words before
   // `pc` can hold its start, as in Invalidate.
   Superblock* FindCovering(uint32_t pc) const {
     const uint32_t w = pc >> 2;
-    if (cover_[w] == 0) return nullptr;
-    const uint32_t lo = w > kSbMaxOps - 1 ? w - (kSbMaxOps - 1) : 0;
+    const uint32_t lo = w - words_[w].reach;
     for (uint32_t s = w; s-- > lo;) {
       Superblock* sb = by_start_[s];
       if (sb != nullptr && sb->valid && sb->start + sb->span > pc) return sb;
@@ -198,7 +215,7 @@ class SuperblockCache {
     ops_fill_ += sb->n_ops;
     sb->valid = true;
     by_start_[sb->start >> 2] = sb;
-    Cover(*sb, 1);
+    Cover(*sb);
     ++live_;
     if (sb->start < lo_) lo_ = sb->start;
     if (sb->start + sb->span > hi_) hi_ = sb->start + sb->span;
@@ -207,6 +224,20 @@ class SuperblockCache {
   // Kills every block overlapping [addr, addr+len). Returns true when
   // anything died (the dispatch loop must then leave the current block).
   bool Invalidate(uint32_t addr, uint32_t len, SbStats* stats);
+
+  // A host rewrite of the word at `addr` (word-aligned) to the word `op`
+  // was filled from. It happens in place when `op` is a real terminator and
+  // so is the last op of every live block covering the word: each such op
+  // becomes `op` with its own cyc_before, the block's chain slots are
+  // cleared (the taken edge may now lead elsewhere), with `restamp` its
+  // digest is recomputed, and each counts as a retarget. The blocks stay
+  // live; one running now may run the new op, which is what the
+  // interpreter would fetch. Returns false and changes nothing when no
+  // block covers the word, a covering block continues past it, either op
+  // is not a real terminator, or (with `restamp`) a covering block no
+  // longer matches its digest, so corrupted ops are never re-stamped; the
+  // caller then Invalidates.
+  bool Retarget(uint32_t addr, const SbOp& op, bool restamp, SbStats* stats);
 
   // Integrity scrub: recomputes SbDigest over every live block and kills
   // mismatches (counted as invalidations). Returns the number killed;
@@ -234,7 +265,20 @@ class SuperblockCache {
   size_t arena_ops() const { return ops_fill_; }
   size_t live_blocks() const { return live_; }
   // Live blocks covering the word at `addr` (tests check the count drains).
-  uint32_t coverage(uint32_t addr) const { return cover_[addr >> 2]; }
+  uint32_t coverage(uint32_t addr) const { return words_[addr >> 2].cover; }
+  // The scan bound of the word at `addr` (see the class comment).
+  uint32_t reach(uint32_t addr) const { return words_[addr >> 2].reach; }
+
+  // The threaded loop's handler table, indexed by SbKind; all null until
+  // CaptureHandlers and in the switch fallback. Op fills outside the loop
+  // (Retarget's op) read it.
+  const void* const* handlers() const { return handlers_; }
+  // Copies `handlers` (kSbKindCount label addresses, fixed for the life of
+  // the program) on the first call.
+  void CaptureHandlers(const void* const* handlers) {
+    if (handlers_[0] != nullptr) return;
+    std::copy(handlers, handlers + kSbKindCount, handlers_);
+  }
 
   // Visits every live superblock in slab (translation) order, exposing the
   // chain graph: fn(block, taken successor, fall successor) with dead
@@ -267,11 +311,26 @@ class SuperblockCache {
                          const void* stop_handler);
 
  private:
-  // Adds `delta` (+1 or -1) to the coverage of every word `sb` spans.
-  void Cover(const Superblock& sb, int delta) {
-    uint8_t* c = &cover_[sb.start >> 2];
+  // Per guest word: live blocks covering it and the scan bound (see the
+  // class comment).
+  struct WordState {
+    uint8_t cover = 0;
+    uint8_t reach = 0;
+  };
+  // Adds `sb` to the coverage of every word it spans, raising their reach.
+  void Cover(const Superblock& sb) {
+    WordState* w = &words_[sb.start >> 2];
     for (uint32_t i = 0; i < sb.span / 4; ++i) {
-      c[i] = static_cast<uint8_t>(c[i] + delta);
+      ++w[i].cover;
+      if (w[i].reach < i) w[i].reach = static_cast<uint8_t>(i);
+    }
+  }
+  // Removes `sb` from the coverage of every word it spans; a word no live
+  // block covers any more gets reach 0.
+  void Uncover(const Superblock& sb) {
+    WordState* w = &words_[sb.start >> 2];
+    for (uint32_t i = 0; i < sb.span / 4; ++i) {
+      if (--w[i].cover == 0) w[i].reach = 0;
     }
   }
   // Marks one live block dead (a kill, counted as an invalidation).
@@ -282,7 +341,7 @@ class SuperblockCache {
   ZeroVec<Superblock> slab_;      // stable addresses; rewound only by Reclaim
   ZeroVec<SbOp> ops_;              // op arena; rewound only by Reclaim
   ZeroVec<Superblock*> by_start_;  // word index -> block starting there
-  ZeroVec<uint8_t> cover_;         // word index -> live blocks covering it
+  ZeroVec<WordState> words_;       // word index -> coverage and reach
   uint32_t fill_ = 0;              // slab blocks handed out since Reclaim
   uint32_t ops_fill_ = 0;          // arena ops claimed since Reclaim
   size_t live_ = 0;
@@ -291,6 +350,7 @@ class SuperblockCache {
   bool reclaim_pending_ = false;
   Superblock tail_;  // BudgetTail's scratch block
   SbOp tail_ops_[kSbMaxOps + 1];  // and its ops
+  const void* handlers_[kSbKindCount] = {};
 };
 
 }  // namespace sc::vm

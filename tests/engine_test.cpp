@@ -853,6 +853,195 @@ TEST(EngineSmc, SysReadIntoTextInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
+// Retargeting in place: the cache controller's patches against translation
+// ---------------------------------------------------------------------------
+
+bool SameOp(const vm::SbOp& a, const vm::SbOp& b) {
+  return a.handler == b.handler && a.cyc_before == b.cyc_before &&
+         a.imm == b.imm && a.cost == b.cost && a.kind == b.kind &&
+         a.rd == b.rd && a.rs1 == b.rs1 && a.rs2 == b.rs2;
+}
+
+// Every live superblock must read what forming a block at its start from
+// the current memory gives, handler pointers aside; a filled chain slot
+// must lead to a block starting at that edge's target. Returns the number
+// of blocks checked.
+uint64_t ExpectLiveBlocksMatchMemory(const vm::Machine& m) {
+  const vm::SuperblockCache* cache = m.sb_cache();
+  if (cache == nullptr) return 0;
+  uint64_t checked = 0;
+  vm::SbOp want[vm::kSbMaxOps + 1];
+  cache->ForEachLive([&](const vm::Superblock& sb, const vm::Superblock* taken,
+                         const vm::Superblock* fall) {
+    if (::testing::Test::HasFailure()) return;
+    ++checked;
+    uint32_t span = 0;
+    const uint32_t n = m.FormSuperblock(sb.start, want, &span);
+    ASSERT_EQ(sb.n_ops, n) << "block at " << sb.start;
+    ASSERT_EQ(sb.span, span) << "block at " << sb.start;
+    for (uint32_t i = 0; i < n; ++i) {
+      const vm::SbOp& got = sb.ops[i];
+      want[i].handler = got.handler;
+      ASSERT_TRUE(SameOp(got, want[i]))
+          << "block at " << sb.start << " op " << i << ": kind "
+          << int{got.kind} << " imm " << got.imm << ", memory gives kind "
+          << int{want[i].kind} << " imm " << want[i].imm;
+    }
+    const vm::SbOp& term = sb.ops[n - 1];
+    if (taken != nullptr) {
+      ASSERT_TRUE(term.kind == vm::kSbJ || term.kind == vm::kSbJal ||
+                  (term.kind >= vm::kSbBeq && term.kind <= vm::kSbBgeu))
+          << "block at " << sb.start;
+      ASSERT_EQ(taken->start, static_cast<uint32_t>(term.imm))
+          << "block at " << sb.start;
+    }
+    if (fall != nullptr) {
+      ASSERT_EQ(fall->start, sb.start + sb.span) << "block at " << sb.start;
+    }
+  });
+  return checked;
+}
+
+// Forwards the machine's traps to the cache controller and checks the live
+// superblocks after each one, that is after every batch of patches.
+class RetargetChecker : public vm::TrapHandler {
+ public:
+  explicit RetargetChecker(softcache::CacheController& cc) : cc_(cc) {}
+
+  uint32_t OnTcMiss(vm::Machine& m, uint32_t stub) override {
+    return Checked(m, cc_.OnTcMiss(m, stub));
+  }
+  uint32_t OnTcJalr(vm::Machine& m, const isa::Instr& instr,
+                    uint32_t pc) override {
+    return Checked(m, cc_.OnTcJalr(m, instr, pc));
+  }
+  uint32_t OnIcacheInvalidate(vm::Machine& m, uint32_t addr, uint32_t len,
+                              uint32_t pc) override {
+    return Checked(m, cc_.OnIcacheInvalidate(m, addr, len, pc));
+  }
+  uint64_t traps() const { return traps_; }
+  uint64_t blocks_checked() const { return blocks_checked_; }
+
+ private:
+  uint32_t Checked(vm::Machine& m, uint32_t resume) {
+    ++traps_;
+    blocks_checked_ += ExpectLiveBlocksMatchMemory(m);
+    // A failed check stops the run at once (resume at the null guard).
+    return ::testing::Test::HasFailure() ? 0 : resume;
+  }
+
+  softcache::CacheController& cc_;
+  uint64_t traps_ = 0;
+  uint64_t blocks_checked_ = 0;
+};
+
+// The solo_thrash shape in both styles: a 1 KB tcache below adpcm_enc's hot
+// set, so the controller patches branches, jumps and miss stubs on every
+// miss and the threaded engine rewrites most of them in place. After every
+// trap the live blocks must match memory, and the run must equal the
+// interpreter's.
+TEST(EngineRetarget, PatchedBlocksMatchMemoryThrashing1K) {
+  const auto* spec = workloads::FindWorkload("adpcm_enc");
+  ASSERT_NE(spec, nullptr);
+  const image::Image img = workloads::CompileWorkload(*spec);
+  const auto input = workloads::MakeInput("adpcm_enc", 1);
+  for (const softcache::Style style :
+       {softcache::Style::kSparc, softcache::Style::kArm}) {
+    const std::string what =
+        style == softcache::Style::kSparc ? "sparc" : "arm";
+    softcache::SoftCacheConfig config;
+    config.style = style;
+    config.tcache_bytes = 1024;
+    const EngineRun interp = RunSoftcache(img, input, Engine::kInterp, config);
+
+    softcache::SoftCacheSystem system(img, config);
+    system.machine().set_engine(Engine::kThreaded);
+    system.SetInput(input);
+    ASSERT_EQ(system.Run(0).reason, vm::StopReason::kInstrLimit);  // attaches
+    RetargetChecker checker(system.cc());
+    system.machine().set_trap_handler(&checker);
+    EngineRun threaded;
+    threaded.result = system.Run(16'000'000'000ull);
+    threaded.output = system.OutputString();
+    ASSERT_FALSE(HasFailure()) << what;
+    ExpectBitIdentical(interp, threaded, what);
+
+    const vm::SbStats& sb = system.machine().sb_stats();
+    EXPECT_GT(checker.traps(), 10'000u) << what;
+    EXPECT_GT(checker.blocks_checked(), checker.traps()) << what;
+    EXPECT_GT(sb.retargets, 10'000u) << what;
+    EXPECT_GT(sb.invalidations, 0u) << what;
+  }
+}
+
+// Host word writes between slices, as a trap handler makes them: a branch
+// retargeted elsewhere (rewritten in place, with its chained taken edge
+// dropped) and then overwritten with a non-branch (which must kill: the
+// block would otherwise run on past its end). Both engines take the same
+// writes at the same instruction counts and must agree after every slice.
+TEST(EngineRetarget, HostWordWritesBetweenSlices) {
+  const char* kSource = R"(
+    _start:
+      addi a0, zero, 0
+      addi t1, zero, 1000
+    loop:
+      addi a0, a0, 1
+      blt a0, t1, loop
+      sys 0
+    other:
+      addi a0, a0, 3
+      j loop
+  )";
+  auto img = sasm::Assemble(kSource);
+  ASSERT_TRUE(img.ok()) << img.error().ToString();
+  const uint32_t branch = img->text_base + 12;
+  const uint32_t other = img->text_base + 20;
+  ASSERT_EQ(isa::Decode(img->TextWord(branch)).op, isa::Opcode::kBlt);
+  const uint32_t retargeted = isa::EncBranch(isa::Opcode::kBlt, isa::kA0,
+                                             isa::kT1,
+                                             isa::OffsetFor(branch, other));
+  ASSERT_EQ(isa::BranchTarget(branch, isa::Decode(retargeted).imm), other);
+  const uint32_t plain = isa::EncI(isa::Opcode::kAddi, isa::kA0, isa::kA0, 7);
+
+  vm::Machine interp;
+  vm::Machine threaded;
+  interp.set_engine(Engine::kInterp);
+  threaded.set_engine(Engine::kThreaded);
+  interp.LoadImage(*img);
+  threaded.LoadImage(*img);
+  vm::RunResult a;
+  for (int slice = 0;; ++slice) {
+    for (vm::Machine* m : {&interp, &threaded}) {
+      if (slice == 5) m->WriteWord(branch, retargeted);
+      if (slice == 10) m->WriteWord(branch, plain);
+    }
+    if (slice == 5) {
+      // Two live blocks end at the branch: the loop's and _start's, which
+      // runs on into the loop's first pass.
+      EXPECT_EQ(threaded.sb_stats().retargets, 2u);
+      EXPECT_EQ(threaded.sb_stats().invalidations, 0u);
+    }
+    if (slice == 10) {
+      EXPECT_GT(threaded.sb_stats().invalidations, 0u);
+    }
+    a = interp.Run(37);
+    const vm::RunResult b = threaded.Run(37);
+    ASSERT_EQ(static_cast<int>(a.reason), static_cast<int>(b.reason))
+        << "slice " << slice;
+    ASSERT_EQ(a.instructions, b.instructions) << "slice " << slice;
+    ASSERT_EQ(a.cycles, b.cycles) << "slice " << slice;
+    ASSERT_EQ(interp.pc(), threaded.pc()) << "slice " << slice;
+    ASSERT_EQ(a.exit_code, b.exit_code) << "slice " << slice;
+    if (a.reason != vm::StopReason::kInstrLimit) break;
+    ASSERT_LT(slice, 1000);
+  }
+  ASSERT_EQ(a.reason, vm::StopReason::kHalted) << a.fault_message;
+  // a0 grows by 1 a pass before the retarget and by 4 after it (it would
+  // end near 192 had the branch kept its target).
+  EXPECT_EQ(a.exit_code, 287);
+}
+
+// ---------------------------------------------------------------------------
 // The invalidation store against a brute-force reference
 // ---------------------------------------------------------------------------
 
@@ -885,9 +1074,13 @@ TEST(SuperblockStore, ZeroBytesAreAValueInitializedBlock) {
   EXPECT_EQ(a.rs2, b.rs2);
 }
 
-// The kill rules of SuperblockCache, by brute force: a write kills every
-// live block it overlaps, except that a write spanning [lo, hi) of the
-// blocks published since the last flush flushes everything instead.
+// The kill and rewrite rules of SuperblockCache, by brute force: a write
+// kills every live block it overlaps, except that a write spanning [lo, hi)
+// of the blocks published since the last flush flushes everything instead;
+// a host rewrite of one word to a real terminator rewrites that op in place
+// when every live block covering the word ends there with a real
+// terminator (and, when stamps are checked, still matches its stamp), and
+// otherwise kills like a write.
 class RefStore {
  public:
   struct Block {
@@ -895,13 +1088,23 @@ class RefStore {
     uint32_t start;
     uint32_t span;
     bool live;
+    std::vector<vm::SbOp> ops;  // what the block's ops must read
+    const vm::Superblock* taken;
+    const vm::Superblock* fall;
   };
 
+  explicit RefStore(uint32_t words) : reach_(words, 0) {}
+
   void Publish(vm::Superblock* sb) {
-    blocks_.push_back(Block{sb, sb->start, sb->span, true});
+    blocks_.push_back(Block{sb, sb->start, sb->span, true,
+                            std::vector<vm::SbOp>(sb->ops, sb->ops + sb->n_ops),
+                            nullptr, nullptr});
     ++live_;
     lo_ = std::min(lo_, sb->start);
     hi_ = std::max(hi_, sb->start + sb->span);
+    for (uint32_t i = 0; i < sb->span / 4; ++i) {
+      reach_[sb->start / 4 + i] = std::max(reach_[sb->start / 4 + i], i);
+    }
   }
   bool Invalidate(uint32_t addr, uint32_t len) {
     if (live_ == 0) return false;
@@ -920,6 +1123,36 @@ class RefStore {
     }
     return any;
   }
+  // Returns true when the rewrite of the word at `addr` to `op` happens in
+  // place (and applies it), false when the caller must Invalidate.
+  bool Rewrite(uint32_t addr, const vm::SbOp& op, bool restamp) {
+    const auto terminator = [](uint8_t kind) {
+      return kind >= vm::kSbBeq && kind <= vm::kSbIllegal;
+    };
+    if (!terminator(op.kind)) return false;
+    std::vector<Block*> covering;
+    for (Block& b : blocks_) {
+      if (b.live && b.start <= addr && b.start + b.span > addr) {
+        covering.push_back(&b);
+      }
+    }
+    if (covering.empty()) return false;
+    for (const Block* b : covering) {
+      const size_t k = (addr - b->start) / 4;
+      if (k + 1 != b->ops.size() || !terminator(b->ops[k].kind)) return false;
+      if (restamp && b->sb->digest != vm::SbDigest(*b->sb)) return false;
+    }
+    for (Block* b : covering) {
+      vm::SbOp& term = b->ops[(addr - b->start) / 4];
+      const uint32_t cyc_before = term.cyc_before;
+      term = op;
+      term.cyc_before = cyc_before;
+      b->taken = nullptr;
+      b->fall = nullptr;
+      ++stats_.retargets;
+    }
+    return true;
+  }
   uint32_t Scrub(uint64_t* words) {
     uint32_t killed = 0;
     for (Block& b : blocks_) {
@@ -937,12 +1170,14 @@ class RefStore {
     lo_ = UINT32_MAX;
     hi_ = 0;
     ++stats_.flushes;
+    std::fill(reach_.begin(), reach_.end(), 0);  // nothing covers anything
   }
   void Reclaim() {
     blocks_.clear();
     live_ = 0;
     lo_ = UINT32_MAX;
     hi_ = 0;
+    std::fill(reach_.begin(), reach_.end(), 0);
   }
   // Live blocks covering each word of [0, words).
   std::vector<uint32_t> Coverage(uint32_t words) const {
@@ -956,10 +1191,11 @@ class RefStore {
     return cover;
   }
 
-  const std::vector<Block>& blocks() const { return blocks_; }
+  std::vector<Block>& blocks() { return blocks_; }
   size_t live() const { return live_; }
   uint32_t lo() const { return live_ == 0 ? UINT32_MAX : lo_; }
   uint32_t hi() const { return live_ == 0 ? 0 : hi_; }
+  uint32_t reach(uint32_t word) const { return reach_[word]; }
   const vm::SbStats& stats() const { return stats_; }
 
  private:
@@ -967,14 +1203,36 @@ class RefStore {
     b.live = false;
     --live_;
     ++stats_.invalidations;
+    // A word no live block covers any more drops its reach.
+    for (uint32_t w = b.start / 4; w < (b.start + b.span) / 4; ++w) {
+      const bool covered = std::any_of(
+          blocks_.begin(), blocks_.end(), [w](const Block& o) {
+            return o.live && o.start / 4 <= w && (o.start + o.span) / 4 > w;
+          });
+      if (!covered) reach_[w] = 0;
+    }
   }
 
   std::vector<Block> blocks_;  // every block since the last Reclaim
   size_t live_ = 0;
   uint32_t lo_ = UINT32_MAX;
   uint32_t hi_ = 0;
+  std::vector<uint32_t> reach_;  // per word: max offset since it was bare
   vm::SbStats stats_;
 };
+
+// Stand-ins for the threaded loop's label addresses: Retarget must install
+// the new op's handler along with its fields.
+const char kFakeHandlers[vm::kSbKindCount] = {};
+
+void ExpectOpsEqual(const vm::Superblock& sb,
+                    const std::vector<vm::SbOp>& want) {
+  ASSERT_EQ(sb.n_ops, want.size()) << "block at " << sb.start;
+  for (uint32_t i = 0; i < sb.n_ops; ++i) {
+    ASSERT_TRUE(SameOp(sb.ops[i], want[i]))
+        << "block at " << sb.start << " op " << i;
+  }
+}
 
 class SuperblockStoreProperty : public ::testing::TestWithParam<int> {};
 
@@ -986,14 +1244,51 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
   constexpr uint32_t kBase = 0x2000;
   constexpr uint32_t kText = 1024;
   util::Rng rng(static_cast<uint64_t>(GetParam()));
+  // Odd seeds check and re-stamp digests on a rewrite, as a machine with
+  // superblock integrity on does; even seeds leave stamps alone.
+  const bool restamp = GetParam() % 2 == 1;
   vm::SuperblockCache cache(kMem);
   vm::SbStats stats;
-  RefStore ref;
+  RefStore ref(kWords);
   const vm::SbOp* arena_base = nullptr;  // the first block's ops
 
+  const auto random_op = [&](bool terminator) {
+    vm::SbOp op;
+    op.kind = static_cast<uint8_t>(
+        terminator ? vm::kSbBeq + rng.Below(vm::kSbIllegal - vm::kSbBeq + 1)
+                   : rng.Below(vm::kSbBeq));
+    op.handler = &kFakeHandlers[op.kind];
+    op.imm = static_cast<int32_t>(rng.Next32());
+    op.cost = static_cast<uint32_t>(rng.Below(13));
+    op.rd = static_cast<uint8_t>(rng.Below(33));
+    op.rs1 = static_cast<uint8_t>(rng.Below(32));
+    op.rs2 = static_cast<uint8_t>(rng.Below(32));
+    return op;
+  };
+  const auto random_live = [&]() -> RefStore::Block* {
+    std::vector<RefStore::Block*> live;
+    for (RefStore::Block& b : ref.blocks()) {
+      if (b.live) live.push_back(&b);
+    }
+    return live.empty() ? nullptr : live[rng.Below(live.size())];
+  };
+  // Three block shapes: ended by a real terminator (most), cut short with a
+  // synthetic fallthrough, and bare (no terminator at all; translation never
+  // forms one, but Retarget must still refuse it). A third of the
+  // terminated blocks are suffixes of a live one, ending on the same word,
+  // as a chain into the middle of a block forms them.
   const auto publish = [&] {
-    const uint32_t start =
-        kBase + 4 * static_cast<uint32_t>(rng.Below(kText / 4));
+    uint32_t start = kBase + 4 * static_cast<uint32_t>(rng.Below(kText / 4));
+    uint32_t real = 1 + static_cast<uint32_t>(rng.Below(vm::kSbMaxOps));
+    const uint64_t shape = rng.Below(8);
+    if (shape < 2) {
+      const RefStore::Block* b = random_live();
+      if (b != nullptr && b->span == 4 * b->ops.size()) {
+        const uint32_t end = b->start + b->span;
+        start = b->start + 4 * static_cast<uint32_t>(rng.Below(b->span / 4));
+        real = (end - start) / 4;
+      }
+    }
     const bool taken = std::any_of(
         ref.blocks().begin(), ref.blocks().end(),
         [start](const RefStore::Block& b) { return b.live && b.start == start; });
@@ -1002,12 +1297,17 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
     vm::Superblock* sb = cache.NewBlock();
     if (arena_base == nullptr) arena_base = sb->ops;
     sb->start = start;
-    sb->n_ops = 1 + static_cast<uint32_t>(rng.Below(vm::kSbMaxOps));
-    sb->span = sb->n_ops * 4;
-    for (uint32_t i = 0; i < sb->n_ops; ++i) {
-      sb->ops[i] = vm::SbOp{};
+    sb->span = real * 4;
+    sb->n_ops = real;
+    for (uint32_t i = 0; i < real; ++i) {
+      sb->ops[i] = random_op(/*terminator=*/i + 1 == real && shape < 6);
       sb->ops[i].cyc_before = i;
-      sb->ops[i].imm = static_cast<int32_t>(rng.Next32());
+    }
+    if (shape == 6) {
+      vm::SbOp& fall = sb->ops[sb->n_ops++];
+      fall = vm::SbOp{};
+      fall.kind = vm::kSbFallthrough;
+      fall.cyc_before = real;
     }
     sb->digest = vm::SbDigest(*sb);
     cache.Publish(sb);
@@ -1025,17 +1325,57 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
         kBase - 256 + static_cast<uint32_t>(rng.Below(kText + 512));
     write(len >= 4 ? addr & ~3u : addr & ~(len - 1), len);
   };
-  const auto check = [&](bool coverage) {
+  // A host WriteWord as Machine routes it: Retarget, or else Invalidate.
+  // Mostly aimed at the last real op of a live block.
+  const auto rewrite = [&] {
+    uint32_t addr = kBase - 16 + 4 * static_cast<uint32_t>(rng.Below(kText / 4 + 8));
+    if (rng.Chance(2, 3)) {
+      if (const RefStore::Block* b = random_live()) addr = b->start + b->span - 4;
+    }
+    const vm::SbOp op = random_op(/*terminator=*/rng.Chance(4, 5));
+    const bool in_place = cache.Retarget(addr, op, restamp, &stats);
+    ASSERT_EQ(in_place, ref.Rewrite(addr, op, restamp)) << "rewrite " << addr;
+    if (!in_place) {
+      write(addr, 4);
+      return;
+    }
+    // The rewritten op at once (the rest may carry a corrupted bit that
+    // only the next scrub removes).
+    for (const RefStore::Block& b : ref.blocks()) {
+      if (!b.live || b.start > addr || b.start + b.span <= addr) continue;
+      ASSERT_TRUE(SameOp(b.sb->ops[(addr - b.start) / 4],
+                         b.ops[(addr - b.start) / 4]))
+          << "block at " << b.start;
+      if (restamp) {
+        ASSERT_EQ(b.sb->digest, vm::SbDigest(*b.sb));
+      }
+    }
+  };
+  // The dispatch loop filling a block's chain slots.
+  const auto chain = [&] {
+    RefStore::Block* b = random_live();
+    if (b == nullptr) return;
+    const RefStore::Block* taken = random_live();
+    const RefStore::Block* fall = random_live();
+    b->sb->taken = taken->sb;
+    b->sb->fall = rng.Chance(1, 2) ? fall->sb : nullptr;
+    b->taken = b->sb->taken;
+    b->fall = b->sb->fall;
+  };
+  const auto check = [&](bool full) {
     ASSERT_EQ(cache.live_blocks(), ref.live());
     ASSERT_EQ(cache.pool_size(), ref.blocks().size());
     ASSERT_EQ(cache.lo(), ref.lo());
     ASSERT_EQ(cache.hi(), ref.hi());
     ASSERT_EQ(stats.invalidations, ref.stats().invalidations);
+    ASSERT_EQ(stats.retargets, ref.stats().retargets);
     ASSERT_EQ(stats.flushes, ref.stats().flushes);
     for (const RefStore::Block& b : ref.blocks()) {
       ASSERT_EQ(b.sb->valid, b.live) << "block at " << b.start;
       if (b.live) {
         ASSERT_EQ(cache.Find(b.start), b.sb);
+        ASSERT_EQ(b.sb->taken, b.taken) << "block at " << b.start;
+        ASSERT_EQ(b.sb->fall, b.fall) << "block at " << b.start;
       }
     }
     // The op arena: the blocks since the last Reclaim sit packed from its
@@ -1047,22 +1387,35 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
       arena += b.sb->n_ops;
     }
     ASSERT_EQ(cache.arena_ops(), arena);
-    if (!coverage && ref.live() != 0) return;
+    // Every step, over the words blocks can cover: each coverage count,
+    // each reach, and that a mid-block entry at pc enters the live block
+    // starting nearest below pc that covers it.
+    constexpr uint32_t kLo = (kBase - 256) / 4;
+    constexpr uint32_t kHi = (kBase + kText + 256) / 4;
+    std::vector<uint32_t> cover(kHi - kLo, 0);
+    std::vector<const vm::Superblock*> nearest(kHi - kLo, nullptr);
+    for (const RefStore::Block& b : ref.blocks()) {
+      if (!b.live) continue;
+      for (uint32_t w = b.start / 4; w < (b.start + b.span) / 4; ++w) {
+        ++cover[w - kLo];
+        const vm::Superblock*& n = nearest[w - kLo];
+        if (w > b.start / 4 && (n == nullptr || b.start > n->start)) n = b.sb;
+      }
+    }
+    for (uint32_t w = kLo; w < kHi; ++w) {
+      ASSERT_EQ(cache.coverage(w * 4), cover[w - kLo]) << "word at " << w * 4;
+      ASSERT_EQ(cache.reach(w * 4), ref.reach(w)) << "word at " << w * 4;
+      ASSERT_EQ(cache.FindCovering(w * 4), nearest[w - kLo]) << "pc " << w * 4;
+    }
+    if (!full && ref.live() != 0) return;
+    for (const RefStore::Block& b : ref.blocks()) {
+      if (b.live) ExpectOpsEqual(*b.sb, b.ops);
+    }
+    // Nothing outside those words is covered.
     const std::vector<uint32_t> want = ref.Coverage(kWords);
     for (uint32_t w = 0; w < kWords; ++w) {
       ASSERT_EQ(cache.coverage(w * 4), want[w]) << "word at " << w * 4;
-    }
-    // A mid-block entry at pc enters the live block starting nearest below
-    // pc that covers it.
-    for (uint32_t pc = kBase - 256; pc < kBase + kText + 256; pc += 4) {
-      const vm::Superblock* nearest = nullptr;
-      for (const RefStore::Block& b : ref.blocks()) {
-        if (b.live && b.start < pc && b.start + b.span > pc &&
-            (nearest == nullptr || b.start > nearest->start)) {
-          nearest = b.sb;
-        }
-      }
-      ASSERT_EQ(cache.FindCovering(pc), nearest) << "pc " << pc;
+      ASSERT_EQ(cache.reach(w * 4), ref.reach(w)) << "word at " << w * 4;
     }
   };
 
@@ -1070,9 +1423,10 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
     if (cache.reclaim_pending()) {
       // What the dispatch loop may do between a flush and its next
       // top-of-loop: publish the block translated after a capacity flush,
-      // and run it (a store into text).
+      // and run it (a store into text, or a trap that patches it).
       if (rng.Chance(1, 2)) publish();
       if (rng.Chance(1, 3)) small_write();
+      if (rng.Chance(1, 3)) rewrite();
       cache.Reclaim();
       ref.Reclaim();
     } else if (cache.pool_size() >= 1000) {
@@ -1080,12 +1434,20 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
       ref.FlushMark();
     } else {
       const uint64_t r = rng.Below(100);
-      if (r < 45) {
+      if (r < 40) {
         publish();
-      } else if (r < 90) {
+      } else if (r < 65) {
         small_write();
+      } else if (r < 85) {
+        rewrite();
+      } else if (r < 90) {
+        chain();
       } else if (r < 94) {
+        // Corrupt, maybe rewrite over the corruption, then scrub: a
+        // re-stamping rewrite must never launder a corrupted block.
         for (uint64_t n = rng.Below(3); n > 0; --n) cache.CorruptBit(rng);
+        if (rng.Chance(1, 2)) rewrite();
+        if (HasFatalFailure()) return;
         uint64_t words = 0;
         uint64_t ref_words = 0;
         ASSERT_EQ(cache.ScrubCorrupt(&stats, &words), ref.Scrub(&ref_words));
@@ -1102,6 +1464,7 @@ TEST_P(SuperblockStoreProperty, MatchesBruteForceReference) {
     check(step % 64 == 0);
     if (HasFatalFailure()) return;
   }
+  EXPECT_GT(stats.retargets, 0u);
   // Drain: flush and reclaim leave every count at zero.
   cache.FlushMark(&stats);
   ref.FlushMark();

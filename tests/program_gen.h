@@ -5,8 +5,11 @@
 // divergence visible in the output bytes as well as the exit code.
 #pragma once
 
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -17,10 +20,11 @@ class ProgramGen {
   explicit ProgramGen(uint64_t seed) : rng_(seed) {}
 
   // Generates a complete program: a few globals (including a struct and a
-  // char buffer), a call-DAG of functions, and a main that exercises them
-  // and returns a checksum. With arm_safe=false the program additionally
-  // uses dense switches and function-pointer tables (computed jumps), which
-  // only the SPARC-style prototype supports.
+  // char buffer), a call-DAG of functions, and a main that exercises them,
+  // calling into the DAG from a loop, and returns a checksum. With
+  // arm_safe=false the loop goes through a function-pointer table and also
+  // calls a dense switch (computed jumps), which only the SPARC-style
+  // prototype supports; with arm_safe=true it calls the functions directly.
   std::string Generate(bool arm_safe = true) {
     arm_safe_ = arm_safe;
     out_.str("");
@@ -58,6 +62,25 @@ class ProgramGen {
     if (!arm_safe_) {
       out_ << "  for (int i = 0; i < 40; i++) mix(table[i % " << nfuncs
            << "](i, 5) + classify(i));\n";
+    } else {
+      // A loop over the call DAG, the ARM-safe stand-in for the table loop:
+      // every generated function and a runtime one, in a random order.
+      // Calls from inside a loop are what make a procedure-granular cache
+      // evict and relink over and over.
+      out_ << "  for (int i = 0; i < " << rng_.Range(16, 32) << "; i++) {\n";
+      std::vector<int> order(static_cast<size_t>(nfuncs) + 1);
+      std::iota(order.begin(), order.end(), 0);
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng_.Below(i)]);
+      }
+      for (const int f : order) {
+        if (f == nfuncs) {
+          out_ << "    mix((int)crc32(gbuf, (i & 31) + 1));\n";
+        } else {
+          out_ << "    mix(f" << f << "(i, " << rng_.Range(1, 40) << "));\n";
+        }
+      }
+      out_ << "  }\n";
     }
     out_ << "  gpair.first = (int)check;\n";
     out_ << "  gpair.second = gscalar;\n";
