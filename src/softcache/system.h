@@ -190,8 +190,10 @@ class MultiClientSystem {
     vm::RunResult result;
   };
 
-  // One scheduling step of at most `quantum` instructions, capped at the
-  // budget. Returns true once the client is done for this RunAll.
+  // One scheduling step: up to the client's next multiple of `quantum`
+  // instructions, capped at the budget, so a run sliced by RunAll budgets
+  // steps through the same boundaries as an unsliced one. Returns true once
+  // the client is done for this RunAll.
   static bool Step(Client& client, uint64_t quantum,
                    uint64_t max_instructions_each);
   // The RunAll scheduler: the laggard heap served by

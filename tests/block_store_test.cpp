@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "minicc/compiler.h"
 #include "softcache/system.h"
 #include "tests/program_gen.h"
+#include "tests/testing.h"
 #include "util/rng.h"
 #include "vm/machine.h"
 #include "workloads/workloads.h"
@@ -173,12 +173,6 @@ void ExpectStoreMatchesModel(CacheController& cc, const image::Image& img,
   }
 }
 
-// Seeds per parameter; a soak sets SOFTCACHE_BLOCK_STORE_SEEDS to run more.
-int SeedsPerParam() {
-  const char* env = std::getenv("SOFTCACHE_BLOCK_STORE_SEEDS");
-  return env == nullptr ? 1 : std::max(1, std::atoi(env));
-}
-
 // The smallest ARM tcache that always has room: three times the largest
 // translated procedure (a call site grows by three words), so a pinned
 // procedure leaves a window the size of any other on one side of it.
@@ -301,7 +295,7 @@ class BlockStoreProperty : public ::testing::TestWithParam<int> {
   // This parameter's seeds: GetParam(), then every kParams-th after it.
   template <typename Fn>
   void ForEachSeed(Fn&& fn) {
-    for (int i = 0; i < SeedsPerParam() && !HasFailure(); ++i) {
+    for (int i = 0; i < testing::TestSeeds() && !HasFailure(); ++i) {
       fn(static_cast<uint64_t>(GetParam() + i * kParams));
     }
   }

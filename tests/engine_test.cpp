@@ -1,9 +1,11 @@
 // Differential tests for the superblock threaded-code engine: the threaded
 // engine must be *bit-identical* to the interpreter — output bytes, exit
-// code, instruction count, cycle count, fault messages — on every workload,
-// on random programs, under the softcache, under eviction churn, under
-// instruction-budget slicing, and in the presence of self-modifying code.
-// This file is the permanent form of the engine's correctness proof.
+// code, instruction count, cycle count, fault messages — natively on every
+// workload and random program, under instruction-budget slicing, block by
+// block in lockstep, and in the presence of self-modifying code. Runs under
+// the softcache are the configuration oracle's (property_test), whose
+// engine dimension compares the threaded engine with an interpreter run of
+// the same configuration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,108 +101,6 @@ TEST(EngineDifferential, WorkloadsNative) {
   }
 }
 
-TEST(EngineDifferential, WorkloadsSoftcacheSparc) {
-  softcache::SoftCacheConfig config;
-  config.style = softcache::Style::kSparc;
-  config.tcache_bytes = 16 * 1024;
-  for (const std::string& name : WorkloadNames()) {
-    const auto* spec = workloads::FindWorkload(name);
-    ASSERT_NE(spec, nullptr) << name;
-    const image::Image img = workloads::CompileWorkload(*spec);
-    const auto input = workloads::MakeInput(name, 1);
-    const EngineRun interp = RunSoftcache(img, input, Engine::kInterp, config);
-    const EngineRun threaded =
-        RunSoftcache(img, input, Engine::kThreaded, config);
-    ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
-        << name << ": " << interp.result.fault_message;
-    ExpectBitIdentical(interp, threaded, name);
-  }
-}
-
-TEST(EngineDifferential, WorkloadsSoftcacheArm) {
-  softcache::SoftCacheConfig config;
-  config.style = softcache::Style::kArm;
-  config.tcache_bytes = 32 * 1024;
-  for (const std::string& name : {std::string("sha256"), std::string("gzip")}) {
-    const auto* spec = workloads::FindWorkload(name);
-    ASSERT_NE(spec, nullptr) << name;
-    const image::Image img = workloads::CompileWorkload(*spec);
-    const auto input = workloads::MakeInput(name, 1);
-    const EngineRun interp = RunSoftcache(img, input, Engine::kInterp, config);
-    const EngineRun threaded =
-        RunSoftcache(img, input, Engine::kThreaded, config);
-    ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
-        << name << ": " << interp.result.fault_message;
-    ExpectBitIdentical(interp, threaded, name);
-  }
-}
-
-// Eviction churn: a tiny tcache forces constant install/patch/evict traffic,
-// i.e. constant WriteWord/WriteBlock invalidation of live superblocks.
-TEST(EngineDifferential, EvictionChurnTinyTcache) {
-  const auto* spec = workloads::FindWorkload("dijkstra");
-  ASSERT_NE(spec, nullptr);
-  const image::Image img = workloads::CompileWorkload(*spec);
-  const auto input = workloads::MakeInput("dijkstra", 1);
-  for (const uint32_t tcache : {1024u, 2048u}) {
-    softcache::SoftCacheConfig config;
-    config.tcache_bytes = tcache;
-    const EngineRun interp = RunSoftcache(img, input, Engine::kInterp, config);
-    const EngineRun threaded =
-        RunSoftcache(img, input, Engine::kThreaded, config);
-    ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
-        << interp.result.fault_message;
-    ExpectBitIdentical(interp, threaded, "tcache=" + std::to_string(tcache));
-  }
-}
-
-// Recovery: a crash-prone MC restarts mid-run and the CC replays its journal.
-// The threaded engine must ride through identically (crash points are cycle-
-// and request-count-driven, both of which it reproduces exactly).
-TEST(EngineDifferential, RecoveryCrashSchedule) {
-  const auto* spec = workloads::FindWorkload("dijkstra");
-  ASSERT_NE(spec, nullptr);
-  const image::Image img = workloads::CompileWorkload(*spec);
-  const auto input = workloads::MakeInput("dijkstra", 1);
-  softcache::SoftCacheConfig config;
-  config.tcache_bytes = 4096;
-  config.fault.seed = 7;
-  config.fault.crash_period = 5;
-  const EngineRun interp = RunSoftcache(img, input, Engine::kInterp, config);
-  const EngineRun threaded = RunSoftcache(img, input, Engine::kThreaded, config);
-  ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
-      << interp.result.fault_message;
-  ExpectBitIdentical(interp, threaded, "crash_period=5");
-}
-
-// Multi-client: every client VM on the threaded engine, sharing one MC.
-// Each client must be bit-identical to a solo interpreter run under the same
-// softcache configuration (the fleet guarantee, now engine-independent).
-TEST(EngineDifferential, MultiClientThreaded) {
-  const auto* spec = workloads::FindWorkload("dijkstra");
-  ASSERT_NE(spec, nullptr);
-  const image::Image img = workloads::CompileWorkload(*spec);
-  const auto input = workloads::MakeInput("dijkstra", 1);
-
-  softcache::MultiClientConfig mcfg;
-  mcfg.clients = 4;
-  mcfg.base.tcache_bytes = 8 * 1024;
-  const EngineRun solo = RunSoftcache(img, input, Engine::kInterp, mcfg.base);
-  softcache::MultiClientSystem fleet(img, mcfg);
-  for (uint32_t i = 0; i < mcfg.clients; ++i) {
-    fleet.machine(i).set_engine(Engine::kThreaded);
-    fleet.SetInput(i, input);
-  }
-  const std::vector<vm::RunResult> results = fleet.RunAll();
-  for (uint32_t i = 0; i < mcfg.clients; ++i) {
-    ASSERT_EQ(results[i].reason, vm::StopReason::kHalted)
-        << "client " << i << ": " << results[i].fault_message;
-    EXPECT_EQ(results[i].exit_code, solo.result.exit_code) << i;
-    EXPECT_EQ(results[i].instructions, solo.result.instructions) << i;
-    EXPECT_EQ(fleet.OutputString(i), solo.output) << i;
-  }
-}
-
 // A slice that ends inside a block resumes there: the dispatch loop enters
 // the live block covering the resume pc at that op instead of translating a
 // new block from it. So a fleet sliced into 1024-instruction quanta fills
@@ -251,30 +151,6 @@ TEST(EngineResume, SlicedFleetFillsLikeUnsliced) {
 // ---------------------------------------------------------------------------
 
 class EngineRandomProgramTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(EngineRandomProgramTest, NativeAndSoftcacheBitIdentical) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
-  ProgramGen gen(seed ^ 0xe7617e);
-  const std::string source = gen.Generate(/*arm_safe=*/false);
-  auto img = minicc::CompileMiniC(source, "gen.mc");
-  ASSERT_TRUE(img.ok()) << img.error().ToString() << "\n" << source;
-  const std::vector<uint8_t> no_input;
-
-  const EngineRun interp = RunNative(*img, no_input, Engine::kInterp);
-  const EngineRun threaded = RunNative(*img, no_input, Engine::kThreaded);
-  ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted)
-      << interp.result.fault_message << " seed=" << seed;
-  ExpectBitIdentical(interp, threaded, "native seed=" + std::to_string(seed));
-
-  softcache::SoftCacheConfig config;
-  config.tcache_bytes = 2048;
-  const EngineRun sc_interp =
-      RunSoftcache(*img, no_input, Engine::kInterp, config);
-  const EngineRun sc_threaded =
-      RunSoftcache(*img, no_input, Engine::kThreaded, config);
-  ExpectBitIdentical(sc_interp, sc_threaded,
-                     "softcache seed=" + std::to_string(seed));
-}
 
 // The instruction budget must bite at exactly the same instruction, even
 // mid-superblock: run the threaded engine in odd-sized slices and require

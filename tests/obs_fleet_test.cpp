@@ -6,10 +6,10 @@
 // merged trace of a 64-client `host_threads` run under the threaded engine
 // (every client lane present, every flow endpoint inside a real span, all
 // JSON documents parseable), the fleet-wide inspection safepoint at one and
-// four host threads, and the load-bearing invariant: observability fully
-// on — lanes, metrics, periodic inspection — changes NOTHING guest-visible
-// at any thread count or engine. Server trace lanes are the memo shards,
-// one per loop lane.
+// four host threads, and server trace lanes following the memo shards, one
+// per loop lane. That observability fully on — lanes, metrics, periodic
+// inspection — changes nothing guest-visible at any thread count or engine
+// is the configuration oracle's (property_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -421,82 +421,6 @@ TEST(ObsFleet, ServerTraceLanesFollowShards) {
   EXPECT_GT(tickets, 0u);
   EXPECT_EQ(checked, tickets);
   EXPECT_GE(tickets_per_tid.size(), 2u) << "demand never left one shard";
-}
-
-// --- Observability on == observability off, bit for bit -------------------
-
-struct FleetOutcome {
-  std::vector<uint64_t> cycles;
-  std::vector<uint64_t> instructions;
-  std::vector<std::string> outputs;
-  obs::MetricsRegistry::Snapshot metrics;
-};
-
-FleetOutcome RunFleetWorkload(vm::Engine engine, uint32_t host_threads,
-                              bool with_obs) {
-  const image::Image img = LoopImage();
-  softcache::MultiClientConfig config;
-  config.clients = 8;
-  config.base.tcache_bytes = 8 * 1024;
-  config.host_threads = host_threads;
-  softcache::MultiClientSystem fleet(img, config);
-  for (size_t i = 0; i < fleet.clients(); ++i) {
-    fleet.machine(i).set_engine(engine);
-  }
-  obs::TraceMux mux;
-  softcache::Inspector inspector(&fleet);
-  uint64_t inspections = 0;
-  if (with_obs) {
-    fleet.AttachTraceMux(&mux);
-    mux.EnableAll(1 << 12);  // small rings: wrapping must not matter either
-    fleet.set_inspection_hook(1000, [&](uint64_t) {
-      ++inspections;
-      std::ostringstream snap;
-      inspector.WriteJson(snap, "periodic");
-    });
-  }
-  // Only the fleet's own metrics join the snapshot (no mux counters): both
-  // runs must expose the same key set for the equality below to be exact.
-  obs::MetricsRegistry registry;
-  fleet.RegisterMetrics(&registry);
-  const auto results = fleet.RunAll();
-  FleetOutcome outcome;
-  for (size_t i = 0; i < results.size(); ++i) {
-    SC_CHECK(results[i].reason == vm::StopReason::kHalted);
-    outcome.cycles.push_back(results[i].cycles);
-    outcome.instructions.push_back(results[i].instructions);
-    outcome.outputs.push_back(fleet.OutputString(i));
-  }
-  if (with_obs) {
-    SC_CHECK(inspections > 0);
-  }
-  outcome.metrics = registry.TakeSnapshot();
-  return outcome;
-}
-
-TEST(FleetObservability, FullObservabilityDoesNotPerturbEitherEngine) {
-  for (vm::Engine engine : {vm::Engine::kInterp, vm::Engine::kThreaded}) {
-    // One host thread: everything is deterministic, so the entire metrics
-    // snapshot — every counter and gauge — must match bit for bit.
-    const FleetOutcome off = RunFleetWorkload(engine, 0, false);
-    const FleetOutcome on = RunFleetWorkload(engine, 0, true);
-    EXPECT_EQ(off.cycles, on.cycles);
-    EXPECT_EQ(off.instructions, on.instructions);
-    EXPECT_EQ(off.outputs, on.outputs);
-    EXPECT_TRUE(off.metrics == on.metrics)
-        << "metrics diverged with observability on (one thread)";
-
-    // Four host threads: the interleaving is nondeterministic, so compare
-    // the guest-visible results (which the scheduler guarantees are
-    // solo-identical) rather than interleaving-dependent aggregates.
-    const FleetOutcome t_off = RunFleetWorkload(engine, 4, false);
-    const FleetOutcome t_on = RunFleetWorkload(engine, 4, true);
-    EXPECT_EQ(t_off.cycles, t_on.cycles);
-    EXPECT_EQ(t_off.instructions, t_on.instructions);
-    EXPECT_EQ(t_off.outputs, t_on.outputs);
-    EXPECT_EQ(off.cycles, t_on.cycles)
-        << "threaded scheduling changed guest cycles";
-  }
 }
 
 }  // namespace

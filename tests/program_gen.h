@@ -17,7 +17,14 @@ namespace sc {
 
 class ProgramGen {
  public:
-  explicit ProgramGen(uint64_t seed) : rng_(seed) {}
+  // A positive `functions` replaces the drawn function count (2-5). The
+  // count is drawn either way, so without it every seed emits the source
+  // it always did.
+  explicit ProgramGen(uint64_t seed, int functions = 0)
+      : rng_(seed), functions_(functions) {}
+
+  // The function count of the last Generate (drawn or overridden).
+  int functions() const { return nfuncs_; }
 
   // Generates a complete program: a few globals (including a struct and a
   // char buffer), a call-DAG of functions, and a main that exercises them,
@@ -36,7 +43,9 @@ class ProgramGen {
     out_ << "int gscalar = " << rng_.Range(-50, 50) << ";\n";
     out_ << "void mix(int v) { check = (check ^ (uint)v) * 16777619; }\n";
 
-    const int nfuncs = static_cast<int>(rng_.Range(2, 5));
+    const int drawn = static_cast<int>(rng_.Range(2, 5));
+    nfuncs_ = functions_ > 0 ? functions_ : drawn;
+    const int nfuncs = nfuncs_;
     for (int i = 0; i < nfuncs; ++i) EmitFunction(i);
 
     if (!arm_safe_) {
@@ -255,6 +264,8 @@ class ProgramGen {
   int call_budget_ = 0;
   int next_counter_ = 0;
   bool arm_safe_ = true;
+  int functions_ = 0;
+  int nfuncs_ = 0;
 };
 
 }  // namespace sc

@@ -1,8 +1,10 @@
 // Shared helpers for SoftCache tests.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +22,14 @@
 #include "vm/machine.h"
 
 namespace sc::testing {
+
+// Seeds per parameter of the seeded suites (the configuration oracle, the
+// block-store property, the crash tests): SOFTCACHE_TEST_SEEDS=N runs N,
+// default 1. Soaks raise it.
+inline int TestSeeds() {
+  const char* env = std::getenv("SOFTCACHE_TEST_SEEDS");
+  return env == nullptr ? 1 : std::max(1, std::atoi(env));
+}
 
 // The byte at guest address `addr` as the solo client's MC session (id 0)
 // sees it: its private copy-on-write data pages where faulted, the shared
