@@ -23,7 +23,9 @@ DataCache::DataCache(vm::Machine& machine, softcache::MemoryController& mc,
     : machine_(machine),
       mc_(mc),
       config_(config),
-      session_(softcache::MakeMcTransport(mc, channel, config.fault),
+      session_(softcache::MakeTransport(
+                   [&mc](const auto& frame) { return mc.Handle(frame); },
+                   channel, config.fault, [&mc] { mc.Restart(); }),
                config.retry, &stats_.net, &stats_.session,
                MsgType::kDataWriteback, /*first_seq=*/1000,
                config.client_id) {

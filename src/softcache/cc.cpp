@@ -44,6 +44,10 @@ CacheController::CacheController(vm::Machine& machine, MemoryController& mc,
   // Conditional-branch patches must reach anywhere in the tcache (imm16
   // word offsets span +-128 KB), which also keeps every slot in kSlotBits.
   SC_CHECK_LE(config_.tcache_bytes, 128u * 1024) << "tcache exceeds branch reach";
+  // At 4 or more, a function's 4-instruction prologue lands in one chunk, so
+  // no miss stops inside it: the stack walk's saved-return-address fix
+  // relies on that.
+  SC_CHECK_GE(config_.max_block_instrs, 4u) << "block cap splits prologues";
   SC_CHECK_EQ(config_.forward_cell_bytes % 4, 0u);
   local_base_ = image::kLocalBase;
   cells_base_ = local_base_ + config_.tcache_bytes;

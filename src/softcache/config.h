@@ -82,7 +82,7 @@ struct SoftCacheConfig {
   // Size of the translation cache (code region) in bytes.
   uint32_t tcache_bytes = 24 * 1024;
   // Basic-block chunking cap: a block is cut after this many instructions
-  // even without a control transfer (bounds message sizes).
+  // even without a control transfer (bounds message sizes). At least 4.
   uint32_t max_block_instrs = 64;
   // Trace chunking (SPARC style only): a chunk may run through up to
   // max_trace_blocks-1 conditional branches, which become mid-chunk side

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "obs/trace.h"
-#include "softcache/mc.h"
 #include "softcache/stats.h"
 #include "util/check.h"
 
@@ -122,14 +121,6 @@ std::unique_ptr<net::Transport> MakeTransport(net::FrameHandler handler,
     return transport;
   }
   return std::make_unique<net::LoopbackTransport>(channel, std::move(handler));
-}
-
-std::unique_ptr<net::Transport> MakeMcTransport(MemoryController& mc,
-                                                net::Channel& channel,
-                                                const net::FaultConfig& fault) {
-  return MakeTransport(
-      [&mc](const std::vector<uint8_t>& bytes) { return mc.Handle(bytes); },
-      channel, fault, [&mc] { mc.Restart(); });
 }
 
 }  // namespace sc::softcache

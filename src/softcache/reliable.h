@@ -28,7 +28,6 @@
 
 namespace sc::softcache {
 
-class MemoryController;
 struct LinkStats;
 
 struct RetryConfig {
@@ -96,12 +95,5 @@ std::unique_ptr<net::Transport> MakeTransport(net::FrameHandler handler,
                                               net::Channel& channel,
                                               const net::FaultConfig& fault,
                                               std::function<void()> crash);
-
-// A port-less transport for callers outside a MultiClientSystem (the
-// D-cache, tests, timing probes): frames go straight to mc.Handle and a
-// scheduled crash restarts every session. A CacheController never uses it.
-std::unique_ptr<net::Transport> MakeMcTransport(MemoryController& mc,
-                                                net::Channel& channel,
-                                                const net::FaultConfig& fault);
 
 }  // namespace sc::softcache

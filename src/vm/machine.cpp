@@ -13,8 +13,7 @@ using isa::AluOp;
 using isa::Instr;
 using isa::Opcode;
 
-Machine::Machine(uint32_t mem_bytes)
-    : mem_(mem_bytes), engine_(DefaultEngine()) {
+Machine::Machine(uint32_t mem_bytes) : mem_(mem_bytes) {
   SC_CHECK_GE(mem_bytes, image::kLocalBase) << "memory must cover local region";
 }
 

@@ -129,10 +129,10 @@ class Machine {
   // messages, hook call sequences); they differ only in host speed.
   RunResult Run(uint64_t max_instructions = UINT64_MAX);
 
-  // Engine selection. Switching engines flushes the superblock cache (the
-  // interpreter validates stale decode entries by word compare on every
-  // fetch; superblocks cannot, so anything translated before an interp
-  // interlude must be rebuilt).
+  // Engine selection; new machines run threaded. Switching engines flushes
+  // the superblock cache (the interpreter validates stale decode entries by
+  // word compare on every fetch; superblocks cannot, so anything translated
+  // before an interp interlude must be rebuilt).
   Engine engine() const { return engine_; }
   void set_engine(Engine engine);
 
@@ -358,7 +358,7 @@ class Machine {
   // inside one — the loop leaves the (possibly stale) block at the next op
   // boundary and re-resolves through the dispatch loop, which may enter a
   // live block covering the resume pc mid-way.
-  Engine engine_;
+  Engine engine_ = Engine::kThreaded;
   std::unique_ptr<SuperblockCache> sb_cache_;
   SbStats sb_stats_;
   uint32_t sb_lo_ = UINT32_MAX;

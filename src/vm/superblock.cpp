@@ -7,7 +7,6 @@
 // programs, and self-modifying code.
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/trace.h"
@@ -29,18 +28,6 @@ namespace sc::vm {
 using isa::AluOp;
 using isa::Instr;
 using isa::Opcode;
-
-Engine DefaultEngine() {
-  static const Engine engine = [] {
-    const char* v = std::getenv("SOFTCACHE_ENGINE");
-    if (v != nullptr &&
-        (std::strcmp(v, "threaded") == 0 || std::strcmp(v, "superblock") == 0)) {
-      return Engine::kThreaded;
-    }
-    return Engine::kInterp;
-  }();
-  return engine;
-}
 
 SuperblockCache::SuperblockCache(uint32_t mem_bytes)
     : slab_(kSbMaxBlocks + 1),

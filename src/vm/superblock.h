@@ -37,11 +37,10 @@
 
 namespace sc::vm {
 
-// Which execution engine Machine::Run uses. The default for new machines
-// comes from the SOFTCACHE_ENGINE environment variable ("threaded" or
-// "interp"); unset means kInterp, keeping all existing traces bit-identical.
+// Which execution engine Machine::Run uses. New machines run threaded;
+// the interpreter is the reference the threaded engine is checked against,
+// and it runs every run with a fetch observer.
 enum class Engine : uint8_t { kInterp = 0, kThreaded };
-Engine DefaultEngine();
 
 // One threaded handler per (opcode, ALU funct) pair, so the inner loop never
 // switches on a secondary field.

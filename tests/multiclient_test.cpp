@@ -718,6 +718,15 @@ TEST(MultiClientSystemDeathTest, ZeroQuantumIsRejected) {
   EXPECT_DEATH(softcache::MultiClientSystem(img, config), "zero scheduler");
 }
 
+TEST(MultiClientSystemDeathTest, BlockCapBelowAPrologueIsRejected) {
+  // A chunk cut inside a function prologue would leave a miss there, where
+  // the stack walk cannot fix the saved return address.
+  const image::Image img = LoopImage();
+  softcache::MultiClientConfig config;
+  config.base.max_block_instrs = 3;
+  EXPECT_DEATH(softcache::MultiClientSystem(img, config), "splits prologues");
+}
+
 TEST(MultiClientSystemDeathTest, RetiredWorkersFieldIsRejected) {
   // The server has no worker pool; a config still asking for one is a bug.
   const image::Image img = LoopImage();

@@ -437,8 +437,7 @@ TEST(Observability, SystemTraceCoversMissPath) {
   obs::SetTracer(&tracer);
   softcache::SoftCacheSystem system(img, config);
   // decode_fill is an interpreter event (the threaded engine replaces the
-  // decode cache with superblock fills); pin the engine so this assertion
-  // holds regardless of SOFTCACHE_ENGINE.
+  // decode cache with superblock fills), so this run pins the interpreter.
   system.machine().set_engine(vm::Engine::kInterp);
   system.SetInput(workloads::MakeInput("dijkstra", 1));
   const vm::RunResult result = system.Run();

@@ -411,8 +411,10 @@ TEST(CrashRecoverySession, SynchronizeReplaysAfterIdleCrash) {
   RetryConfig retry;
   LinkStats link_stats;
   SessionStats stats;
-  Session session(softcache::MakeMcTransport(mc, channel, {}), retry,
-                  &link_stats, &stats, MsgType::kDataWriteback,
+  Session session(softcache::MakeTransport(
+                      [&mc](const auto& frame) { return mc.Handle(frame); },
+                      channel, {}, [&mc] { mc.Restart(); }),
+                  retry, &link_stats, &stats, MsgType::kDataWriteback,
                   /*first_seq=*/1000);
   uint64_t cycles = 0;
   for (uint32_t i = 0; i < 3; ++i) {

@@ -163,8 +163,10 @@ TEST(ReliableLink, RecoversThroughHeavyFaults) {
   fault.corrupt = 0.2;
   fault.duplicate = 0.2;
   LinkStats stats;
-  ReliableLink link(softcache::MakeMcTransport(mc, channel, fault), {},
-                    &stats);
+  ReliableLink link(softcache::MakeTransport(
+                        [&mc](const auto& frame) { return mc.Handle(frame); },
+                        channel, fault, [&mc] { mc.Restart(); }),
+                    {}, &stats);
   for (uint32_t seq = 1; seq <= 200; ++seq) {
     uint64_t cycles = 0;
     auto reply = link.Call(ChunkRequest(seq, img.entry), &cycles);

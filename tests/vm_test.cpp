@@ -14,15 +14,30 @@ struct VmRun {
   vm::Machine machine;
 };
 
-// Assembles and runs; the machine is returned for state inspection.
-std::unique_ptr<VmRun> RunAsm(std::string_view asm_source, std::string_view input = "") {
+// Assembles and runs the program on both engines, which must agree on every
+// guest-visible result; the threaded machine is returned for state
+// inspection.
+std::unique_ptr<VmRun> RunAsm(std::string_view asm_source, std::string_view input = "",
+                              uint64_t max_instructions = 1'000'000) {
   auto img = sasm::Assemble(asm_source);
   SC_CHECK(img.ok()) << img.error().ToString();
-  auto run = std::make_unique<VmRun>();
-  run->machine.LoadImage(*img);
-  run->machine.SetInput(std::vector<uint8_t>(input.begin(), input.end()));
-  run->result = run->machine.Run(1'000'000);
-  return run;
+  const auto run_on = [&](vm::Engine engine) {
+    auto run = std::make_unique<VmRun>();
+    run->machine.set_engine(engine);
+    run->machine.LoadImage(*img);
+    run->machine.SetInput(std::vector<uint8_t>(input.begin(), input.end()));
+    run->result = run->machine.Run(max_instructions);
+    return run;
+  };
+  const auto interp = run_on(vm::Engine::kInterp);
+  auto threaded = run_on(vm::Engine::kThreaded);
+  EXPECT_EQ(interp->result.reason, threaded->result.reason);
+  EXPECT_EQ(interp->result.exit_code, threaded->result.exit_code);
+  EXPECT_EQ(interp->result.instructions, threaded->result.instructions);
+  EXPECT_EQ(interp->result.cycles, threaded->result.cycles);
+  EXPECT_EQ(interp->result.fault_message, threaded->result.fault_message);
+  EXPECT_EQ(interp->machine.OutputString(), threaded->machine.OutputString());
+  return threaded;
 }
 
 int RunExit(std::string_view asm_source) {
@@ -210,23 +225,25 @@ TEST(VmControl, IllegalInstructionFaults) {
 
 TEST(VmControl, TcMissWithoutHandlerFaults) {
   // TCMISS is opcode 31 in the J format: craft it via .word.
-  auto img = sasm::Assemble("_start: .word 0x7c000000\n");
-  ASSERT_TRUE(img.ok());
-  vm::Machine machine;
-  machine.LoadImage(*img);
-  const auto result = machine.Run(100);
-  EXPECT_EQ(result.reason, vm::StopReason::kFault);
-  EXPECT_NE(result.fault_message.find("no trap handler"), std::string::npos);
+  const auto run = RunAsm("_start: .word 0x7c000000\n");
+  EXPECT_EQ(run->result.reason, vm::StopReason::kFault);
+  EXPECT_NE(run->result.fault_message.find("no trap handler"), std::string::npos);
 }
 
 TEST(VmControl, InstructionLimitStops) {
-  auto img = sasm::Assemble("_start: j _start\n");
+  const auto run = RunAsm("_start: j _start\n", "", 1000);
+  EXPECT_EQ(run->result.reason, vm::StopReason::kInstrLimit);
+  EXPECT_EQ(run->result.instructions, 1000u);
+}
+
+TEST(VmEngine, NewMachinesRunThreaded) {
+  auto img = sasm::Assemble("_start: nop\n nop\n halt\n");
   ASSERT_TRUE(img.ok());
   vm::Machine machine;
+  EXPECT_EQ(machine.engine(), vm::Engine::kThreaded);
   machine.LoadImage(*img);
-  const auto result = machine.Run(1000);
-  EXPECT_EQ(result.reason, vm::StopReason::kInstrLimit);
-  EXPECT_EQ(result.instructions, 1000u);
+  EXPECT_EQ(machine.Run(100).reason, vm::StopReason::kHalted);
+  EXPECT_GT(machine.sb_stats().fills, 0u);
 }
 
 TEST(VmSyscalls, EchoRoundTrip) {
@@ -300,12 +317,16 @@ TEST(VmCostModel, MulDivCostMore) {
 TEST(VmExecRange, RestrictionEnforced) {
   auto img = sasm::Assemble("_start: nop\n nop\n halt\n");
   ASSERT_TRUE(img.ok());
-  vm::Machine machine;
-  machine.LoadImage(*img);
-  machine.SetExecRange(0x2000000, 0x2001000);  // text is far outside
-  const auto result = machine.Run(100);
-  EXPECT_EQ(result.reason, vm::StopReason::kFault);
-  EXPECT_NE(result.fault_message.find("outside permitted range"), std::string::npos);
+  for (const vm::Engine engine : {vm::Engine::kInterp, vm::Engine::kThreaded}) {
+    vm::Machine machine;
+    machine.set_engine(engine);
+    machine.LoadImage(*img);
+    machine.SetExecRange(0x2000000, 0x2001000);  // text is far outside
+    const auto result = machine.Run(100);
+    EXPECT_EQ(result.reason, vm::StopReason::kFault);
+    EXPECT_NE(result.fault_message.find("outside permitted range"),
+              std::string::npos);
+  }
 }
 
 TEST(VmHooks, FetchObserverSeesEveryPc) {

@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
                  "            [--trace-blocks=N] [--evict=fifo|flush] [--dcache]\n"
                  "            [--stats] [--profile] [--max-instr=N]\n"
                  "            [--engine=interp|threaded]  VM execution engine\n"
-                 "                 (default: SOFTCACHE_ENGINE env or interp)\n"
+                 "                 (default: threaded)\n"
                  "       srun --workload=NAME [--scale=N] (instead of a program)\n"
                  "observability (softcache runs):\n"
                  "            [--prefetch=off|nextn]\n"
@@ -225,13 +225,11 @@ int main(int argc, char** argv) {
   }
   const uint64_t max_instr = args.GetInt("max-instr", UINT64_MAX);
 
-  const std::string engine_name = args.Get("engine", "");
-  vm::Engine engine = vm::DefaultEngine();
+  const std::string engine_name = args.Get("engine", "threaded");
+  vm::Engine engine = vm::Engine::kThreaded;
   if (engine_name == "interp") {
     engine = vm::Engine::kInterp;
-  } else if (engine_name == "threaded") {
-    engine = vm::Engine::kThreaded;
-  } else if (!engine_name.empty()) {
+  } else if (engine_name != "threaded") {
     std::fprintf(stderr, "unknown engine %s (interp|threaded)\n",
                  engine_name.c_str());
     return 2;
