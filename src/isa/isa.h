@@ -166,6 +166,12 @@ uint32_t EncI(Opcode op, uint8_t rd, uint8_t rs1, int32_t imm);
 uint32_t EncBranch(Opcode op, uint8_t rs1, uint8_t rs2, int32_t word_offset);
 uint32_t EncJ(Opcode op, int32_t word_offset);
 uint32_t EncTcMiss(uint32_t stub_index);
+// A TCMISS word and its stub index, read off the opcode and imm26 fields
+// without a full decode: Decode(word).op == kTcMiss and Decode(word).imm.
+inline bool IsTcMiss(uint32_t word) {
+  return word >> 26 == static_cast<uint32_t>(Opcode::kTcMiss);
+}
+inline uint32_t TcMissIndex(uint32_t word) { return word & 0x03ffffff; }
 inline uint32_t EncNop() { return EncI(Opcode::kAddi, kZero, kZero, 0); }
 inline uint32_t EncHalt() { return Encode(Instr{.op = Opcode::kHalt}); }
 inline uint32_t EncRet() { return EncI(Opcode::kJalr, kZero, kRa, 0); }

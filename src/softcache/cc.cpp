@@ -23,6 +23,12 @@ std::unique_ptr<net::Transport> SessionTransport(const SoftCacheConfig& config,
   return config.transport_factory(mc, channel);
 }
 
+// The decoded form of the miss stub `stub`: isa::Encode of it is
+// isa::EncTcMiss(stub).
+Instr MissStub(uint32_t stub) {
+  return Instr{.op = Opcode::kTcMiss, .imm = static_cast<int32_t>(stub)};
+}
+
 }  // namespace
 
 CacheController::CacheController(vm::Machine& machine, MemoryController& mc,
@@ -475,6 +481,17 @@ void CacheController::DecodeChunk(const Chunk& chunk) {
   }
 }
 
+void CacheController::StageBlock(uint32_t tc, uint32_t words) {
+  install_tc_ = tc;
+  install_words_.resize(words);
+  install_instrs_.resize(words);
+}
+
+void CacheController::Stage(uint32_t addr, uint32_t word, const Instr& in) {
+  install_words_[(addr - install_tc_) / 4] = word;
+  install_instrs_[(addr - install_tc_) / 4] = in;
+}
+
 CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
   const uint32_t body_words = static_cast<uint32_t>(chunk.words.size());
   uint32_t slots = 0;
@@ -515,11 +532,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
 
   // Stage the block; the terminator (last word) is rewritten to point at the
   // exit slots, and mid-chunk side-exit branches at their miss slots.
-  std::vector<uint32_t>& out = install_words_;
-  out.resize(total_words);
-  const auto stage = [&out, tc](uint32_t addr, uint32_t word) {
-    out[(addr - tc) / 4] = word;
-  };
+  StageBlock(tc, total_words);
   for (uint32_t i = 0; i < body_words; ++i) {
     uint32_t word = chunk.words[i];
     const uint32_t addr = tc + i * 4;
@@ -530,10 +543,10 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
       const uint32_t slot = next_mid_slot;
       next_mid_slot += 4;
       in.imm = isa::OffsetFor(addr, slot);
-      stage(addr, isa::Encode(in));
+      Stage(addr, in);
       const uint32_t stub = NewStub(StubInfo{true, taken_orig, addr,
                                              PatchKind::kBranch16, slot, block.id});
-      stage(slot, isa::EncTcMiss(stub));
+      Stage(slot, MissStub(stub));
       block.own_stubs.emplace_back(stub, stubs_[stub].generation);
       block.mid_slots.emplace_back(slot, taken_orig);
       continue;
@@ -558,7 +571,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
           break;  // kNone keeps the return/halt; kFallthrough has no terminator
       }
     }
-    stage(addr, word);
+    Stage(addr, word, in);
   }
 
   // Exit slot A: fallthrough / continuation / folded-jump target.
@@ -568,7 +581,7 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
                                 : chunk.fall_target;
     const uint32_t stub = NewStub(StubInfo{true, target, block.slot_a,
                                            PatchKind::kSlot, block.slot_a, block.id});
-    stage(block.slot_a, isa::EncTcMiss(stub));
+    Stage(block.slot_a, MissStub(stub));
     block.own_stubs.emplace_back(stub, stubs_[stub].generation);
   }
   // Exit slot B: taken target / callee.
@@ -578,10 +591,11 @@ CacheController::Block* CacheController::InstallSparc(const Chunk& chunk) {
                                                          : PatchKind::kBranch16;
     const uint32_t stub = NewStub(StubInfo{true, chunk.taken_target, term_addr,
                                            kind, block.slot_b, block.id});
-    stage(block.slot_b, isa::EncTcMiss(stub));
+    Stage(block.slot_b, MissStub(stub));
     block.own_stubs.emplace_back(stub, stubs_[stub].generation);
   }
-  machine_.WriteBlock(tc, out.data(), total_bytes);
+  machine_.WriteBlock(tc, install_words_.data(), total_bytes,
+                      install_instrs_.data());
 
   stats_.extra_words_live += slots + mid_count;
   IndexOrig(block, /*live=*/true);
@@ -650,11 +664,7 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
   stats_.extra_words_live += blk.slot_words;
 
   // Pass 2: emit into the staging buffer; one write installs it at the end.
-  std::vector<uint32_t>& out = install_words_;
-  out.resize(body_tc_words + call_sites);
-  const auto stage = [&out, tc](uint32_t addr, uint32_t word) {
-    out[(addr - tc) / 4] = word;
-  };
+  StageBlock(tc, body_tc_words + call_sites);
   uint32_t next_slot = tc + body_tc_words * 4;
   for (uint32_t i = 0; i < orig_words; ++i) {
     const uint32_t orig_pc = chunk.orig_addr + i * 4;
@@ -668,7 +678,7 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
       const uint32_t target_tc = tc + blk.index_map[(target_orig - chunk.orig_addr) / 4] * 4;
       Instr patched = in;
       patched.imm = isa::OffsetFor(tc_pc, target_tc);
-      stage(tc_pc, isa::Encode(patched));
+      Stage(tc_pc, patched);
       continue;
     }
     if (in.op == Opcode::kJal) {
@@ -689,34 +699,37 @@ CacheController::Block* CacheController::InstallArm(const Chunk& chunk) {
         stats_.eviction_timeline.RemoveLast(machine_.cycles());
         return nullptr;
       }
-      stage(tc_pc, isa::EncI(Opcode::kLui, isa::kRa, 0,
-                             static_cast<int32_t>(cell >> 16)));
-      stage(tc_pc + 4, isa::EncI(Opcode::kOri, isa::kRa, isa::kRa,
-                                 static_cast<int32_t>(cell & 0xffff)));
+      Stage(tc_pc, Instr{.op = Opcode::kLui, .rd = isa::kRa,
+                         .imm = static_cast<int32_t>(cell >> 16)});
+      Stage(tc_pc + 4, Instr{.op = Opcode::kOri, .rd = isa::kRa, .rs1 = isa::kRa,
+                             .imm = static_cast<int32_t>(cell & 0xffff)});
       const uint32_t jump_addr = tc_pc + 8;
       const uint32_t slot = next_slot;
       next_slot += 4;
       if (callee_orig == chunk.orig_addr) {
         // Self-recursion: the callee is this very procedure — link directly.
-        stage(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, tc)));
+        Stage(jump_addr,
+              Instr{.op = Opcode::kJ, .imm = isa::OffsetFor(jump_addr, tc)});
         blk.in_edges.push_back(InEdge{blk.id, jump_addr, PatchKind::kJump26,
                                       slot, callee_orig});
         blk.out_edges.emplace_back(blk.id, jump_addr);
         // The slot stays dead until the self-edge is unlinked (never — the
         // block dies with it), but keep the layout uniform.
-        stage(slot, isa::EncNop());
+        Stage(slot, Instr{.op = Opcode::kAddi});  // nop
       } else {
         const uint32_t stub = NewStub(StubInfo{true, callee_orig, jump_addr,
                                                PatchKind::kJump26, slot, blk.id});
-        stage(slot, isa::EncTcMiss(stub));
-        stage(jump_addr, isa::EncJ(Opcode::kJ, isa::OffsetFor(jump_addr, slot)));
+        Stage(slot, MissStub(stub));
+        Stage(jump_addr,
+              Instr{.op = Opcode::kJ, .imm = isa::OffsetFor(jump_addr, slot)});
         blk.own_stubs.emplace_back(stub, stubs_[stub].generation);
       }
       continue;
     }
-    stage(tc_pc, chunk.words[i]);
+    Stage(tc_pc, chunk.words[i], in);
   }
-  machine_.WriteBlock(tc, out.data(), total_bytes);
+  machine_.WriteBlock(tc, install_words_.data(), total_bytes,
+                      install_instrs_.data());
   // Each call site also adds two ra-setup words beyond the original code.
   return &blk;
 }

@@ -278,9 +278,20 @@ class CacheController : public vm::TrapHandler {
   Block* Translate(uint32_t orig_pc);
   // Decodes every chunk word once into install_decoded_.
   void DecodeChunk(const Chunk& chunk);
-  // Both installs stage the whole block and write it with one WriteBlock.
+  // Both installs stage the whole block, each word with its decoded form,
+  // and write it with one WriteBlock, which hands the decoded words to the
+  // machine's translation.
   Block* InstallSparc(const Chunk& chunk);
   Block* InstallArm(const Chunk& chunk);
+  // Sizes the staging buffers for a block of `words` words at tcache
+  // address `tc`.
+  void StageBlock(uint32_t tc, uint32_t words);
+  // Stages `word`, whose isa::Decode is `in`, at tcache address `addr`.
+  void Stage(uint32_t addr, uint32_t word, const isa::Instr& in);
+  // Stages a word the controller builds: `in` and its encoding.
+  void Stage(uint32_t addr, const isa::Instr& in) {
+    Stage(addr, isa::Encode(in), in);
+  }
   // Both fetches fill fetched_ (its words vector is reused across misses).
   util::Status FetchChunk(uint32_t orig_pc);
   // Second round trip after a digest reply whose body the snoop store no
@@ -452,11 +463,14 @@ class CacheController : public vm::TrapHandler {
   uint64_t stub_generation_ = 0;
   // Install buffers, reused across misses: the fetched chunk, its words
   // decoded once, ARM's index map, and the block's words (body, exit and
-  // mid slots) staged so one Machine::WriteBlock installs them.
+  // mid slots) with their decoded forms, staged at install_tc_ so one
+  // Machine::WriteBlock installs them.
   Chunk fetched_;
   std::vector<isa::Instr> install_decoded_;
   std::vector<uint32_t> install_index_map_;
+  uint32_t install_tc_ = 0;
   std::vector<uint32_t> install_words_;
+  std::vector<isa::Instr> install_instrs_;
   // Staging buffer for prefetched chunks, keyed by orig_addr (ordered for
   // the ARM interior-address lookup), bounded by config.prefetch.staging_bytes
   // with FIFO displacement.

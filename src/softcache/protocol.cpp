@@ -11,14 +11,13 @@ bool IsWriteType(MsgType type) {
   return type == MsgType::kTextWrite || type == MsgType::kDataWriteback;
 }
 
-// One append: a single capacity check, then four byte stores.
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  const size_t at = out.size();
-  out.resize(at + 4);
-  out[at] = static_cast<uint8_t>(v);
-  out[at + 1] = static_cast<uint8_t>(v >> 8);
-  out[at + 2] = static_cast<uint8_t>(v >> 16);
-  out[at + 3] = static_cast<uint8_t>(v >> 24);
+// Stores `v` little-endian at `at`. Every serializer sizes its frame once
+// and then stores each field at its fixed offset.
+void StoreU32(uint8_t* at, uint32_t v) {
+  at[0] = static_cast<uint8_t>(v);
+  at[1] = static_cast<uint8_t>(v >> 8);
+  at[2] = static_cast<uint8_t>(v >> 16);
+  at[3] = static_cast<uint8_t>(v >> 24);
 }
 
 uint32_t GetU32(const uint8_t* bytes, size_t offset) {
@@ -117,25 +116,27 @@ std::vector<uint8_t> Request::Serialize() const {
 
 void Request::SerializeTo(std::vector<uint8_t>* frame) const {
   std::vector<uint8_t>& out = *frame;
-  out.clear();
-  out.reserve(wire_bytes());
-  PutU32(out, kProtocolMagic);
+  out.resize(wire_bytes());
+  uint8_t* const p = out.data();
+  StoreU32(p, kProtocolMagic);
   uint32_t type_word = PackTypeWord(type, epoch, client_id);
   // A nonzero tracing rid rides the spare high nibble of the type byte on
   // chunk requests; rid 0 (tracing off) leaves the seed bytes untouched.
   if (rid != 0 && CarriesRid(static_cast<uint32_t>(type))) {
     type_word |= (rid & kRidMask) << kRidShift;
   }
-  PutU32(out, type_word);
-  PutU32(out, seq);
-  PutU32(out, addr);
-  PutU32(out, length);
+  StoreU32(p + 4, type_word);
+  StoreU32(p + 8, seq);
+  StoreU32(p + 12, addr);
+  StoreU32(p + 16, length);
   // Checksum over the first five fields, continued over the payload. A
   // payload-less frame serializes byte-identically to the header-only
   // checksum, so the fixed 24-byte frame format is unchanged.
-  PutU32(out, Checksum(payload.data(), payload.size(),
-                       Checksum(out.data(), out.size())));
-  out.insert(out.end(), payload.begin(), payload.end());
+  StoreU32(p + 20,
+           Checksum(payload.data(), payload.size(), Checksum(p, 20)));
+  if (!payload.empty()) {
+    std::memcpy(p + kRequestBytes, payload.data(), payload.size());
+  }
 }
 
 util::Result<Request> Request::Parse(const std::vector<uint8_t>& bytes) {
@@ -176,33 +177,33 @@ util::Result<Request> Request::Parse(const std::vector<uint8_t>& bytes) {
 
 std::vector<uint8_t> ReplyHeader::Serialize(const uint8_t* body,
                                             size_t size) const {
-  std::vector<uint8_t> out;
-  out.reserve(kReplyHeaderBytes + size + kReplyTrailerBytes);
-  PutU32(out, kProtocolMagic);
-  PutU32(out, PackTypeWord(type, epoch, client_id));
-  PutU32(out, seq);
-  PutU32(out, addr);
-  PutU32(out, aux);
-  PutU32(out, static_cast<uint32_t>(size));
-  PutU32(out, extra);
-  PutU32(out, Checksum(out.data(), out.size()));
-  if (size != 0) out.insert(out.end(), body, body + size);
-  PutU32(out, Checksum(body, size));
+  std::vector<uint8_t> out(kReplyHeaderBytes + size + kReplyTrailerBytes);
+  uint8_t* const p = out.data();
+  StoreU32(p, kProtocolMagic);
+  StoreU32(p + 4, PackTypeWord(type, epoch, client_id));
+  StoreU32(p + 8, seq);
+  StoreU32(p + 12, addr);
+  StoreU32(p + 16, aux);
+  StoreU32(p + 20, static_cast<uint32_t>(size));
+  StoreU32(p + 24, extra);
+  StoreU32(p + 28, Checksum(p, 28));
+  if (size != 0) std::memcpy(p + kReplyHeaderBytes, body, size);
+  StoreU32(p + kReplyHeaderBytes + size, Checksum(body, size));
   return out;
 }
 
 void AppendBatchChunk(std::vector<uint8_t>* payload, uint32_t addr,
                       uint32_t aux, uint32_t extra, const uint32_t* words,
                       uint32_t nwords) {
-  payload->reserve(payload->size() + kBatchChunkHeaderBytes + nwords * 4);
-  PutU32(*payload, addr);
-  PutU32(*payload, aux);
-  PutU32(*payload, extra);
-  PutU32(*payload, nwords);
+  const size_t offset = payload->size();
+  payload->resize(offset + kBatchChunkHeaderBytes + nwords * 4);
+  uint8_t* const p = payload->data() + offset;
+  StoreU32(p, addr);
+  StoreU32(p + 4, aux);
+  StoreU32(p + 8, extra);
+  StoreU32(p + 12, nwords);
   if (nwords != 0) {
-    const size_t offset = payload->size();
-    payload->resize(offset + nwords * 4);
-    std::memcpy(payload->data() + offset, words, nwords * 4);
+    std::memcpy(p + kBatchChunkHeaderBytes, words, nwords * 4);
   }
 }
 

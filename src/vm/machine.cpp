@@ -101,10 +101,19 @@ void Machine::ReadBlock(uint32_t addr, void* out, uint32_t len) const {
   std::memcpy(out, mem_.data() + addr, len);
 }
 
-void Machine::WriteBlock(uint32_t addr, const void* bytes, uint32_t len) {
+void Machine::WriteBlock(uint32_t addr, const void* bytes, uint32_t len,
+                         const isa::Instr* decoded) {
   SC_CHECK_LE(static_cast<uint64_t>(addr) + len, mem_.size());
   std::memcpy(mem_.data() + addr, bytes, len);
   InvalidateDecode(addr, len, /*rewrite=*/false);
+  if (decoded == nullptr) return;
+  SC_CHECK_EQ(addr % 4, 0u);
+  handoff_addr_ = addr;
+  handoff_.resize(len / 4);
+  for (uint32_t i = 0; i < len / 4; ++i) {
+    std::memcpy(&handoff_[i].word, mem_.data() + addr + 4 * i, 4);
+    handoff_[i].instr = decoded[i];
+  }
 }
 
 void Machine::InvalidateDecode(uint32_t addr, uint32_t len, bool rewrite) {

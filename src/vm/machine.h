@@ -193,10 +193,18 @@ class Machine {
   // controller's branch, jump and miss-stub patches; see
   // SuperblockCache::Retarget); any other WriteWord kills like WriteBlock.
   // Both reset the interpreter's decode-cache entries for the words.
+  //
+  // A code installer that already decoded what it writes passes `decoded`:
+  // isa::Decode of each of the len / 4 words, with `addr` word-aligned. The
+  // machine keeps the last such handoff, and superblock translation takes
+  // a word's op from it instead of decoding again while the word in memory
+  // still equals the handed-over word (Decode is a pure function of the
+  // word, so a match proves the Instr).
   uint32_t ReadWord(uint32_t addr) const;
   void WriteWord(uint32_t addr, uint32_t value);
   void ReadBlock(uint32_t addr, void* out, uint32_t len) const;
-  void WriteBlock(uint32_t addr, const void* bytes, uint32_t len);
+  void WriteBlock(uint32_t addr, const void* bytes, uint32_t len,
+                  const isa::Instr* decoded = nullptr);
 
   // Drops cached translations (decode-cache entries and superblocks) over
   // [addr, addr+len) without touching memory: it always kills, never
@@ -212,8 +220,12 @@ class Machine {
   // would build at `start` from the current memory, exec range, poison and
   // cost model: writes its ops (at most kSbMaxOps + 1) to `ops`, its span
   // to `*span` and returns its op count. `start` must be a legal fetch
-  // address. Differential tests check live blocks against it.
-  uint32_t FormSuperblock(uint32_t start, SbOp* ops, uint32_t* span) const;
+  // address. It decodes every word from memory and never reads the
+  // WriteBlock handoff, so differential tests that check live blocks
+  // against it also check the handoff.
+  uint32_t FormSuperblock(uint32_t start, SbOp* ops, uint32_t* span) const {
+    return FormOps(start, /*use_handoff=*/false, ops, span);
+  }
 
   // Translates a data address through the installed data hook (identity when
   // no hook covers it). Host-side agents that must see the same memory the
@@ -286,11 +298,17 @@ class Machine {
   // dispatch table (null in the switch fallback); the first call captures
   // it into the cache for ops filled outside the loop.
   Superblock* TranslateSuperblock(uint32_t start, const void* const* handlers);
-  // Fills every field of `*op` but cyc_before from guest `word` at `pc`:
-  // kind, registers, cost, the immediate (the absolute target for direct
-  // branches and jumps, the raw word for an illegal one) and the handler.
-  void FillOp(uint32_t word, uint32_t pc, const void* const* handlers,
-              SbOp* op) const;
+  // FormSuperblock's body; with `use_handoff`, a word equal to its
+  // WriteBlock handoff entry takes the handed-over Instr instead of a
+  // decode.
+  uint32_t FormOps(uint32_t start, bool use_handoff, SbOp* ops,
+                   uint32_t* span) const;
+  // Fills every field of `*op` but cyc_before from `in`, the decoded guest
+  // `word` at `pc`: kind, registers, cost, the immediate (the absolute
+  // target for direct branches and jumps, the raw word for an illegal one)
+  // and the handler. `word` is read only for an illegal op.
+  void FillOp(const isa::Instr& in, uint32_t word, uint32_t pc,
+              const void* const* handlers, SbOp* op) const;
   // WriteWord's in-place path: refills the op of the word just written at
   // `addr` and hands it to SuperblockCache::Retarget. False when the write
   // must kill instead (unaligned, uncovered, or Retarget declines).
@@ -351,6 +369,11 @@ class Machine {
   // Allocated lazily on the first interpreter Run() (a Machine used only as
   // a memory container pays nothing), on zero pages for the same reason.
   std::vector<DecodeEntry, util::ZeroPageAllocator<DecodeEntry>> decode_cache_;
+  // The last WriteBlock handoff: handoff_[i] is the word written at
+  // handoff_addr_ + 4 * i with its decoded form, trusted by the same word
+  // compare as the decode cache.
+  uint32_t handoff_addr_ = 0;
+  std::vector<DecodeEntry> handoff_;
   // Threaded engine state. The cache is allocated lazily on the first
   // threaded Run; sb_lo_/sb_hi_ mirror its bounds so the store hot path's
   // self-modifying-code check is two compares against locals. sb_interrupt_

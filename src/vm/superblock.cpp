@@ -87,6 +87,8 @@ bool SuperblockCache::Retarget(uint32_t addr, const SbOp& op, bool restamp,
     if (sb == nullptr || !sb->valid || sb->start + sb->span <= addr) continue;
     const uint32_t k = w - s;
     if (k + 1 != sb->n_ops || !SbIsTerminator(sb->ops[k].kind)) return false;
+    // No live block starts with a miss stub (see the dispatch loop).
+    if (k == 0 && op.kind == kSbTcMiss) return false;
     if (restamp && sb->digest != SbDigest(*sb)) return false;
   }
   for (uint32_t s = scan_from; s <= w; ++s) {
@@ -259,9 +261,8 @@ void Machine::UnpoisonCodeRange(uint32_t addr, uint32_t len) {
   // range anyway before new code lands there.
 }
 
-void Machine::FillOp(uint32_t word, uint32_t pc, const void* const* handlers,
-                     SbOp* op) const {
-  const Instr in = isa::Decode(word);
+void Machine::FillOp(const Instr& in, uint32_t word, uint32_t pc,
+                     const void* const* handlers, SbOp* op) const {
   // Arena ops are reused after Reclaim: every field but cyc_before is
   // rewritten here (HALT, TCMISS and illegal ops charge no cost).
   op->rd = in.rd;
@@ -362,8 +363,8 @@ void Machine::FillOp(uint32_t word, uint32_t pc, const void* const* handlers,
   op->handler = handlers != nullptr ? handlers[op->kind] : nullptr;
 }
 
-uint32_t Machine::FormSuperblock(uint32_t start, SbOp* ops,
-                                 uint32_t* span) const {
+uint32_t Machine::FormOps(uint32_t start, bool use_handoff, SbOp* ops,
+                          uint32_t* span) const {
   const void* const* handlers =
       sb_cache_ != nullptr ? sb_cache_->handlers() : nullptr;
   uint32_t pc = start;
@@ -383,8 +384,14 @@ uint32_t Machine::FormSuperblock(uint32_t start, SbOp* ops,
     if (!poison_.empty() && n > 0 && InPoison(pc)) break;
     uint32_t word = 0;
     std::memcpy(&word, mem_.data() + pc, 4);
+    // The word's handoff entry, if any (a pc below handoff_addr_ wraps past
+    // the handoff's size).
+    const uint32_t h = (pc - handoff_addr_) / 4;
+    const bool handed = use_handoff && h < handoff_.size() &&
+                        handoff_[h].word == word;
     SbOp& op = ops[n++];
-    FillOp(word, pc, handlers, &op);
+    FillOp(handed ? handoff_[h].instr : isa::Decode(word), word, pc, handlers,
+           &op);
     op.cyc_before = prefix;
     prefix += op.cost;
     pc += 4;
@@ -424,7 +431,7 @@ Superblock* Machine::TranslateSuperblock(uint32_t start,
   }
   Superblock* sb = cache.NewBlock();
   sb->start = start;
-  sb->n_ops = FormSuperblock(start, sb->ops, &sb->span);
+  sb->n_ops = FormOps(start, /*use_handoff=*/true, sb->ops, &sb->span);
   if (sb_integrity_) sb->digest = SbDigest(*sb);
   cache.Publish(sb);
   SyncSuperblockBounds();
@@ -439,7 +446,7 @@ bool Machine::RetargetSuperblocks(uint32_t addr) {
   uint32_t word = 0;
   std::memcpy(&word, mem_.data() + addr, 4);
   SbOp op;
-  FillOp(word, addr, sb_cache_->handlers(), &op);
+  FillOp(isa::Decode(word), word, addr, sb_cache_->handlers(), &op);
   return sb_cache_->Retarget(addr, op, sb_integrity_, &sb_stats_);
 }
 
@@ -743,6 +750,22 @@ outer:
   // still gets a block that starts at its target.
   if (sb == nullptr && chain_slot == nullptr) sb = sb_cache_->FindCovering(pc_);
   if (sb == nullptr) {
+    // A miss stub no live block covers (a branch or jump into an exit slot
+    // the controller has not patched yet) traps here, without a block: the
+    // trap rewrites the stub or evicts it, so a block formed around it
+    // would run once. Like kSbTcMiss it retires one instruction and
+    // charges nothing.
+    uint32_t word = 0;
+    std::memcpy(&word, mem_.data() + pc_, 4);
+    if (isa::IsTcMiss(word) && trap_handler_ != nullptr) {
+      chain_slot = nullptr;
+      ++instret_;
+      pc_ = trap_handler_->OnTcMiss(*this, isa::TcMissIndex(word));
+      if (pending_stop_ != StopReason::kRunning) {
+        return MakeResult(pending_stop_);
+      }
+      goto outer;
+    }
     const uint64_t flushes_before = sb_stats_.flushes;
     sb = TranslateSuperblock(pc_, handlers);
     // A capacity flush marked every block dead — including the one

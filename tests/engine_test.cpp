@@ -11,14 +11,17 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <cstring>
 
+#include "image/layout.h"
 #include "isa/isa.h"
 #include "minicc/compiler.h"
+#include "obs/metrics.h"
 #include "sasm/assembler.h"
 #include "softcache/system.h"
 #include "tests/program_gen.h"
@@ -258,6 +261,10 @@ TEST(EngineMechanics, FaultMessagesIdentical) {
       {"_start:\n  li t0, 7\n  li t1, 3\n  mul t2, t0, t1\n"
        "  div t3, t0, t1\n  sw t2, 16(zero)\n  sys 0\n",
        17},
+      // A miss stub (TCMISS, opcode 31) with no trap handler, reached at the
+      // dispatch pc by a jump and as the first instruction.
+      {"_start:\n  li t0, 1\n  j stub\nstub:\n  .word 0x7c000005\n", 0},
+      {"_start:\n  .word 0x7c000000\n", 0},
   };
   for (const Fault& fault : kFaults) {
     auto img = sasm::Assemble(fault.src);
@@ -309,6 +316,33 @@ TEST(EngineMechanicsDeathTest, OversizedCostAborts) {
         machine.set_cost_model(cost);
       },
       "cost too large");
+}
+
+// Translation takes an op from the decoded words a code installer hands
+// WriteBlock while memory still holds the handed-over word, and decodes
+// memory once it does not. A handoff that disagrees with isa::Decode (which
+// a real installer never passes) shows which of the two a block came from.
+TEST(EngineMechanics, InstallHandoffIsUsedOnlyWhileTheWordMatches) {
+  const uint32_t at = image::kTextBase;
+  const uint32_t loop[] = {isa::EncI(isa::Opcode::kAddi, isa::kA0, isa::kA0, 1),
+                           isa::EncJ(isa::Opcode::kJ, -2)};
+  isa::Instr decoded[] = {isa::Decode(loop[0]), isa::Decode(loop[1])};
+  decoded[0].imm = 2;
+  vm::Machine machine;
+  machine.WriteBlock(at, loop, sizeof loop, decoded);
+  machine.set_pc(at);
+  ASSERT_EQ(machine.Run(20).reason, vm::StopReason::kInstrLimit);
+  EXPECT_EQ(machine.reg(isa::kA0), 20u);  // 10 passes of the handed-over op
+  vm::SbOp ops[vm::kSbMaxOps + 1];
+  uint32_t span = 0;
+  ASSERT_EQ(machine.FormSuperblock(at, ops, &span), 2u);
+  EXPECT_EQ(ops[0].imm, 1);  // FormSuperblock decodes memory
+
+  // A new word kills the block; the refill decodes it.
+  machine.WriteWord(at, isa::EncI(isa::Opcode::kAddi, isa::kA0, isa::kA0, 3));
+  ASSERT_EQ(machine.Run(20).reason, vm::StopReason::kInstrLimit);
+  EXPECT_EQ(machine.reg(isa::kA0), 50u);
+  EXPECT_EQ(machine.sb_stats().fills, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -740,8 +774,10 @@ bool SameOp(const vm::SbOp& a, const vm::SbOp& b) {
 
 // Every live superblock must read what forming a block at its start from
 // the current memory gives, handler pointers aside; a filled chain slot
-// must lead to a block starting at that edge's target. Returns the number
-// of blocks checked.
+// must lead to a block starting at that edge's target. FormSuperblock
+// decodes memory itself, so this also checks the decoded words the cache
+// controller hands over with each install. Returns the number of blocks
+// checked.
 uint64_t ExpectLiveBlocksMatchMemory(const vm::Machine& m) {
   const vm::SuperblockCache* cache = m.sb_cache();
   if (cache == nullptr) return 0;
@@ -751,6 +787,9 @@ uint64_t ExpectLiveBlocksMatchMemory(const vm::Machine& m) {
                          const vm::Superblock* fall) {
     if (::testing::Test::HasFailure()) return;
     ++checked;
+    // The dispatch loop runs a miss stub no live block covers as a trap,
+    // without forming a block around it.
+    ASSERT_NE(sb.ops[0].kind, vm::kSbTcMiss) << "lone stub at " << sb.start;
     uint32_t span = 0;
     const uint32_t n = m.FormSuperblock(sb.start, want, &span);
     ASSERT_EQ(sb.n_ops, n) << "block at " << sb.start;
@@ -811,11 +850,23 @@ class RetargetChecker : public vm::TrapHandler {
   uint64_t blocks_checked_ = 0;
 };
 
+// Every cc.* counter of a solo system.
+std::map<std::string, uint64_t> CcCounters(
+    const softcache::SoftCacheSystem& system) {
+  obs::MetricsRegistry registry;
+  system.RegisterMetrics(&registry);
+  std::map<std::string, uint64_t> cc;
+  for (const auto& [name, value] : registry.TakeSnapshot().counters) {
+    if (name.rfind("cc.", 0) == 0) cc.emplace(name, value);
+  }
+  return cc;
+}
+
 // The solo_thrash shape in both styles: a 1 KB tcache below adpcm_enc's hot
 // set, so the controller patches branches, jumps and miss stubs on every
 // miss and the threaded engine rewrites most of them in place. After every
-// trap the live blocks must match memory, and the run must equal the
-// interpreter's.
+// trap the live blocks must match memory and none may start with a miss
+// stub; the run and every cc.* counter must equal the interpreter's.
 TEST(EngineRetarget, PatchedBlocksMatchMemoryThrashing1K) {
   const auto* spec = workloads::FindWorkload("adpcm_enc");
   ASSERT_NE(spec, nullptr);
@@ -828,7 +879,14 @@ TEST(EngineRetarget, PatchedBlocksMatchMemoryThrashing1K) {
     softcache::SoftCacheConfig config;
     config.style = style;
     config.tcache_bytes = 1024;
-    const EngineRun interp = RunSoftcache(img, input, Engine::kInterp, config);
+    softcache::SoftCacheSystem reference(img, config);
+    reference.machine().set_engine(Engine::kInterp);
+    reference.SetInput(input);
+    EngineRun interp;
+    interp.result = reference.Run(16'000'000'000ull);
+    interp.output = reference.OutputString();
+    ASSERT_EQ(interp.result.reason, vm::StopReason::kHalted) << what;
+    reference.cc().CheckInvariants();
 
     softcache::SoftCacheSystem system(img, config);
     system.machine().set_engine(Engine::kThreaded);
@@ -841,12 +899,18 @@ TEST(EngineRetarget, PatchedBlocksMatchMemoryThrashing1K) {
     threaded.output = system.OutputString();
     ASSERT_FALSE(HasFailure()) << what;
     ExpectBitIdentical(interp, threaded, what);
+    EXPECT_EQ(CcCounters(reference), CcCounters(system)) << what;
 
     const vm::SbStats& sb = system.machine().sb_stats();
     EXPECT_GT(checker.traps(), 10'000u) << what;
     EXPECT_GT(checker.blocks_checked(), checker.traps()) << what;
     EXPECT_GT(sb.retargets, 10'000u) << what;
     EXPECT_GT(sb.invalidations, 0u) << what;
+    // Fills with no block around a stub (a block per stub reached gave
+    // 291,035 and 216,869).
+    EXPECT_EQ(sb.fills, style == softcache::Style::kSparc ? 172'494u
+                                                          : 208'608u)
+        << what;
   }
 }
 
@@ -1016,6 +1080,7 @@ class RefStore {
     for (const Block* b : covering) {
       const size_t k = (addr - b->start) / 4;
       if (k + 1 != b->ops.size() || !terminator(b->ops[k].kind)) return false;
+      if (k == 0 && op.kind == vm::kSbTcMiss) return false;
       if (restamp && b->sb->digest != vm::SbDigest(*b->sb)) return false;
     }
     for (Block* b : covering) {

@@ -1,6 +1,7 @@
 // SRK32 ISA unit tests: encode/decode round trips, immediate ranges,
 // classification predicates and the disassembler.
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,50 @@ TEST(IsaEncode, TcMissCarriesUnsignedIndex) {
     const Instr in = Decode(EncTcMiss(index));
     EXPECT_EQ(in.op, Opcode::kTcMiss);
     EXPECT_EQ(static_cast<uint32_t>(in.imm), index);
+    EXPECT_TRUE(IsTcMiss(EncTcMiss(index)));
+    EXPECT_EQ(TcMissIndex(EncTcMiss(index)), index);
+  }
+  for (const uint32_t word : {EncNop(), EncHalt(), EncRet(), 0xffffffffu}) {
+    EXPECT_FALSE(IsTcMiss(word)) << std::hex << word;
+  }
+}
+
+// The cache controller stages each word it rewrites as an Instr and hands
+// that Instr to the VM with its encoding, so Decode(Encode(in)) must give
+// back `in` for every form it builds.
+TEST(IsaEncode, ControllerRewritesRoundTrip) {
+  std::vector<Instr> forms;
+  for (const int32_t offset : {kImm16Min, -1, 0, 1, kImm16Max}) {
+    // A branch aimed at a new exit or side-exit slot.
+    forms.push_back(Instr{.op = Opcode::kBne, .rs1 = kT0, .rs2 = kA1,
+                          .imm = offset});
+  }
+  for (const int32_t offset : {kImm26Min, -7, 0, 3, kImm26Max}) {
+    // A call aimed at its exit slot, and the ARM expansion's jump.
+    forms.push_back(Instr{.op = Opcode::kJal, .imm = offset});
+    forms.push_back(Instr{.op = Opcode::kJ, .imm = offset});
+  }
+  for (const int32_t imm : {kImm16Min, 0, 8, kImm16Max}) {
+    // A computed jump turned into TCJALR keeps JALR's fields.
+    Instr jalr = Decode(EncI(Opcode::kJalr, kRa, kT2, imm));
+    jalr.op = Opcode::kTcJalr;
+    forms.push_back(jalr);
+  }
+  for (const uint32_t cell : {0x00001000u, 0x0100fffcu, 0xfffffffcu}) {
+    // The ARM call expansion's return-address setup through a cell.
+    forms.push_back(Instr{.op = Opcode::kLui, .rd = kRa,
+                          .imm = static_cast<int32_t>(cell >> 16)});
+    forms.push_back(Instr{.op = Opcode::kOri, .rd = kRa, .rs1 = kRa,
+                          .imm = static_cast<int32_t>(cell & 0xffff)});
+  }
+  forms.push_back(Instr{.op = Opcode::kAddi});  // the dead self-call slot
+  for (const uint32_t stub : {0u, 1u, (1u << 26) - 1}) {
+    forms.push_back(Instr{.op = Opcode::kTcMiss,
+                          .imm = static_cast<int32_t>(stub)});
+  }
+  for (const Instr& in : forms) {
+    EXPECT_EQ(Decode(Encode(in)), in)
+        << MnemonicOf(in.op) << " imm " << in.imm;
   }
 }
 
