@@ -29,11 +29,11 @@
 // that sequence as serialized kChunkRequest frames submitted through the
 // loop (stop-and-wait per client, like the real transport). Each client
 // count runs twice: once from one driver thread (the sequential reference)
-// and once from 8 driver threads that pump their lanes concurrently; each
+// and once from 8 driver threads that serve their lanes concurrently; each
 // row is the median of 5 replays (one under --smoke without --check). The
 // sweep asserts that the reply byte
 // stream and wire bytes/client of the concurrent row are IDENTICAL to the
-// reference (concurrent pumping may only change timing). Results land in
+// reference (concurrent lane service may only change timing). Results land in
 // BENCH_server_scale.json.
 //
 // Flags:
@@ -209,7 +209,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
 
 struct ScaleRow {
   uint32_t clients = 0;
-  uint32_t drivers = 0;           // threads submitting (and pumping) frames
+  uint32_t drivers = 0;           // threads submitting (and serving) frames
   uint64_t frames = 0;            // kChunkRequest frames serviced
   uint64_t server_translates = 0;
   uint64_t memo_hits = 0;
@@ -247,7 +247,7 @@ std::vector<uint32_t> RecordDemandAddrs(const image::Image& img,
 }
 
 // Lanes/shards for the replay server: fine enough that concurrent drivers
-// mostly pump different lanes despite clustered hot addresses (real text is
+// mostly claim different lanes despite clustered hot addresses (real text is
 // front-loaded).
 constexpr uint32_t kScaleShards = 64;
 // Driver threads of the concurrent row (each drives its clients
@@ -318,7 +318,7 @@ ScaleRow ReplayFleet(const image::Image& img,
       << "server lost frames: " << server.requests_served;
   row.server_translates = server.translates;
   row.memo_hits = server.translate_memo_hits;
-  // Translate-once economics must hold under concurrent pumping: every
+  // Translate-once economics must hold under concurrent lane service: every
   // address cut exactly once fleet-wide, everything else a memo hit.
   SC_CHECK(row.server_translates == n)
       << "expected " << n << " cuts, got " << row.server_translates;
@@ -394,9 +394,9 @@ void WriteScaleJson(const std::string& path, const std::string& workload,
 }
 
 // Real-VM cross-check riding the sweep: a 4-client fleet run end-to-end on
-// one host thread and on 4 host threads (whose clients pump their
+// one host thread and on 4 host threads (whose clients serve their
 // shard lanes concurrently) must produce byte-identical guest output and
-// identical instruction and translation counts — concurrent pumping may
+// identical instruction and translation counts — concurrent lane service may
 // only change which thread runs a frame, never what the frame returns.
 void CheckRealFleetSchedulerIdentity(const workloads::WorkloadSpec& spec,
                                      const image::Image& img,
@@ -659,7 +659,7 @@ int main(int argc, char** argv) {
     }
     if (concurrent.wire_bytes != reference.wire_bytes) {
       wire_flat = false;
-      std::printf("!! x%u: wire bytes moved with concurrent pumping\n",
+      std::printf("!! x%u: wire bytes moved with concurrent lane service\n",
                   clients);
     }
     bench::PrintRule();

@@ -65,28 +65,15 @@ class Switch {
   // transports built over a port must be torn down before the switch.
   FrameHandler Port(uint32_t port) {
     SC_CHECK_LT(port, kMaxPorts);
-    // Counter slots are indexed by port number, so creating ports out of
-    // order (e.g. Port(5) before Port(2)) grows the vector to cover the
-    // highest port seen; `ports_created_` tracks the real creation count
-    // separately so it never over-reports on sparse/out-of-order creation.
-    if (port >= port_frames_.size()) {
-      port_frames_.resize(port + 1, 0);
-      port_created_.resize(port + 1, false);
-    }
-    if (!port_created_[port]) {
-      port_created_[port] = true;
-      ++ports_created_;
-    }
     return [this, port](const std::vector<uint8_t>& frame) {
       SC_CHECK(alive_) << "switch port handler outlived its switch";
       {
-        // Port handlers fire on their client's host thread; the counters are
-        // shared across ports, so bump them under the counter lock. (The
+        // Port handlers fire on their client's host thread; the counter is
+        // shared across ports, so bump it under the counter lock. (The
         // server handler needs no lock here — it provides its own
         // serialization, e.g. the McServerLoop.)
         std::lock_guard<std::mutex> lock(count_mu_);
         ++frames_switched_;
-        ++port_frames_[port];
       }
       std::vector<uint8_t> reply = server_(port, frame);
       if (reply_observer_) reply_observer_(port, frame, reply);
@@ -108,24 +95,12 @@ class Switch {
   // Raw pointer for MetricsRegistry: snapshots are taken after the fleet has
   // quiesced (threads joined), so the unlocked read is ordered by the join.
   const uint64_t* frames_switched_counter() const { return &frames_switched_; }
-  uint64_t port_frames(uint32_t port) const {
-    std::lock_guard<std::mutex> lock(count_mu_);
-    return port < port_frames_.size() ? port_frames_[port] : 0;
-  }
-  // Number of ports a Port() handler has been created for (not all need have
-  // traffic). Counts actual creations, independent of creation order.
-  size_t ports() const { return ports_created_; }
-  // Highest port number created plus one (the counter-vector extent).
-  size_t port_span() const { return port_frames_.size(); }
 
  private:
   PortFrameHandler server_;
   ReplyObserver reply_observer_;
   mutable std::mutex count_mu_;
   uint64_t frames_switched_ = 0;
-  std::vector<uint64_t> port_frames_;
-  std::vector<bool> port_created_;
-  size_t ports_created_ = 0;
   bool alive_ = true;
 };
 

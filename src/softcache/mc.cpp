@@ -41,22 +41,6 @@ constexpr size_t kReplayCacheEntries = 64;
 constexpr uint32_t kMaxPrefetchDepth = 8;
 constexpr uint32_t kMaxPrefetchChunks = 32;
 
-// Best-effort client id of a frame that failed to parse: the 12-bit id sits
-// at bits 19..8 of the type word (byte 5 plus the low nibble of byte 6).
-// Only trusted enough to pick which session stamps the error reply — a
-// hostile id here can at worst create an idle session (bounded by
-// kMaxClients).
-uint32_t PeekClientId(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < 8) return 0;
-  uint32_t magic = static_cast<uint32_t>(bytes[0]) |
-                   static_cast<uint32_t>(bytes[1]) << 8 |
-                   static_cast<uint32_t>(bytes[2]) << 16 |
-                   static_cast<uint32_t>(bytes[3]) << 24;
-  if (magic != kProtocolMagic) return 0;
-  return static_cast<uint32_t>(bytes[5]) |
-         (static_cast<uint32_t>(bytes[6] & 0x0f) << 8);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -705,18 +689,13 @@ const McSession* MemoryController::FindSession(uint32_t client_id) const {
 
 std::vector<uint8_t> MemoryController::Handle(
     const std::vector<uint8_t>& request_bytes) {
-  return HandleRouted(-1, request_bytes);
+  return HandlePort(PeekFrameClientId(request_bytes), request_bytes);
 }
 
 std::vector<uint8_t> MemoryController::HandlePort(
     uint32_t port, const std::vector<uint8_t>& request_bytes) {
-  return HandleRouted(static_cast<int64_t>(port & kClientIdMask),
-                      request_bytes);
-}
-
-std::vector<uint8_t> MemoryController::HandleRouted(
-    int64_t port, const std::vector<uint8_t>& request_bytes) {
-  std::vector<uint8_t> reply_bytes = HandleInner(port, request_bytes);
+  std::vector<uint8_t> reply_bytes =
+      HandleInner(port & kClientIdMask, request_bytes);
   if (tap_) {
     std::lock_guard<std::mutex> lock(tap_mu_);
     tap_(request_bytes, reply_bytes);
@@ -725,7 +704,7 @@ std::vector<uint8_t> MemoryController::HandleRouted(
 }
 
 std::vector<uint8_t> MemoryController::HandleInner(
-    int64_t port, const std::vector<uint8_t>& request_bytes) {
+    uint32_t port, const std::vector<uint8_t>& request_bytes) {
   server_.BumpStats([](McServerStats& st) { ++st.requests_served; });
   auto request = Request::Parse(request_bytes);
   OBS_SPAN("mc", "handle",
@@ -741,16 +720,13 @@ std::vector<uint8_t> MemoryController::HandleInner(
   if (!request.ok()) {
     // Unattributable: the seq field cannot be trusted on a corrupted frame.
     // Seq 0 is reserved for these replies; clients never use it.
-    const uint32_t id =
-        port >= 0 ? static_cast<uint32_t>(port) : PeekClientId(request_bytes);
-    return session(id).ErrorFrame(0, request.error().message);
+    return session(port).ErrorFrame(0, request.error().message);
   }
-  if (port >= 0 && request->client_id != static_cast<uint32_t>(port)) {
+  if (request->client_id != port) {
     // Spoofed or misrouted: a frame claiming another client's id must never
     // touch that client's session. Reject on the arrival port.
     server_.BumpStats([](McServerStats& st) { ++st.misrouted_frames; });
-    return session(static_cast<uint32_t>(port))
-        .ErrorFrame(request->seq, "client id mismatch");
+    return session(port).ErrorFrame(request->seq, "client id mismatch");
   }
   return session(request->client_id).HandleRequest(*request);
 }

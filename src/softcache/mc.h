@@ -150,12 +150,13 @@ struct McServerConfig {
   // mismatch healed by re-translating from the pristine image (invisible
   // to the requesting client beyond server-side counters).
   MemFaultConfig memfault;
-  // Event-loop backpressure bound: the deepest any McServerLoop lane queue
-  // may grow before submitters defer (0 = unbounded, the historical
-  // behavior). See server_loop.h.
+  // Event-loop backpressure bound: the most submitters that may wait on one
+  // McServerLoop lane, not counting the one being served, before new
+  // arrivals defer (0 = unbounded, the historical behavior). See
+  // server_loop.h.
   size_t max_queue = 0;
-  // Retired: the server has no worker threads. Each frame's submitting
-  // client thread pumps its shard's McServerLoop lane, so translations in
+  // Retired: the server has no worker threads. Each client thread serves
+  // its own frame on its shard's McServerLoop lane, so translations in
   // different shards proceed concurrently without any. The field survives,
   // always 0, only because the repo benchmark (perfbench/sample.cpp) still
   // assigns it; the MultiClientSystem constructor SC_CHECKs that it is 0.
@@ -561,9 +562,9 @@ class MemoryController {
     session(0);
   }
 
-  // Handles one request frame; returns the reply frame. Routes by the client
-  // id embedded in the frame's type word (a direct, un-switched endpoint
-  // trusts the embedded id).
+  // Handles one request frame; returns the reply frame. A direct,
+  // un-switched endpoint: the frame arrives on the port its embedded client
+  // id names (PeekFrameClientId; 0 for a frame too short to carry one).
   std::vector<uint8_t> Handle(const std::vector<uint8_t>& request_bytes);
 
   // Handles a frame arriving on switch port `port`: the embedded client id
@@ -615,10 +616,8 @@ class MemoryController {
   void set_frame_tap(FrameTap tap) { tap_ = std::move(tap); }
 
  private:
-  // port < 0 means "no switch": trust the embedded client id.
-  std::vector<uint8_t> HandleRouted(int64_t port,
-                                    const std::vector<uint8_t>& request_bytes);
-  std::vector<uint8_t> HandleInner(int64_t port,
+  // HandlePort without the frame tap.
+  std::vector<uint8_t> HandleInner(uint32_t port,
                                    const std::vector<uint8_t>& request_bytes);
 
   McServer server_;

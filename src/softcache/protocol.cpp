@@ -51,7 +51,10 @@ bool CarriesRid(uint32_t type_value) {
 }  // namespace
 
 uint32_t PeekFrameClientId(const std::vector<uint8_t>& frame) {
-  if (frame.size() < kRequestBytes) return 0;
+  // Only magic and type word are read, so a frame too short to parse still
+  // names the session that stamps its error reply. A hostile id here can at
+  // worst create an idle session (bounded by kMaxClients).
+  if (frame.size() < 8) return 0;
   if (GetU32(frame, 0) != kProtocolMagic) return 0;
   // Bits 19..8 of the type word: the low byte plus the low nibble of the
   // next byte (the epoch occupies bits 31..20).

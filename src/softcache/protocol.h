@@ -111,8 +111,9 @@ inline uint64_t FlowId(uint32_t client_id, uint32_t rid) {
 }
 
 // Frame peeks for layers that route raw frames without a full Parse (the
-// server loop's ticket queue, trace-lane routing). Return 0 on anything
-// that is not a well-formed request frame carrying the field.
+// MC's port-less Handle, trace-lane routing). Return 0 on anything that is
+// not a well-formed request frame carrying the field; the client id needs
+// only the first 8 bytes (magic and type word).
 uint32_t PeekFrameClientId(const std::vector<uint8_t>& frame);
 uint32_t PeekFrameRid(const std::vector<uint8_t>& frame);
 // The rid-stripped type value (kTypeMask range) and the addr field.

@@ -1,6 +1,7 @@
 #include "softcache/server_loop.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -21,124 +22,99 @@ McServerLoop::McServerLoop(PortHandler handler, LaneRouter router,
   SC_CHECK(handler_ != nullptr) << "McServerLoop needs a port handler";
 }
 
-McServerLoop::Ticket* McServerLoop::Pop(uint32_t l) {
-  Lane& lane = lanes_[l];
-  if (ExclusivePending() || lane.queue.empty()) return nullptr;
-  Ticket* t = lane.queue.front();
-  lane.queue.pop_front();
-  // Dropping below the bound re-admits one deferred submitter.
-  if (max_queue_ != 0 && lane.queue.size() + 1 == max_queue_) {
-    cv_.notify_all();
-  }
-  queue_wait_ns_.Add(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t->enqueue_host)
-          .count()));
-  return t;
+void McServerLoop::Claim(std::unique_lock<std::mutex>& lock, Lane& lane) {
+  lane.cv.wait(lock, [&] { return !lane.claimed && !ExclusivePending(); });
+  lane.claimed = true;
+  ++claimed_;
 }
 
-void McServerLoop::Service(std::unique_lock<std::mutex>& lock, Ticket* t) {
-  ++busy_;
+void McServerLoop::Release(std::unique_lock<std::mutex>& lock, Lane& lane) {
+  lane.claimed = false;
+  const bool wake_exclusive = --claimed_ == 0 && exclusive_waiters_ != 0;
   lock.unlock();
-  std::vector<uint8_t> reply = handler_(t->info, *t->frame);
-  lock.lock();
-  --busy_;
-  t->reply = std::move(reply);
-  t->done = true;
-  // Wakes the ticket's submitter, deferred submitters, and any exclusive
-  // waiting for busy_ to reach zero.
-  cv_.notify_all();
+  lane.cv.notify_all();
+  if (wake_exclusive) exclusive_cv_.notify_all();
 }
 
 std::vector<uint8_t> McServerLoop::Submit(uint32_t port,
                                           const std::vector<uint8_t>& frame) {
-  Ticket ticket;
-  ticket.info.port = port;
-  ticket.frame = &frame;
-  // Stamp the enqueue moment: guest cycles from the enqueuing thread's own
-  // trace lane (its clock — no cross-thread reads), host time for the
-  // queue-wait histogram.
+  TicketInfo ticket;
+  ticket.port = port;
+  // Stamp the arrival: guest cycles from the submitting thread's own trace
+  // lane (its clock — no cross-thread reads), host time for the queue-wait
+  // histogram.
   if (obs::Tracer* lane = obs::tracer();
       lane != nullptr && lane->recording()) {
-    ticket.info.enqueue_ts = lane->CurrentTimestamp();
+    ticket.enqueue_ts = lane->CurrentTimestamp();
   }
-  ticket.enqueue_host = std::chrono::steady_clock::now();
+  const auto arrival = std::chrono::steady_clock::now();
 
   // Route outside every lock; garbage frames fold to lane 0 and get their
-  // error reply from whichever slice services them.
-  uint32_t lane_index = 0;
+  // error reply from whichever slice serves them.
   if (router_ != nullptr && lanes_.size() > 1) {
-    lane_index = router_(port, frame) % static_cast<uint32_t>(lanes_.size());
+    ticket.lane = router_(port, frame) % static_cast<uint32_t>(lanes_.size());
   }
-  ticket.info.lane = lane_index;
 
   std::unique_lock<std::mutex> lock(mu_);
-  Lane& lane = lanes_[lane_index];
-  // Backpressure: defer while this lane sits at its bound. The waiter holds
-  // no queued ticket, and every queued ticket's submitter is either pumping
-  // the lane or waiting to claim it, so deferral cannot deadlock.
-  // A one-thread fleet never defers: its depth is at most 1.
-  if (max_queue_ != 0 && lane.queue.size() >= max_queue_) {
+  Lane& lane = lanes_[ticket.lane];
+  // Backpressure: defer while this lane's waiters sit at the bound. Every
+  // waiter claims the lane in turn, so deferral cannot deadlock. A
+  // one-thread fleet never defers: it has no waiter but itself.
+  if (max_queue_ != 0 && lane.waiting >= max_queue_) {
     ++stats_.requests_deferred;
-    cv_.wait(lock, [&] { return lane.queue.size() < max_queue_; });
+    lane.cv.wait(lock, [&] { return lane.waiting < max_queue_; });
   }
-  lane.queue.push_back(&ticket);
+  ++lane.waiting;
   ++stats_.requests_enqueued;
-  stats_.queue_depth_sum += lane.queue.size();
+  stats_.queue_depth_sum += lane.waiting;
   stats_.max_queue_depth =
-      std::max<uint64_t>(stats_.max_queue_depth, lane.queue.size());
+      std::max<uint64_t>(stats_.max_queue_depth, lane.waiting);
 
-  // Claim the lane and pump it ourselves, unless another thread is already
-  // pumping it (it will complete our ticket) or an exclusive is pending (it
-  // would starve if we started new service).
-  for (;;) {
-    cv_.wait(lock, [&] {
-      return ticket.done || (!lane.pumping && !ExclusivePending());
-    });
-    if (ticket.done) return std::move(ticket.reply);
-    // Drain in arrival order. Tickets that arrive while we are inside the
-    // server core are seen on the next Pop, so one drain services every
-    // frame queued behind ours too.
-    lane.pumping = true;
-    while (Ticket* t = Pop(lane_index)) Service(lock, t);
-    lane.pumping = false;
-    ++stats_.batches_drained;
-    cv_.notify_all();
-  }
+  Claim(lock, lane);
+  --lane.waiting;
+  // Dropping below the bound admits the deferred submitters.
+  if (max_queue_ != 0 && lane.waiting + 1 == max_queue_) lane.cv.notify_all();
+  ++stats_.batches_drained;
+  lock.unlock();
+  const auto claimed_at = std::chrono::steady_clock::now();
+  std::vector<uint8_t> reply = handler_(ticket, frame);
+  lock.lock();
+  queue_wait_ns_.Add(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(claimed_at -
+                                                           arrival)
+          .count()));
+  Release(lock, lane);
+  return reply;
 }
 
 void McServerLoop::RunExclusive(const std::function<void()>& fn) {
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.exclusive_sections;
-  // Park-all: raising exclusive_waiters_ stops pumpers from starting new
-  // tickets; busy_ reaching zero means every in-flight handler has drained.
-  // Concurrent exclusives serialize on exclusive_active_.
+  // Park-all: raising exclusive_waiters_ stops new lane claims; claimed_
+  // reaching zero means every in-flight handler has drained. Concurrent
+  // exclusives serialize on exclusive_active_.
   ++exclusive_waiters_;
-  cv_.wait(lock, [this] { return !exclusive_active_ && busy_ == 0; });
+  exclusive_cv_.wait(lock,
+                     [this] { return !exclusive_active_ && claimed_ == 0; });
   --exclusive_waiters_;
   exclusive_active_ = true;
   lock.unlock();
   fn();
   lock.lock();
   exclusive_active_ = false;
-  // Resume the lanes: wake parked pumpers and submitters.
-  cv_.notify_all();
+  // Resume the lanes and any exclusive queued behind this one.
+  for (Lane& lane : lanes_) lane.cv.notify_all();
+  exclusive_cv_.notify_all();
 }
 
 void McServerLoop::RunOnLane(uint32_t l, const std::function<void()>& fn) {
   std::unique_lock<std::mutex> lock(mu_);
   Lane& lane = lanes_[l];
-  cv_.wait(lock, [&] { return !lane.pumping && !ExclusivePending(); });
-  lane.pumping = true;
-  ++busy_;
+  Claim(lock, lane);
   lock.unlock();
   fn();
   lock.lock();
-  --busy_;
-  lane.pumping = false;
-  // Wakes submitters waiting to claim the lane and any exclusive waiting
-  // for busy_ to reach zero.
-  cv_.notify_all();
+  Release(lock, lane);
 }
 
 void McServerLoop::RegisterMetrics(obs::MetricsRegistry* registry,
@@ -158,7 +134,7 @@ void McServerLoop::RegisterMetrics(obs::MetricsRegistry* registry,
   registry->RegisterGauge(prefix + "queue_depth", [this] {
     std::lock_guard<std::mutex> lock(mu_);
     uint64_t depth = 0;
-    for (const Lane& lane : lanes_) depth += lane.queue.size();
+    for (const Lane& lane : lanes_) depth += lane.waiting;
     return static_cast<double>(depth);
   });
   registry->RegisterGauge(prefix + "avg_queue_depth", [this] {

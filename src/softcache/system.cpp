@@ -65,8 +65,8 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
       mc_(std::make_unique<MemoryController>(
           image, config.base.style, config.base.max_block_instrs,
           config.base.max_trace_blocks, config.server)),
-      // Every frame is routed through the event loop, which queues it on
-      // its memo shard's lane; ServeTicket services it there.
+      // Every frame is routed through the event loop to its memo shard's
+      // lane; ServeTicket serves it there, on the sending thread.
       loop_([this](const McServerLoop::TicketInfo& ticket,
                    const std::vector<uint8_t>& frame) {
               return ServeTicket(ticket, frame);
@@ -88,7 +88,7 @@ MultiClientSystem::MultiClientSystem(const image::Image& image,
   SC_CHECK_GE(config.quantum_instructions, 1u)
       << "a zero scheduler quantum never makes progress";
   SC_CHECK_EQ(config.server.workers, 0u)
-      << "McServerConfig::workers is retired: client threads pump the lanes";
+      << "McServerConfig::workers is retired: client threads serve the lanes";
   obs::EnsureEchoTracerForLogging();
   clients_.reserve(config.clients);
   for (uint32_t i = 0; i < config.clients; ++i) {
@@ -147,9 +147,9 @@ void MultiClientSystem::AttachTraceMux(obs::TraceMux* mux) {
   SC_CHECK(shard_lanes_.empty()) << "AttachTraceMux called twice";
   // Server lanes: one per memo shard, threads of Perfetto process 0. They
   // run on manual clocks advanced to each ticket's guest-cycle enqueue
-  // stamp. Shard lane s is written only while loop lane s is being
-  // serviced — by one thread at a time, but not always the same one (any
-  // submitter may pump it) — so they opt out of the single-thread assert.
+  // stamp. Shard lane s is written only while loop lane s is claimed — by
+  // one thread at a time, but not always the same one (each submitter
+  // serves its own frame) — so they opt out of the single-thread assert.
   const uint32_t shards = mc_->server().shards();
   shard_lanes_.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
@@ -311,7 +311,7 @@ void MultiClientSystem::Schedule(uint64_t max_instructions_each) {
 
   // The inspection safepoint, entered under the lock by a thread holding no
   // client. Steps never stop inside a server dispatch, so once no client
-  // runs every in-flight ticket has drained, and the mutex gives the hook a
+  // runs every in-flight frame has drained, and the mutex gives the hook a
   // happens-before edge over all client state it reads.
   const auto safepoint = [&](std::unique_lock<std::mutex>& lock) {
     if (inspecting) return;

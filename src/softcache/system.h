@@ -150,7 +150,7 @@ class MultiClientSystem {
   // machine's guest cycle counter) plus one server lane per memo shard
   // (pid 0 tid 1+s, on a manual clock advanced to each ticket's guest-cycle
   // enqueue stamp) carrying that shard's loop.ticket spans and everything
-  // the MC records while servicing them, whoever services the lane.
+  // the MC records while serving them, whichever thread holds the lane.
   // The scheduler installs a client's lane into the thread-local tracer slot
   // around each of its steps and integrity ticks, on whichever thread
   // claimed it, and every server dispatch installs its shard's lane, so
@@ -207,7 +207,7 @@ class MultiClientSystem {
   void SnoopReply(const std::vector<uint8_t>& reply_bytes);
   // The loop's handler: runs the frame through the MC and, with a mux
   // attached, records its loop.ticket span and miss-flow step in the trace
-  // lane of the shard the loop queued it on.
+  // lane of the shard the loop routed it to.
   std::vector<uint8_t> ServeTicket(const McServerLoop::TicketInfo& ticket,
                                    const std::vector<uint8_t>& frame);
   MultiClientConfig config_;

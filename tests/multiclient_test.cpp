@@ -365,7 +365,12 @@ TEST(SwitchDemux, MisroutedIdIsRejectedAtArrivalPort) {
   const Reply good = MustParse(port1(ChunkReq(img.entry, 1).Serialize()));
   EXPECT_EQ(good.type, MsgType::kChunkReply);
   EXPECT_EQ(net_switch.frames_switched(), 2u);
-  EXPECT_EQ(net_switch.port_frames(1), 2u);
+  // Both frames arrived on port 1: the spoof was charged there as
+  // misrouted, the good frame was served by session 1, and no other
+  // session was touched (session 0 exists from construction).
+  EXPECT_EQ(mc.session(1).stats().requests, 1u);
+  EXPECT_EQ(mc.server().stats().misrouted_frames, 1u);
+  EXPECT_EQ(mc.sessions_active(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -500,7 +505,7 @@ TEST(SharedMemo, InvalidationStaysCorrectUnderEvictionChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Switch port bookkeeping: out-of-order creation, spoof property sweep
+// Switch routing: out-of-order port creation, spoof property sweep
 // ---------------------------------------------------------------------------
 
 TEST(SwitchDemux, OutOfOrderPortCreationCountsPortsExactly) {
@@ -511,26 +516,29 @@ TEST(SwitchDemux, OutOfOrderPortCreationCountsPortsExactly) {
         return mc.HandlePort(port, frame);
       });
 
-  // Creating port 5 before port 2 must not phantom-create ports 0..4: the
-  // port count tracks real creations while the frame table spans the
-  // highest-numbered port.
+  // Creating port 5 before port 2 routes each port's frames to its own
+  // session and creates no session for the ports in between.
   net::FrameHandler port5 = net_switch.Port(5);
   net::FrameHandler port2 = net_switch.Port(2);
-  EXPECT_EQ(net_switch.ports(), 2u);
-  EXPECT_EQ(net_switch.port_span(), 6u);
 
   MustParse(port5(ChunkReq(img.entry, 5).Serialize()));
   MustParse(port2(ChunkReq(img.entry, 2).Serialize()));
   MustParse(port2(ChunkReq(img.entry, 2, /*seq=*/2).Serialize()));
-  EXPECT_EQ(net_switch.port_frames(5), 1u);
-  EXPECT_EQ(net_switch.port_frames(2), 2u);
-  EXPECT_EQ(net_switch.port_frames(0), 0u);
-  EXPECT_EQ(net_switch.port_frames(99), 0u);
+  EXPECT_EQ(mc.session(5).stats().requests, 1u);
+  EXPECT_EQ(mc.session(2).stats().requests, 2u);
+  EXPECT_EQ(mc.session(0).stats().requests, 0u);
+  for (uint32_t id : {1u, 3u, 4u, 99u}) {
+    EXPECT_EQ(mc.FindSession(id), nullptr) << "session " << id;
+  }
+  EXPECT_EQ(mc.server().stats().misrouted_frames, 0u);
   EXPECT_EQ(net_switch.frames_switched(), 3u);
 
-  // Re-requesting an existing port's handler is not a new port.
+  // Re-requesting an existing port's handler reaches the same session.
   net::FrameHandler port5_again = net_switch.Port(5);
-  EXPECT_EQ(net_switch.ports(), 2u);
+  MustParse(port5_again(ChunkReq(img.entry, 5, /*seq=*/2).Serialize()));
+  EXPECT_EQ(mc.session(5).stats().requests, 2u);
+  EXPECT_EQ(mc.server().stats().misrouted_frames, 0u);
+  EXPECT_EQ(net_switch.frames_switched(), 4u);
 }
 
 TEST(SwitchDemux, SpoofedIdPropertySweepNeverCrossesSessions) {

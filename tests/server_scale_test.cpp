@@ -4,8 +4,8 @@
 //
 // Covers the shard routing edge cases (one shard, a shard count that does
 // not divide the text range, a chunk straddling a shard boundary), the
-// submitter pump's lane semantics (bounded-lane deferral and the park-all
-// exclusive barrier), the CLI-level validation of --shards, and
+// loop's lane semantics (each frame served on its submitter's thread,
+// bounded-lane deferral and the park-all exclusive barrier), the CLI-level validation of --shards, and
 // digest-reply coalescing raced against a concurrent same-shard install (a
 // TSan target: two handlers inside the core at once).
 #include <gtest/gtest.h>
@@ -147,7 +147,7 @@ TEST(ValidateParallelism, AcceptsAndRejectsTheBoundaries) {
 // ---------------------------------------------------------------------------
 
 // Echo handler: reply = [port, frame...]; lets every assertion check that a
-// ticket's reply came from ITS OWN frame, whatever thread serviced it.
+// submitter's reply came from ITS OWN frame.
 std::vector<uint8_t> Echo(const McServerLoop::TicketInfo& ticket,
                           const std::vector<uint8_t>& frame) {
   std::vector<uint8_t> reply(frame.size() + 1);
@@ -156,10 +156,46 @@ std::vector<uint8_t> Echo(const McServerLoop::TicketInfo& ticket,
   return reply;
 }
 
+// The submitter id of the calling thread, set by the test's client threads.
+thread_local uint32_t submitter_id = 0;
+
+TEST(LaneService, EverySubmitterServesItsOwnFrame) {
+  // Eight submitters crowd one lane with a slow handler, so most frames
+  // arrive while the lane is claimed. Each must still be handled on the
+  // thread that submitted it: no thread serves another's frame.
+  std::atomic<uint32_t> foreign{0};
+  McServerLoop loop(
+      [&foreign](const McServerLoop::TicketInfo& ticket,
+                 const std::vector<uint8_t>& frame) {
+        if (ticket.port != submitter_id) ++foreign;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return Echo(ticket, frame);
+      },
+      nullptr, McServerLoopConfig{});
+  constexpr uint32_t kThreads = 8;
+  constexpr uint32_t kFramesEach = 50;
+  std::vector<std::thread> clients;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&loop, t] {
+      submitter_id = t;
+      for (uint32_t i = 0; i < kFramesEach; ++i) {
+        const std::vector<uint8_t> reply =
+            loop.Submit(t, {static_cast<uint8_t>(i)});
+        EXPECT_EQ(reply, (std::vector<uint8_t>{static_cast<uint8_t>(t),
+                                               static_cast<uint8_t>(i)}));
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(foreign.load(), 0u);
+  EXPECT_EQ(loop.stats().requests_enqueued, kThreads * kFramesEach);
+  EXPECT_EQ(loop.stats().batches_drained, kThreads * kFramesEach);
+}
+
 TEST(LaneService, BoundedLaneDefersTheOverflowingSubmitter) {
-  // One lane bounded at 1 ticket. The handler parks until all three
-  // submitters have arrived, so the queue admission order is forced: one
-  // ticket in service, one queued (at the bound), one deferred.
+  // One lane bounded at 1 waiter. The handler parks until all three
+  // submitters have arrived, so the admission order is forced: one frame
+  // in service, one waiting (at the bound), one deferred.
   // `arrived` counts submitters about to call Submit, not ones inside it,
   // so the handler also gives a preempted submitter time to reach the lane
   // (without the grace period this failed under a loaded ctest -j4).
@@ -202,8 +238,8 @@ TEST(LaneService, ParkAllExclusiveWaitsOutInFlightHandlers) {
         return static_cast<uint32_t>(frame[0]);
       },
       McServerLoopConfig{/*lanes=*/2});
-  // Two tickets in flight on two lanes, both parked inside the handler,
-  // each pumped by its own submitter.
+  // Two frames in flight on two lanes, both parked inside the handler,
+  // each on its own submitter's thread.
   std::thread c0([&loop] { loop.Submit(0, {0}); });
   std::thread c1([&loop] { loop.Submit(1, {1}); });
   while (in_flight.load() < 2) std::this_thread::yield();
@@ -227,7 +263,7 @@ TEST(LaneService, ParkAllExclusiveWaitsOutInFlightHandlers) {
   EXPECT_EQ(observed.load(), 0u);
   EXPECT_EQ(loop.stats().exclusive_sections, 1u);
 
-  // The lanes resume after the exclusive: a fresh ticket still completes.
+  // The lanes resume after the exclusive: a fresh frame still completes.
   const std::vector<uint8_t> reply = loop.Submit(5, {0});
   EXPECT_EQ(reply[0], 5u);
 }
