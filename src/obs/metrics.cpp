@@ -149,7 +149,13 @@ void Series::Add(uint64_t t, uint64_t value) {
 void MetricsRegistry::RegisterCounter(const std::string& name,
                                       const uint64_t* source) {
   SC_CHECK(source != nullptr);
-  SC_CHECK(counters_.emplace(name, source).second)
+  RegisterCounter(name, [source] { return *source; });
+}
+
+void MetricsRegistry::RegisterCounter(const std::string& name,
+                                      std::function<uint64_t()> fn) {
+  SC_CHECK(fn != nullptr);
+  SC_CHECK(counters_.emplace(name, std::move(fn)).second)
       << "duplicate counter: " << name;
 }
 
@@ -192,7 +198,7 @@ void MetricsRegistry::RegisterTable(
 
 MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   Snapshot snap;
-  for (const auto& [name, source] : counters_) snap.counters[name] = *source;
+  for (const auto& [name, fn] : counters_) snap.counters[name] = fn();
   for (const auto& [name, fn] : gauges_) snap.gauges[name] = fn();
   return snap;
 }
@@ -245,12 +251,12 @@ std::string MetricsRegistry::ToJson() const {
   std::ostringstream out;
   out << "{\n\"counters\":{";
   bool first = true;
-  for (const auto& [name, source] : counters_) {
+  for (const auto& [name, fn] : counters_) {
     if (!first) out << ',';
     first = false;
     out << "\n  ";
     AppendJsonString(out, name);
-    out << ':' << *source;
+    out << ':' << fn();
   }
   out << "\n},\n\"gauges\":{";
   first = true;

@@ -6,7 +6,8 @@
 // PrefetchStats, net::ChannelStats, ...) remain the single source of truth
 // that the hot paths increment; the registry absorbs them by registering a
 // *name -> pointer* binding per field, so there is exactly one counter per
-// fact and zero double-counting. Richer shapes — histograms, bounded
+// fact and zero double-counting (a total over several owners registers a
+// function summing them at read time). Richer shapes — histograms, bounded
 // timelines, value series, top-N tables — are registered the same way, as
 // views over objects owned by the instrumented components.
 //
@@ -118,6 +119,8 @@ class MetricsRegistry {
   // All Register* calls bind a name to externally-owned storage; the source
   // must outlive the registry (or at least every export call).
   void RegisterCounter(const std::string& name, const uint64_t* source);
+  // A counter computed on every snapshot/export, e.g. a sum over owners.
+  void RegisterCounter(const std::string& name, std::function<uint64_t()> fn);
   void RegisterGauge(const std::string& name, std::function<double()> fn);
   void RegisterHistogram(const std::string& name, const util::Histogram* hist);
   void RegisterTimeline(const std::string& name, const Timeline* timeline);
@@ -145,7 +148,7 @@ class MetricsRegistry {
     size_t max_rows;
   };
   // Ordered maps: exports are deterministically sorted by name.
-  std::map<std::string, const uint64_t*> counters_;
+  std::map<std::string, std::function<uint64_t()>> counters_;
   std::map<std::string, std::function<double()>> gauges_;
   std::map<std::string, const util::Histogram*> histograms_;
   std::map<std::string, const Timeline*> timelines_;

@@ -131,7 +131,7 @@ struct IntegrityConfig {
 };
 
 // The mem.fault.* counter block (client side; the server memo domain
-// counts into McServerStats instead).
+// counts in its memo shards, totalled as McServerStats' memo_* fields).
 struct IntegrityStats {
   uint64_t ticks = 0;             // integrity ticks evaluated
   uint64_t flips_injected = 0;    // bits flipped across all client domains

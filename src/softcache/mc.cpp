@@ -69,8 +69,7 @@ util::Result<ChunkRef> McServer::CutShared(uint32_t addr) {
   MemoShard& shard = memo_shards_[shard_index];
   // The slice's own lock covers everything the demand touches — memo map,
   // heat table, fault stream, service histogram — so demands landing in
-  // different shards run fully in parallel. The only lock acquired while
-  // holding it is the stats_mu_ leaf (BumpStats).
+  // different shards run fully in parallel.
   std::lock_guard<std::mutex> lock(shard.mu);
   const ShardServiceTimer timer(&shard.service_ns);
   // Per-shard memo fault stream: one injection opportunity per translate
@@ -78,9 +77,7 @@ util::Result<ChunkRef> McServer::CutShared(uint32_t addr) {
   // Healing is guest-invisible, so arrival-order differences across
   // thread counts only move server-side counters, never client output.
   if (shard.inj != nullptr && shard.inj->Due(nullptr)) {
-    if (CorruptMemoBit(&shard)) {
-      BumpStats([](McServerStats& s) { ++s.memo_flips_injected; });
-    }
+    if (CorruptMemoBit(&shard)) ++shard.flips_injected;
   }
   // Fleet-wide demand heat: every demand from every session bumps it (hit
   // or miss), and the memo bound evicts its coldest entry by this signal.
@@ -94,18 +91,13 @@ util::Result<ChunkRef> McServer::CutShared(uint32_t addr) {
     // corruption cannot reach — so the requester always receives clean
     // bytes, fault storm or not.
     if (DigestOfChunk(*it->second.chunk) == it->second.digest) {
-      BumpStats([](McServerStats& s) { ++s.translate_memo_hits; });
       ++shard.memo_hits;
       return it->second.chunk;
     }
     OBS_INSTANT("mc", "memo_corrupt", "addr", addr);
     auto healed = Cut(image_, addr);
     SC_CHECK(healed.ok()) << "pristine re-cut failed for memoized addr";
-    BumpStats([](McServerStats& s) {
-      ++s.memo_corruptions_detected;
-      ++s.memo_heals;
-      ++s.translates;
-    });
+    ++shard.heals;
     ++shard.translates;
     it->second.digest = DigestOfChunk(*healed);
     it->second.chunk = std::make_shared<const Chunk>(std::move(*healed));
@@ -113,7 +105,6 @@ util::Result<ChunkRef> McServer::CutShared(uint32_t addr) {
   }
   auto cut = Cut(image_, addr);
   if (!cut.ok()) return cut.error();  // failures are cheap; not worth memoizing
-  BumpStats([](McServerStats& s) { ++s.translates; });
   ++shard.translates;
   const size_t per_shard = std::max<size_t>(1, config_.memo_capacity / shards_);
   if (shard.memo.size() >= per_shard) EvictColdest(&shard);
@@ -155,24 +146,20 @@ void McServer::EvictColdest(MemoShard* shard) {
     }
   }
   shard->memo.erase(coldest);
-  BumpStats([](McServerStats& s) { ++s.memo_evictions; });
+  ++shard->evictions;
 }
 
 util::Result<ChunkRef> McServer::CutPrivate(const image::Image& text_image,
                                             uint32_t addr) {
   // Private cuts are un-memoized but still shard-attributed (by address
-  // range) so a session with COW text shows up in the shard's service time.
-  // The cut itself reads only the session's private image and immutable
-  // per-server config, so the slice lock is needed for the histogram alone.
-  const auto start = std::chrono::steady_clock::now();
-  BumpStats([](McServerStats& s) { ++s.translates; });
-  auto chunk = Cut(text_image, addr);
+  // range) so a session with COW text shows up in the shard's service time
+  // and counters. Only sessions whose text went copy-on-write get here, so
+  // holding the slice lock across the cut costs the common path nothing.
   MemoShard& shard = memo_shards_[ShardFor(addr)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.service_ns.Add(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count()));
+  const ShardServiceTimer timer(&shard.service_ns);
+  ++shard.private_cuts;
+  auto chunk = Cut(text_image, addr);
   if (!chunk.ok()) return chunk.error();
   return std::make_shared<const Chunk>(std::move(*chunk));
 }
@@ -186,7 +173,6 @@ void McServer::InvalidateMemoRange(uint32_t addr, uint32_t len) {
   // A demand racing in behind the scan can only re-memoize from the
   // PRISTINE text, which this write never touched (the writer went COW), so
   // a "late" re-insert is still a valid artifact.
-  uint64_t dropped = 0;
   for (MemoShard& shard : memo_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.memo.begin(); it != shard.memo.end();) {
@@ -195,15 +181,12 @@ void McServer::InvalidateMemoRange(uint32_t addr, uint32_t len) {
       const uint64_t chunk_hi =
           static_cast<uint64_t>(chunk.orig_addr) + chunk.orig_span_bytes();
       if (chunk_lo < hi && lo < chunk_hi) {
-        ++dropped;
+        ++shard.invalidations;
         it = shard.memo.erase(it);
       } else {
         ++it;
       }
     }
-  }
-  if (dropped != 0) {
-    BumpStats([dropped](McServerStats& s) { s.memo_invalidations += dropped; });
   }
 }
 
@@ -225,20 +208,17 @@ bool McServer::CorruptMemoBit(MemoShard* shard) {
 }
 
 void McServer::ScrubMemo(const ShardScope& around) {
-  BumpStats([](McServerStats& s) { ++s.memo_scrubs; });
   for (uint32_t s = 0; s < shards_; ++s) {
     MemoShard& shard = memo_shards_[s];
-    const auto scrub = [this, &shard] {
+    const auto scrub = [this, &shard, s] {
       std::lock_guard<std::mutex> lock(shard.mu);
+      if (s == 0) ++shard.scrubs;  // one pass, counted once
       for (auto& [addr, entry] : shard.memo) {
         if (DigestOfChunk(*entry.chunk) == entry.digest) continue;
         OBS_INSTANT("mc", "memo_corrupt", "addr", addr);
         auto healed = Cut(image_, addr);
         SC_CHECK(healed.ok()) << "pristine re-cut failed for memoized addr";
-        BumpStats([](McServerStats& st) {
-          ++st.memo_corruptions_detected;
-          ++st.memo_heals;
-        });
+        ++shard.heals;
         entry.digest = DigestOfChunk(*healed);
         entry.chunk = std::make_shared<const Chunk>(std::move(*healed));
       }
@@ -249,6 +229,36 @@ void McServer::ScrubMemo(const ShardScope& around) {
       scrub();
     }
   }
+}
+
+McServerStats McServer::stats() const {
+  McServerStats total;
+  for (const McSessionStats& s : session_stats_) {
+    total.requests_served +=
+        s.requests + s.misrouted_frames + s.unparseable_frames;
+    total.replays_suppressed += s.replays_suppressed;
+    total.batches_served += s.batches_served;
+    total.chunks_prefetched += s.chunks_prefetched;
+    total.restarts += s.restarts;
+    total.stale_epoch_rejects += s.stale_epoch_rejects;
+    total.write_flushes += s.write_flushes;
+    total.misrouted_frames += s.misrouted_frames;
+    total.shared_requests += s.shared_requests;
+    total.digest_replies += s.digest_replies;
+    total.digest_bytes_saved += s.digest_bytes_saved;
+  }
+  for (const MemoShard& shard : memo_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total.translates += shard.translates + shard.private_cuts;
+    total.translate_memo_hits += shard.memo_hits;
+    total.memo_invalidations += shard.invalidations;
+    total.memo_evictions += shard.evictions;
+    total.memo_flips_injected += shard.flips_injected;
+    total.memo_corruptions_detected += shard.heals;
+    total.memo_heals += shard.heals;
+    total.memo_scrubs += shard.scrubs;
+  }
+  return total;
 }
 
 size_t McServer::memo_entries() const {
@@ -273,6 +283,34 @@ void McServer::PublishDigest(uint64_t digest) {
 // ---------------------------------------------------------------------------
 // McSession: per-client state.
 
+std::vector<uint8_t> McSession::HandleFrame(
+    const std::vector<uint8_t>& request_bytes) {
+  auto request = Request::Parse(request_bytes);
+  OBS_SPAN("mc", "handle",
+           "type", request.ok() ? static_cast<uint64_t>(request->type) : 0,
+           "addr", request.ok() ? request->addr : 0);
+  // A traced miss carries a rid: thread its causal arrow through whichever
+  // server lane (shard or loop) is installed for this frame.
+  if (request.ok() && request->rid != 0) {
+    if (obs::Tracer* t = obs::tracer(); t != nullptr && t->recording()) {
+      t->FlowStep("flow", "miss", FlowId(request->client_id, request->rid));
+    }
+  }
+  if (!request.ok()) {
+    // Unattributable: the seq field cannot be trusted on a corrupted frame.
+    // Seq 0 is reserved for these replies; clients never use it.
+    ++stats_.unparseable_frames;
+    return Finish(ErrorReply(0, request.error().message));
+  }
+  if (request->client_id != client_id_) {
+    // Spoofed or misrouted: a frame claiming another client's id must never
+    // touch that client's session. Reject on the arrival port.
+    ++stats_.misrouted_frames;
+    return Finish(ErrorReply(request->seq, "client id mismatch"));
+  }
+  return HandleRequest(*request);
+}
+
 std::vector<uint8_t> McSession::HandleRequest(const Request& request) {
   ++stats_.requests;
   const bool is_write = request.type == MsgType::kTextWrite ||
@@ -286,7 +324,6 @@ std::vector<uint8_t> McSession::HandleRequest(const Request& request) {
   // reply carries the current epoch, so the client learns about the restart.
   if (request.epoch != (epoch_ & kEpochMask)) {
     ++stats_.stale_epoch_rejects;
-    server_.BumpStats([](McServerStats& st) { ++st.stale_epoch_rejects; });
     return Finish(ErrorReply(request.seq, "stale epoch write"));
   }
 
@@ -302,7 +339,6 @@ std::vector<uint8_t> McSession::HandleRequest(const Request& request) {
         entry.addr == request.addr &&
         entry.payload_checksum == key_checksum && entry.epoch == epoch_) {
       ++stats_.replays_suppressed;
-      server_.BumpStats([](McServerStats& st) { ++st.replays_suppressed; });
       return entry.reply_bytes;
     }
   }
@@ -311,11 +347,6 @@ std::vector<uint8_t> McSession::HandleRequest(const Request& request) {
   replay_cache_.push_back(ReplayEntry{key_type, request.seq, request.addr,
                                       key_checksum, epoch_, reply_bytes});
   return reply_bytes;
-}
-
-std::vector<uint8_t> McSession::ErrorFrame(uint32_t seq,
-                                           const std::string& message) {
-  return Finish(ErrorReply(seq, message));
 }
 
 std::vector<uint8_t> McSession::Finish(Reply reply) const {
@@ -415,7 +446,6 @@ void McSession::RecordTextWrite(uint32_t addr,
   pending_text_.clear();
   stable_text_ops_ = applied_text_ops_;
   ++stats_.write_flushes;
-  server_.BumpStats([](McServerStats& st) { ++st.write_flushes; });
   OBS_INSTANT("mc", "flush_barrier", "text_ops", stable_text_ops_);
 }
 
@@ -431,7 +461,6 @@ void McSession::RecordDataWrite(uint32_t addr,
   pending_data_.clear();
   stable_data_ops_ = applied_data_ops_;
   ++stats_.write_flushes;
-  server_.BumpStats([](McServerStats& st) { ++st.write_flushes; });
   OBS_INSTANT("mc", "flush_barrier", "data_ops", stable_data_ops_);
 }
 
@@ -445,7 +474,6 @@ void McSession::Restart() {
   replay_cache_.clear();
   ++epoch_;
   ++stats_.restarts;
-  server_.BumpStats([](McServerStats& st) { ++st.restarts; });
   OBS_INSTANT("mc", "restart", "epoch", epoch_, "client", client_id_);
 }
 
@@ -521,11 +549,9 @@ Reply McSession::BatchReply(const Request& request, const Chunk& primary,
     budget -= cost;
     append(cand);
     ++stats_.chunks_prefetched;
-    server_.BumpStats([](McServerStats& st) { ++st.chunks_prefetched; });
   }
   reply.aux = count;
   ++stats_.batches_served;
-  server_.BumpStats([](McServerStats& st) { ++st.batches_served; });
   return reply;
 }
 
@@ -534,10 +560,7 @@ std::vector<uint8_t> McSession::HandleParsed(const Request& request) {
     case MsgType::kChunkRequest:
     case MsgType::kChunkSharedRequest: {
       const bool shared = request.type == MsgType::kChunkSharedRequest;
-      if (shared) {
-        ++stats_.shared_requests;
-        server_.BumpStats([](McServerStats& st) { ++st.shared_requests; });
-      }
+      if (shared) ++stats_.shared_requests;
       auto cut = CutChunk(request.addr);
       if (!cut.ok()) {
         return Finish(ErrorReply(request.seq, cut.error().message));
@@ -553,11 +576,7 @@ std::vector<uint8_t> McSession::HandleParsed(const Request& request) {
           // The body already crossed the broadcast medium; every attached
           // client snooped it, so ship the digest alone.
           ++stats_.digest_replies;
-          const uint64_t saved = chunk->words.size() * 4;
-          server_.BumpStats([saved](McServerStats& st) {
-            ++st.digest_replies;
-            st.digest_bytes_saved += saved;
-          });
+          stats_.digest_bytes_saved += chunk->words.size() * 4;
           Reply reply;
           reply.type = MsgType::kChunkDigestReply;
           reply.seq = request.seq;
@@ -694,41 +713,12 @@ std::vector<uint8_t> MemoryController::Handle(
 
 std::vector<uint8_t> MemoryController::HandlePort(
     uint32_t port, const std::vector<uint8_t>& request_bytes) {
-  std::vector<uint8_t> reply_bytes =
-      HandleInner(port & kClientIdMask, request_bytes);
+  std::vector<uint8_t> reply_bytes = session(port).HandleFrame(request_bytes);
   if (tap_) {
     std::lock_guard<std::mutex> lock(tap_mu_);
     tap_(request_bytes, reply_bytes);
   }
   return reply_bytes;
-}
-
-std::vector<uint8_t> MemoryController::HandleInner(
-    uint32_t port, const std::vector<uint8_t>& request_bytes) {
-  server_.BumpStats([](McServerStats& st) { ++st.requests_served; });
-  auto request = Request::Parse(request_bytes);
-  OBS_SPAN("mc", "handle",
-           "type", request.ok() ? static_cast<uint64_t>(request->type) : 0,
-           "addr", request.ok() ? request->addr : 0);
-  // A traced miss carries a rid: thread its causal arrow through whichever
-  // server lane (shard or loop) is installed for this frame.
-  if (request.ok() && request->rid != 0) {
-    if (obs::Tracer* t = obs::tracer(); t != nullptr && t->recording()) {
-      t->FlowStep("flow", "miss", FlowId(request->client_id, request->rid));
-    }
-  }
-  if (!request.ok()) {
-    // Unattributable: the seq field cannot be trusted on a corrupted frame.
-    // Seq 0 is reserved for these replies; clients never use it.
-    return session(port).ErrorFrame(0, request.error().message);
-  }
-  if (request->client_id != port) {
-    // Spoofed or misrouted: a frame claiming another client's id must never
-    // touch that client's session. Reject on the arrival port.
-    server_.BumpStats([](McServerStats& st) { ++st.misrouted_frames; });
-    return session(port).ErrorFrame(request->seq, "client id mismatch");
-  }
-  return session(request->client_id).HandleRequest(*request);
 }
 
 void MemoryController::Restart() {
@@ -744,35 +734,33 @@ void MemoryController::RestartSession(uint32_t client_id) {
 
 void MemoryController::RegisterMetrics(obs::MetricsRegistry* registry,
                                        const std::string& prefix) const {
-  const McServerStats& s = server_.stats();
-  registry->RegisterCounter(prefix + "requests_served", &s.requests_served);
-  registry->RegisterCounter(prefix + "replays_suppressed",
-                            &s.replays_suppressed);
-  registry->RegisterCounter(prefix + "batches_served", &s.batches_served);
-  registry->RegisterCounter(prefix + "chunks_prefetched",
-                            &s.chunks_prefetched);
-  registry->RegisterCounter(prefix + "restarts", &s.restarts);
-  registry->RegisterCounter(prefix + "stale_epoch_rejects",
-                            &s.stale_epoch_rejects);
-  registry->RegisterCounter(prefix + "write_flushes", &s.write_flushes);
-  registry->RegisterCounter(prefix + "translates", &s.translates);
-  registry->RegisterCounter(prefix + "translate_memo_hits",
-                            &s.translate_memo_hits);
-  registry->RegisterCounter(prefix + "translate_memo_invalidations",
-                            &s.memo_invalidations);
-  registry->RegisterCounter(prefix + "translate_memo_evictions",
-                            &s.memo_evictions);
-  registry->RegisterCounter(prefix + "misrouted_frames", &s.misrouted_frames);
-  registry->RegisterCounter(prefix + "shared_requests", &s.shared_requests);
-  registry->RegisterCounter(prefix + "digest_replies", &s.digest_replies);
-  registry->RegisterCounter(prefix + "digest_bytes_saved",
-                            &s.digest_bytes_saved);
-  registry->RegisterCounter(prefix + "memo.flips_injected",
-                            &s.memo_flips_injected);
-  registry->RegisterCounter(prefix + "memo.corruptions_detected",
-                            &s.memo_corruptions_detected);
-  registry->RegisterCounter(prefix + "memo.heals", &s.memo_heals);
-  registry->RegisterCounter(prefix + "memo.scrubs", &s.memo_scrubs);
+  // Server totals, summed from their owners on every read.
+  const std::pair<const char*, uint64_t McServerStats::*> totals[] = {
+      {"requests_served", &McServerStats::requests_served},
+      {"replays_suppressed", &McServerStats::replays_suppressed},
+      {"batches_served", &McServerStats::batches_served},
+      {"chunks_prefetched", &McServerStats::chunks_prefetched},
+      {"restarts", &McServerStats::restarts},
+      {"stale_epoch_rejects", &McServerStats::stale_epoch_rejects},
+      {"write_flushes", &McServerStats::write_flushes},
+      {"translates", &McServerStats::translates},
+      {"translate_memo_hits", &McServerStats::translate_memo_hits},
+      {"translate_memo_invalidations", &McServerStats::memo_invalidations},
+      {"translate_memo_evictions", &McServerStats::memo_evictions},
+      {"misrouted_frames", &McServerStats::misrouted_frames},
+      {"shared_requests", &McServerStats::shared_requests},
+      {"digest_replies", &McServerStats::digest_replies},
+      {"digest_bytes_saved", &McServerStats::digest_bytes_saved},
+      {"memo.flips_injected", &McServerStats::memo_flips_injected},
+      {"memo.corruptions_detected", &McServerStats::memo_corruptions_detected},
+      {"memo.heals", &McServerStats::memo_heals},
+      {"memo.scrubs", &McServerStats::memo_scrubs},
+  };
+  for (const auto& [name, field] : totals) {
+    registry->RegisterCounter(prefix + name, [this, f = field] {
+      return server_.stats().*f;
+    });
+  }
   registry->RegisterGauge(prefix + "sessions_active", [this] {
     return static_cast<double>(sessions_active());
   });

@@ -93,15 +93,30 @@ inline constexpr uint32_t kMcWriteFlushIntervalOps = 32;
 // writeback touches a page, which faults a private copy of just that page.
 inline constexpr uint32_t kMcCowPageBytes = 4096;
 
-// Shared-core counters. These are the server-side aggregates across every
-// session (for a single-client run they equal the per-session counters), and
-// their addresses are stable for the MC's lifetime (metrics registry).
-//
-// Ownership: every field is written only under McServer::stats_mu_ (via
-// McServer::BumpStats) — one owning lock per counter, no field is ever
-// touched under two different locks. Readers (tests, benches, the metrics
-// registry) read the plain fields at quiescence: after the run, or inside a
-// park-all exclusive section / fleet safepoint when no frame is in flight.
+// Per-session counters, written only by the session's own frame path
+// (stop-and-wait) or, for restarts, in the loop's park-all section.
+struct McSessionStats {
+  uint64_t requests = 0;             // frames served (parsed, routed right)
+  uint64_t replays_suppressed = 0;
+  uint64_t batches_served = 0;
+  uint64_t chunks_prefetched = 0;
+  uint64_t restarts = 0;
+  uint64_t stale_epoch_rejects = 0;
+  uint64_t write_flushes = 0;
+  uint64_t text_cow_faults = 0;      // 0 or 1: private text materialized
+  uint64_t data_cow_page_faults = 0; // private data pages materialized
+  uint64_t shared_requests = 0;      // kChunkSharedRequest frames from this id
+  uint64_t digest_replies = 0;       // payload-less replies this session got
+  uint64_t digest_bytes_saved = 0;   // body bytes they kept off the wire
+  uint64_t misrouted_frames = 0;     // arrived here naming another client id
+  uint64_t unparseable_frames = 0;   // arrived here and failed to parse
+};
+
+// Server-wide totals, stored nowhere: McServer::stats() sums the owners
+// when read. A frame's counts live in the session it arrived on, a memo
+// event's in the shard whose mutex the event holds. Read at quiescence:
+// after the run, or inside a park-all exclusive section / fleet safepoint
+// when no frame is in flight.
 struct McServerStats {
   uint64_t requests_served = 0;      // every frame handled, incl. garbage
   uint64_t replays_suppressed = 0;   // write retransmits answered from cache
@@ -170,12 +185,13 @@ struct McServerConfig {
 //
 // Concurrency: there is NO core-wide lock. Each memo shard is an
 // independently owned slice — its mutex covers that slice's memo map, heat
-// table, fault-injector stream and service-time histogram — so translations
-// in different address ranges proceed concurrently. The only cross-shard
-// state is the published-digest window (its own leaf mutex) and the
-// aggregate stats (stats_mu_, also a leaf). At most one shard lock is ever
-// held at a time (range scans lock shards one-by-one in ascending index
-// order); the full lock-order table lives in docs/DESIGN.md.
+// table, fault-injector stream, service-time histogram and memo counters —
+// so translations in different address ranges proceed concurrently. The
+// only cross-shard state is the published-digest window (its own leaf
+// mutex); sessions' counter slots live here only so stats() can sum them.
+// At most one shard lock is ever held at a time (range scans lock shards
+// one-by-one in ascending index order); the full lock-order table lives in
+// docs/DESIGN.md.
 class McServer {
  public:
   McServer(const image::Image& image, Style style, uint32_t max_block_instrs,
@@ -306,17 +322,13 @@ class McServer {
   };
   std::vector<MemoEntryView> SnapshotMemo() const;
 
-  // Quiescent read surface (see the McServerStats ownership comment).
-  const McServerStats& stats() const { return stats_; }
+  // Server totals: the sum of every session's and every shard's counters
+  // (see McServerStats). Quiescent reads only.
+  McServerStats stats() const;
 
-  // The one write path for the aggregate stats: every mutation happens
-  // under stats_mu_, a leaf lock (safe to take while holding a shard mutex,
-  // never the other way around).
-  template <typename F>
-  void BumpStats(F&& f) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    f(stats_);
-  }
+  // A new session's counter slot, stable for the server's lifetime. Called
+  // at session construction (under sessions_mu_), never during stats().
+  McSessionStats* AddSessionStats() { return &session_stats_.emplace_back(); }
 
  private:
   // One memoized translation plus the content digest stamped at insert.
@@ -329,9 +341,9 @@ class McServer {
 
   // One independently owned slice of the server core: the memoized
   // translations for this shard's address range, the demand-heat table that
-  // ranks their eviction, the shard's integrity fault stream, and its
-  // service-time histogram — all guarded by the slice's own mutex, so two
-  // shards never serialize against each other.
+  // ranks their eviction, the shard's integrity fault stream, its
+  // service-time histogram and its counters — all guarded by the slice's
+  // own mutex, so two shards never serialize against each other.
   struct MemoShard {
     mutable std::mutex mu;
     std::map<uint32_t, MemoEntry> memo;  // requested addr -> translation
@@ -344,8 +356,14 @@ class McServer {
     // Service-time spread: one bucket per ~8 us up to 1 ms; memo hits land
     // in the first bucket, cold cuts spread out, outliers clamp.
     util::Histogram service_ns{0, 1e6, 128};
-    uint64_t translates = 0;
+    uint64_t translates = 0;     // shared cuts, heals included
     uint64_t memo_hits = 0;
+    uint64_t private_cuts = 0;   // CutPrivate calls attributed here
+    uint64_t evictions = 0;
+    uint64_t invalidations = 0;  // entries dropped by text writes
+    uint64_t flips_injected = 0;
+    uint64_t heals = 0;          // = corruptions found: each is healed
+    uint64_t scrubs = 0;         // ScrubMemo passes; shard 0 only
   };
 
   util::Result<Chunk> Cut(const image::Image& text_image, uint32_t addr) const;
@@ -385,24 +403,8 @@ class McServer {
   mutable std::mutex published_mu_;
   std::map<uint64_t, uint8_t> published_;
   std::deque<uint64_t> published_fifo_;
-  // Aggregate-stat leaf lock; see BumpStats.
-  std::mutex stats_mu_;
-  McServerStats stats_;
-};
-
-// Per-session counters (one McSession per client id).
-struct McSessionStats {
-  uint64_t requests = 0;
-  uint64_t replays_suppressed = 0;
-  uint64_t batches_served = 0;
-  uint64_t chunks_prefetched = 0;
-  uint64_t restarts = 0;
-  uint64_t stale_epoch_rejects = 0;
-  uint64_t write_flushes = 0;
-  uint64_t text_cow_faults = 0;      // 0 or 1: private text materialized
-  uint64_t data_cow_page_faults = 0; // private data pages materialized
-  uint64_t shared_requests = 0;      // kChunkSharedRequest frames from this id
-  uint64_t digest_replies = 0;       // payload-less replies this session got
+  // One slot per session (AddSessionStats); deque for stable addresses.
+  std::deque<McSessionStats> session_stats_;
 };
 
 // One client's server-side state: epoch fencing, replay cache, pending
@@ -411,15 +413,16 @@ struct McSessionStats {
 class McSession {
  public:
   McSession(McServer& server, uint32_t client_id)
-      : server_(server), client_id_(client_id) {}
+      : server_(server),
+        client_id_(client_id),
+        stats_(*server.AddSessionStats()) {}
 
-  // Handles one parsed request addressed to this session (epoch fence,
-  // replay cache, dispatch); returns the serialized reply frame.
-  std::vector<uint8_t> HandleRequest(const Request& request);
-
-  // A serialized kError reply stamped with this session's id and epoch; used
-  // by the facade for frames that fail to parse (seq 0 = unattributable).
-  std::vector<uint8_t> ErrorFrame(uint32_t seq, const std::string& message);
+  // Handles one frame that arrived on this session's port; returns the
+  // serialized reply frame. A frame that fails to parse, or that names
+  // another client id (spoofed or misrouted), is rejected with a kError
+  // reply and counted here without touching any session state; the rest go
+  // through the epoch fence, the replay cache and dispatch.
+  std::vector<uint8_t> HandleFrame(const std::vector<uint8_t>& request_bytes);
 
   // Crash model: this session's server-side process dies and comes back up.
   // All volatile state is lost — the replay cache and the pending
@@ -493,6 +496,8 @@ class McSession {
 
   using PageMap = std::map<uint32_t, std::vector<uint8_t>>;  // page index -> bytes
 
+  // Epoch fence and replay cache around HandleParsed.
+  std::vector<uint8_t> HandleRequest(const Request& request);
   // Serves one request; returns the finished reply frame.
   std::vector<uint8_t> HandleParsed(const Request& request);
   Reply ErrorReply(uint32_t seq, const std::string& message) const;
@@ -543,7 +548,7 @@ class McSession {
   uint64_t applied_data_ops_ = 0;
   uint64_t stable_data_ops_ = 0;
   uint32_t epoch_ = 0;
-  McSessionStats stats_;
+  McSessionStats& stats_;  // this session's slot in the server
 };
 
 // The MC endpoint: one shared server core plus a session per client id.
@@ -567,9 +572,8 @@ class MemoryController {
   // id names (PeekFrameClientId; 0 for a frame too short to carry one).
   std::vector<uint8_t> Handle(const std::vector<uint8_t>& request_bytes);
 
-  // Handles a frame arriving on switch port `port`: the embedded client id
-  // must match the port, otherwise the frame is rejected as misrouted
-  // (spoofed) without touching any session's state.
+  // Handles a frame arriving on switch port `port` in session(port) (see
+  // McSession::HandleFrame), then runs the frame tap.
   std::vector<uint8_t> HandlePort(uint32_t port,
                                   const std::vector<uint8_t>& request_bytes);
 
@@ -616,10 +620,6 @@ class MemoryController {
   void set_frame_tap(FrameTap tap) { tap_ = std::move(tap); }
 
  private:
-  // HandlePort without the frame tap.
-  std::vector<uint8_t> HandleInner(uint32_t port,
-                                   const std::vector<uint8_t>& request_bytes);
-
   McServer server_;
   // Guards the session MAP only (lookup/insert); held never across a
   // handler, so frame handling for different clients proceeds concurrently.

@@ -583,6 +583,74 @@ TEST(SwitchDemux, SpoofedIdPropertySweepNeverCrossesSessions) {
 }
 
 // ---------------------------------------------------------------------------
+// Server totals: summed from the sessions and shards that own each count
+// ---------------------------------------------------------------------------
+
+TEST(McServerTotals, EveryFrameAndCutCountsOnce) {
+  const image::Image img = LoopImage();
+  softcache::McServerConfig server_config;
+  server_config.shards = 1;
+  server_config.memo_capacity = 2;
+  MemoryController mc(img, softcache::Style::kSparc, 64, 1, server_config);
+  mc.session(1);  // registered below, before its first frame
+  obs::MetricsRegistry registry;
+  mc.RegisterMetrics(&registry);
+
+  // Two chunk starts besides the entry, all distinct.
+  std::vector<uint32_t> others;
+  for (uint32_t a = img.text_base; others.size() < 2; a += 4) {
+    if (a != img.entry) others.push_back(a);
+  }
+  const auto on_port1 = [&mc](const std::vector<uint8_t>& frame) {
+    return MustParse(mc.HandlePort(1, frame));
+  };
+
+  // Rejected on arrival: a frame too short to parse, and one naming client 2.
+  EXPECT_EQ(on_port1({1, 2, 3}).type, MsgType::kError);
+  EXPECT_EQ(on_port1(ChunkReq(img.entry, 2).Serialize()).type,
+            MsgType::kError);
+
+  // Served: cut, memo hit, cut, and a cut that evicts the colder entry.
+  uint32_t seq = 1;
+  EXPECT_EQ(on_port1(ChunkReq(img.entry, 1, seq++).Serialize()).type,
+            MsgType::kChunkReply);
+  on_port1(ChunkReq(img.entry, 1, seq++).Serialize());
+  on_port1(ChunkReq(others[0], 1, seq++).Serialize());
+  on_port1(ChunkReq(others[1], 1, seq++).Serialize());
+  ASSERT_EQ(mc.server().memo_entries(), 2u);
+
+  // Rewriting the whole text (with its own bytes) drops both memo entries
+  // and faults the session's text private; the next demand cuts from it.
+  Request write;
+  write.type = MsgType::kTextWrite;
+  write.seq = seq++;
+  write.addr = img.text_base;
+  write.client_id = 1;
+  write.payload = img.text;
+  write.length = static_cast<uint32_t>(write.payload.size());
+  EXPECT_EQ(on_port1(write.Serialize()).type, MsgType::kTextWriteAck);
+  EXPECT_EQ(on_port1(ChunkReq(img.entry, 1, seq++).Serialize()).type,
+            MsgType::kChunkReply);
+
+  const softcache::McServerStats stats = mc.server().stats();
+  EXPECT_EQ(stats.requests_served, 8u);  // 6 served + 2 rejected
+  EXPECT_EQ(stats.misrouted_frames, 1u);
+  EXPECT_EQ(stats.translates, 4u);  // 3 shared cuts + 1 private cut
+  EXPECT_EQ(stats.translate_memo_hits, 1u);
+  EXPECT_EQ(stats.memo_evictions, 1u);
+  EXPECT_EQ(stats.memo_invalidations, 2u);
+  EXPECT_EQ(mc.session(1).stats().unparseable_frames, 1u);
+  EXPECT_EQ(mc.session(1).stats().misrouted_frames, 1u);
+  EXPECT_EQ(mc.FindSession(2), nullptr);
+
+  const auto snap = registry.TakeSnapshot();
+  EXPECT_EQ(snap.counters.at("mc.s1.requests"), 6u);  // served frames only
+  EXPECT_EQ(snap.counters.at("mc.s0.requests"), 0u);
+  EXPECT_EQ(snap.counters.at("mc.requests_served"), 8u);
+  EXPECT_EQ(snap.counters.at("mc.translates"), 4u);
+}
+
+// ---------------------------------------------------------------------------
 // End to end: N clients share one server (that each behaves exactly like
 // its solo run is the configuration oracle's)
 // ---------------------------------------------------------------------------

@@ -316,6 +316,10 @@ TEST(SharedReplyRace, ConcurrentSameShardDemandsStayCoherent) {
   // Every demand was served, each distinct chunk cut exactly once
   // fleet-wide, and at least one reply coalesced to a digest.
   EXPECT_EQ(stats.shared_requests, 2 * kRounds);
+  // Each frame counted once, by the session it arrived on.
+  EXPECT_EQ(stats.requests_served, 2 * kRounds);
+  EXPECT_EQ(mc.session(1).stats().requests, kRounds);
+  EXPECT_EQ(mc.session(2).stats().requests, kRounds);
   EXPECT_EQ(mc.server().shard_memo_entries(0), 8u);
   EXPECT_GE(stats.digest_replies, 1u);
   EXPECT_EQ(stats.translates + stats.translate_memo_hits, 2 * kRounds);

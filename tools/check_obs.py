@@ -5,7 +5,10 @@ Usage:
   check_obs.py trace FILE      merged Chrome trace: per-lane balanced B/E
                                spans, every flow id has matching s/f
                                endpoints, zero dropped events
-  check_obs.py metrics FILE    metrics JSON: parses, has counters
+  check_obs.py metrics FILE    metrics JSON: parses, has counters; in a
+                               fleet file every frame the switch carried
+                               was enqueued on the loop and counted once
+                               in mc.requests_served
   check_obs.py inspect FILE... inspector snapshots: parse, schema marker,
                                server section present
 
@@ -65,6 +68,16 @@ def check_metrics(path):
     counters = doc.get("counters")
     if not isinstance(counters, dict) or not counters:
         fail(f"{path}: no counters section")
+    # Fleet runs route every MC frame through the switch and the server
+    # loop; the MC's total is summed from its sessions, so a frame class
+    # left out of that sum shows up here as a mismatch.
+    frame_keys = ("mc.requests_served", "net.switch.frames",
+                  "mc.loop.requests_enqueued")
+    if any(k in counters for k in frame_keys[1:]):
+        values = [counters.get(k) for k in frame_keys]
+        if None in values or len(set(values)) != 1:
+            fail(f"{path}: frame counts disagree: " +
+                 ", ".join(f"{k}={v}" for k, v in zip(frame_keys, values)))
     print(f"check_obs: {path} ok ({len(counters)} counters)")
 
 
